@@ -31,12 +31,14 @@ control::MpcProblem mpc_bench_problem(std::size_t n) {
   return p;
 }
 
-void run_mpc_step_bench(benchmark::State& state, bool use_dense_qp) {
+// Structured operator: O(n Lc) per solver iteration. Observability is left
+// detached here, so this also proves the disabled ObsSink costs one branch
+// per emit site (compare BM_MpcStepObserved).
+void BM_MpcStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   control::MpcConfig cfg;
   cfg.prediction_horizon = 8;
   cfg.control_horizon = 2;
-  cfg.use_dense_qp = use_dense_qp;
   control::MpcPowerController mpc(cfg);
   const control::MpcProblem p = mpc_bench_problem(n);
   control::MpcOutput out;
@@ -46,11 +48,6 @@ void run_mpc_step_bench(benchmark::State& state, bool use_dense_qp) {
   }
   state.SetLabel(std::to_string(n) + " cores");
 }
-
-// Structured operator path (the default): O(n Lc) per solver iteration.
-// Observability is left detached here, so this also proves the disabled
-// ObsSink costs one branch per emit site (compare BM_MpcStepObserved).
-void BM_MpcStep(benchmark::State& state) { run_mpc_step_bench(state, false); }
 BENCHMARK(BM_MpcStep)->Arg(8)->Arg(64)->Arg(128)->Arg(256);
 
 // Same solve with a live ObsSink attached: counters + exit-residual and
@@ -82,12 +79,6 @@ void BM_MpcStepObserved(benchmark::State& state) {
   state.SetLabel(std::to_string(n) + " cores, obs on");
 }
 BENCHMARK(BM_MpcStepObserved)->Arg(8)->Arg(256);
-
-// Dense reference path: materialized (n Lc)^2 Hessian + power iteration.
-void BM_MpcStepDense(benchmark::State& state) {
-  run_mpc_step_bench(state, true);
-}
-BENCHMARK(BM_MpcStepDense)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_BoxQpSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

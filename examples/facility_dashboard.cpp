@@ -254,8 +254,7 @@ int main(int argc, char** argv) {
   std::cout << "\nsolver health (MPC over the run):\n";
   for (std::size_t r = 0; r < reports.size(); ++r) {
     const obs::MetricsSnapshot& m = reports[r].metrics;
-    const std::uint64_t solves = m.counter("mpc.solves.structured") +
-                                 m.counter("mpc.solves.dense");
+    const std::uint64_t solves = m.counter("mpc.solves.structured");
     const std::uint64_t iters = m.counter("mpc.qp.iterations");
     const auto it = m.histograms.find("mpc.step_us");
     std::cout << "  rack " << r << ": " << solves << " solves, "

@@ -152,15 +152,9 @@ def condense(raw: dict, build_type: str) -> dict:
 
     headline = {}
     structured = benchmarks.get("BM_MpcStep/256")
-    dense = benchmarks.get("BM_MpcStepDense/256")
     observed = benchmarks.get("BM_MpcStepObserved/256")
     if structured:
         headline["mpc_step_256_structured_ns"] = structured["real_time_ns"]
-    if dense:
-        headline["mpc_step_256_dense_ns"] = dense["real_time_ns"]
-    if structured and dense and structured["real_time_ns"] > 0:
-        headline["mpc_step_256_speedup"] = round(
-            dense["real_time_ns"] / structured["real_time_ns"], 2)
     if observed:
         headline["mpc_step_256_observed_ns"] = observed["real_time_ns"]
         if structured and structured["real_time_ns"] > 0:

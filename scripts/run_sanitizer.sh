@@ -10,8 +10,8 @@
 #           loader/fuzzer, and the golden scenario replays — so every
 #           shipped scenario gets one replay under ASan)
 #   tsan    ThreadSanitizer over the concurrency-sensitive suites (label
-#           `threads`: the thread pool, the parallel facility, and the span
-#           tracer under the sharded runtime — trace_test's
+#           `threads`: the parallel facility and the span tracer under
+#           the sharded runtime — trace_test's
 #           facility-with-tracing case drives per-worker TraceBuffers and
 #           the concurrent metric emitters from every shard)
 #   ubsan   UndefinedBehaviorSanitizer over the FULL suite — including the
@@ -45,8 +45,7 @@ case "$FLAVOR" in
     ;;
   tsan)
     CMAKE_FLAG=SPRINTCON_TSAN
-    TARGETS=(thread_pool_test facility_test facility_shard_test
-      obs_test trace_test)
+    TARGETS=(facility_test facility_shard_test obs_test trace_test)
     CTEST_LABEL=threads
     CTEST_PARALLEL=0
     ;;

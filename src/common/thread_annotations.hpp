@@ -2,8 +2,8 @@
 //
 // Wraps Clang's `-Wthread-safety` attribute set behind SPRINTCON_* macros
 // that expand to nothing on other compilers, and provides Mutex /
-// MutexLock / UniqueMutexLock / CondVar — drop-in analogues of std::mutex
-// and friends that carry the `capability` annotations the analysis needs
+// MutexLock — drop-in analogues of std::mutex and std::lock_guard that
+// carry the `capability` annotations the analysis needs
 // (libstdc++'s std::mutex carries none, so GUARDED_BY against it is
 // invisible to the checker). The `tidy` CMake preset builds the tree with
 // `-Wthread-safety -Werror=thread-safety`, turning lock-discipline
@@ -14,13 +14,12 @@
 // Conventions (DESIGN.md §11):
 //  * every mutex-protected member is declared SPRINTCON_GUARDED_BY(mu_);
 //  * private helpers called with the lock held take SPRINTCON_REQUIRES;
-//  * lock acquisition goes through MutexLock (scoped) or UniqueMutexLock
-//    (scoped, condition-variable capable) — never bare lock()/unlock();
+//  * lock acquisition goes through MutexLock (scoped) — never bare
+//    lock()/unlock();
 //  * single-writer structures (EventLog, TraceBuffer) have no lock to
 //    annotate; their ownership contract is documented at the class.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__) && !defined(SPRINTCON_NO_THREAD_SAFETY_ANNOTATIONS)
@@ -77,8 +76,7 @@
 namespace sprintcon {
 
 /// std::mutex with the `capability` annotation the thread-safety analysis
-/// keys on. Same semantics and cost; native() exposes the underlying
-/// std::mutex for interop (condition variables).
+/// keys on. Same semantics and cost.
 class SPRINTCON_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -88,8 +86,6 @@ class SPRINTCON_CAPABILITY("mutex") Mutex {
   void lock() SPRINTCON_ACQUIRE() { mutex_.lock(); }
   void unlock() SPRINTCON_RELEASE() { mutex_.unlock(); }
   bool try_lock() SPRINTCON_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
-
-  std::mutex& native() noexcept { return mutex_; }
 
  private:
   std::mutex mutex_;
@@ -109,45 +105,6 @@ class SPRINTCON_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mutex_;
-};
-
-/// Scoped lock built on std::unique_lock so it can park on a CondVar.
-/// The analysis treats the capability as held for the full scope — the
-/// caller-visible contract of a condition wait (the window where wait()
-/// has internally released the mutex is invisible to the waiting code).
-class SPRINTCON_SCOPED_CAPABILITY UniqueMutexLock {
- public:
-  explicit UniqueMutexLock(Mutex& mutex) SPRINTCON_ACQUIRE(mutex)
-      : lock_(mutex.native()) {}
-  ~UniqueMutexLock() SPRINTCON_RELEASE() {}
-
-  UniqueMutexLock(const UniqueMutexLock&) = delete;
-  UniqueMutexLock& operator=(const UniqueMutexLock&) = delete;
-
-  std::unique_lock<std::mutex>& native() noexcept { return lock_; }
-
- private:
-  std::unique_lock<std::mutex> lock_;
-};
-
-/// Condition variable paired with Mutex/UniqueMutexLock. Predicate loops
-/// stay in the caller (`while (!pred()) cv.wait(lock);`) so guarded-member
-/// reads in the predicate are checked against the caller's held lock.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
-  /// Atomically release `lock`'s mutex and block; the lock is held again
-  /// when wait() returns.
-  void wait(UniqueMutexLock& lock) { cv_.wait(lock.native()); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace sprintcon

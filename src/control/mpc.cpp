@@ -104,7 +104,6 @@ void MpcPowerController::set_obs(obs::ObsSink* sink) {
   if (sink == nullptr) return;
   auto& m = sink->metrics();
   met_.solves_structured = &m.counter("mpc.solves.structured");
-  met_.solves_dense = &m.counter("mpc.solves.dense");
   met_.qp_iterations = &m.counter("mpc.qp.iterations");
   met_.qp_restarts = &m.counter("mpc.qp.restarts");
   met_.qp_not_converged = &m.counter("mpc.qp.not_converged");
@@ -120,13 +119,9 @@ void MpcPowerController::step(const MpcProblem& problem, MpcOutput& out) {
   const obs::ScopedSpan span(obs_ != nullptr ? obs_->trace() : nullptr,
                              "mpc_solve", "decision", "horizon",
                              static_cast<double>(config_.prediction_horizon));
-  if (config_.use_dense_qp) {
-    step_dense(problem, out);
-  } else {
-    step_structured(problem, out);
-  }
+  step_structured(problem, out);
   if (obs_ != nullptr) {
-    (config_.use_dense_qp ? met_.solves_dense : met_.solves_structured)->add();
+    met_.solves_structured->add();
     met_.qp_iterations->add(static_cast<std::uint64_t>(out.qp.iterations));
     met_.qp_restarts->add(static_cast<std::uint64_t>(out.qp.restarts));
     if (!out.qp.converged) met_.qp_not_converged->add();
@@ -184,63 +179,6 @@ void MpcPowerController::step_structured(const MpcProblem& problem,
                        out.qp.x.begin() + static_cast<std::ptrdiff_t>(n));
   out.predicted_power_w =
       pred_base + dot(problem.gains_w_per_f, out.freq_next);
-}
-
-void MpcPowerController::step_dense(const MpcProblem& problem, MpcOutput& out) {
-  const std::size_t n = problem.gains_w_per_f.size();
-  const std::size_t lc = config_.control_horizon;
-  const std::size_t lp = config_.prediction_horizon;
-  const std::size_t dim = n * lc;
-  const double pred_base = build_reference(problem);
-
-  // Decision variables: z = [F(t+1); ...; F(t+Lc)] stacked. Predicted power
-  // at step s uses block min(s, Lc).
-  BoxQp qp;
-  qp.hessian = Matrix(dim, dim, 0.0);
-  qp.gradient.assign(dim, 0.0);
-  qp.lower.assign(dim, 0.0);
-  qp.upper.assign(dim, 0.0);
-
-  const double q = config_.tracking_weight;
-  for (std::size_t b = 0; b < lc; ++b) {
-    const BlockTracking t = block_tracking(reference_, pred_base, b, lc, lp);
-    const std::size_t off = b * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double ki = problem.gains_w_per_f[i];
-      // Tracking term: q * steps * K^T K block.
-      for (std::size_t j = 0; j < n; ++j) {
-        qp.hessian(off + i, off + j) +=
-            q * t.steps * ki * problem.gains_w_per_f[j];
-      }
-      // Control penalty: R on (z_b - F_max).
-      qp.hessian(off + i, off + i) += problem.penalty_weights[i];
-      qp.gradient[off + i] = -q * ki * t.ref_sum -
-                             problem.penalty_weights[i] * problem.freq_max[i];
-      qp.lower[off + i] = problem.freq_min[i];
-      qp.upper[off + i] = problem.freq_max[i];
-    }
-  }
-  apply_slew_limit(problem, config_.max_slew_per_period, qp.lower, qp.upper);
-
-  // Warm start from the previous solution when the shape is unchanged.
-  Vector x0;
-  if (warm_start_.size() == dim) {
-    x0 = warm_start_;
-  } else {
-    x0.reserve(dim);
-    for (std::size_t b = 0; b < lc; ++b)
-      x0.insert(x0.end(), problem.freq_current.begin(),
-                problem.freq_current.end());
-  }
-
-  QpResult qp_result = solve_box_qp(qp, x0, config_.qp);
-  warm_start_ = qp_result.x;
-
-  out.freq_next.assign(qp_result.x.begin(),
-                       qp_result.x.begin() + static_cast<std::ptrdiff_t>(n));
-  out.predicted_power_w =
-      pred_base + dot(problem.gains_w_per_f, out.freq_next);
-  out.qp = std::move(qp_result);
 }
 
 Matrix mpc_closed_loop_matrix(const MpcConfig& config,

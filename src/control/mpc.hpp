@@ -12,10 +12,8 @@
 // The decision variables are parameterized as the absolute frequency
 // vectors at each control-horizon step (prefix sums of the paper's
 // Delta-F), which turns the frequency bounds into a plain box and the cost
-// into a convex QP. By default it is solved through the O(n Lc) structured
-// operator of structured_qp.hpp (the Hessian is diag(R) + c_b k k^T per
-// control block); MpcConfig::use_dense_qp selects the dense `solve_box_qp`
-// reference path instead.
+// into a convex QP, solved through the O(n Lc) structured operator of
+// structured_qp.hpp (the Hessian is diag(R) + c_b k k^T per control block).
 //
 // The control penalty weight R_j per core implements the paper's progress
 // balancing: R_j = remaining-progress / normalized-remaining-time, so jobs
@@ -41,11 +39,6 @@ struct MpcConfig {
   /// Optional per-period slew limit on each frequency (normalized units);
   /// <= 0 disables rate limiting.
   double max_slew_per_period = 0.0;
-  /// Solve the QP with the dense reference path (materialized Hessian +
-  /// power-iteration step bound) instead of the O(n Lc) structured
-  /// operator. The two agree to solver tolerance; the dense path exists as
-  /// a cross-check and for experiments with non-structured costs.
-  bool use_dense_qp = false;
   QpOptions qp;
 };
 
@@ -83,9 +76,9 @@ class MpcPowerController {
   /// frequency vector for the next period.
   MpcOutput step(const MpcProblem& problem);
 
-  /// In-place variant: writes into `out`, reusing its vector capacity. On
-  /// the structured path a warm-started controller stepping a fixed-size
-  /// problem performs zero steady-state heap allocations.
+  /// In-place variant: writes into `out`, reusing its vector capacity. A
+  /// warm-started controller stepping a fixed-size problem performs zero
+  /// steady-state heap allocations.
   void step(const MpcProblem& problem, MpcOutput& out);
 
   /// Reset the warm-start state (e.g. when the actuated core set changes).
@@ -98,7 +91,6 @@ class MpcPowerController {
   void set_obs(obs::ObsSink* sink);
 
  private:
-  void step_dense(const MpcProblem& problem, MpcOutput& out);
   void step_structured(const MpcProblem& problem, MpcOutput& out);
   /// Fill `reference_` (Eq. 7) and return the constant part of the power
   /// prediction p_fb(t) - K . F(t).
@@ -106,7 +98,7 @@ class MpcPowerController {
 
   MpcConfig config_;
   Vector warm_start_;
-  // Controller-owned scratch for the structured path; sized on first use
+  // Controller-owned solver scratch; sized on first use
   // and reused verbatim while the problem shape is unchanged.
   Vector reference_;
   StructuredBlockQp sqp_;
@@ -116,7 +108,6 @@ class MpcPowerController {
   // Observability (optional). Handles cached by set_obs.
   struct ObsHandles {
     obs::Counter* solves_structured = nullptr;
-    obs::Counter* solves_dense = nullptr;
     obs::Counter* qp_iterations = nullptr;
     obs::Counter* qp_restarts = nullptr;
     obs::Counter* qp_not_converged = nullptr;

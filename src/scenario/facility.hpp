@@ -7,13 +7,14 @@
 // nearly flat instead of inheriting K synchronized square waves. This is
 // the library form of the `ablation_stagger` experiment.
 //
-// Execution model (sharded, see DESIGN.md): each worker thread owns a
-// fixed contiguous shard of rigs for the whole run. Workers construct
+// Execution model (sharded, see DESIGN.md): each worker owns a fixed
+// contiguous shard of rigs for the whole run; a single worker is the
+// caller thread, several are one std::thread each. Workers construct
 // their own shard's rigs, then advance them independently in simulated
 // time, meeting at a barrier every `epoch_s` simulated seconds — the
 // cadence at which a facility-level allocator would redistribute power
 // budgets. Rigs share nothing (per-rig RNG, recorder, controllers), so
-// the schedule is bit-identical to sequential execution.
+// the results are bit-identical at any shard count.
 #pragma once
 
 #include <cstddef>
@@ -52,10 +53,12 @@ struct FacilityConfig {
   std::size_t num_racks = 4;
   /// Stagger the racks' overload windows by cycle/num_racks each.
   bool staggered = true;
-  /// Worker threads (= shards). Each worker owns a fixed contiguous shard
-  /// of rigs for the whole run — it constructs them and advances them —
-  /// so there is no per-tick or per-task handoff. 0 = one worker per
-  /// hardware thread (capped at num_racks); 1 = everything on the caller.
+  /// Workers (= shards). Each worker owns a fixed contiguous shard of
+  /// rigs for the whole run — it constructs them and advances them — so
+  /// there is no per-tick or per-task handoff. One worker runs on the
+  /// calling thread; with more, each gets a std::thread and the caller
+  /// waits. Either way the same epoch loop and barrier run. 0 = one worker
+  /// per hardware thread; capped at num_racks.
   std::size_t run_threads = 0;
   /// Simulated seconds between facility-wide synchronization points.
   /// Workers advance their shards independently and meet at a barrier
@@ -66,7 +69,9 @@ struct FacilityConfig {
   /// Optional hook run at every epoch boundary (including the final one)
   /// with every worker parked at the barrier: all rigs are quiescent and
   /// safe to inspect. Called as (epoch_index, simulated_time_s) on one of
-  /// the worker threads.
+  /// the worker threads (the caller, on one shard). Under kFailFast it
+  /// still runs for every epoch after a worker has thrown, before run()
+  /// rethrows.
   std::function<void(std::size_t, double)> epoch_callback;
   /// Per-rack configuration template; each rack gets seed + rack index.
   RigConfig rack;

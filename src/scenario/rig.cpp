@@ -286,6 +286,7 @@ Rig::Rig(const RigConfig& config) : config_(config) {
                        .kind = obs::HealthRuleKind::kAbove,
                        .signal = obs::HealthSignal::kGauge,
                        .metric = "control.meter_residual_w",
+                       .reference = {},
                        .threshold = 25.0});
     health_->add_rule({.name = "meter-stuck",
                        .kind = obs::HealthRuleKind::kStuck,
@@ -297,16 +298,19 @@ Rig::Rig(const RigConfig& config) : config_(config) {
                        .kind = obs::HealthRuleKind::kAbove,
                        .signal = obs::HealthSignal::kGauge,
                        .metric = "rig.dvfs_divergence",
+                       .reference = {},
                        .threshold = 0.02});
     health_->add_rule({.name = "ups-capacity-fade",
                        .kind = obs::HealthRuleKind::kBelow,
                        .signal = obs::HealthSignal::kGauge,
                        .metric = "rig.battery_capacity_wh",
+                       .reference = {},
                        .threshold = 0.9 * nominal_wh});
     health_->add_rule({.name = "latency-slo",
                        .kind = obs::HealthRuleKind::kAbove,
                        .signal = obs::HealthSignal::kWindowedP99,
                        .metric = "queue.response_ms.window",
+                       .reference = {},
                        .threshold = 500.0});
     // UPS delivery audit: joules the discharge path failed to deliver
     // against its command (sprintcon.cpp resolve_flows). Healthy hardware
@@ -316,6 +320,7 @@ Rig::Rig(const RigConfig& config) : config_(config) {
                        .kind = obs::HealthRuleKind::kRateAbove,
                        .signal = obs::HealthSignal::kCounter,
                        .metric = "power.ups_shortfall_j",
+                       .reference = {},
                        .threshold = 150.0});
     sim_->add_post_tick_hook([this](const sim::SimClock& clock) {
       if (clock.every(config_.health_period_s)) {

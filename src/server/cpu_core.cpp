@@ -45,19 +45,6 @@ void CpuCore::set_freq(double freq) noexcept {
   freq_ = std::clamp(freq, freq_min_, freq_max_);
 }
 
-void CpuCore::attach_thermal(const ThermalSpec& spec) {
-  thermal_.emplace(spec);
-}
-
-void CpuCore::update_thermal(double power_w, double dt_s) {
-  if (thermal_) thermal_->step(power_w, dt_s);
-}
-
-double CpuCore::temperature_c() const noexcept {
-  if (temp_slot_ != nullptr) return *temp_slot_;
-  return thermal_ ? thermal_->temperature_c() : ThermalSpec{}.ambient_c;
-}
-
 void CpuCore::step(double dt_s, double now_s) {
   if (role_ == CoreRole::kInteractive) {
     utilization_ = source_->step(dt_s, freq_);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "server/thermal.hpp"
 #include "workload/batch_job.hpp"
@@ -63,32 +62,21 @@ class CpuCore {
   void step(double dt_s, double now_s);
 
   // --- thermal state (optional) ------------------------------------------
-  /// Attach a per-core thermal model; the owning Server then feeds it the
-  /// core's dynamic power each tick. (Standalone cores and tests use this;
-  /// racks built by the scenario layer use Server::attach_thermal, which
-  /// keeps all temperatures in one server-owned SoA array instead.)
-  void attach_thermal(const ThermalSpec& spec);
   /// Bind this core's thermal reads to a server-owned SoA slot (see
   /// Server::attach_thermal). `spec` and `slot` must outlive the core.
   void bind_thermal_slot(const ThermalSpec* spec, const double* slot) noexcept {
-    soa_thermal_spec_ = spec;
+    thermal_spec_ = spec;
     temp_slot_ = slot;
   }
-  bool has_thermal() const noexcept {
-    return temp_slot_ != nullptr || thermal_.has_value();
+  /// Junction temperature; ambient when no slot is bound.
+  double temperature_c() const noexcept {
+    return temp_slot_ != nullptr ? *temp_slot_ : ThermalSpec{}.ambient_c;
   }
-  /// Advance the inline thermal state (called by Server with the measured
-  /// power; no-op for SoA-bound cores, whose temperature the Server
-  /// advances as one elementwise kernel).
-  void update_thermal(double power_w, double dt_s);
-  /// Junction temperature; ambient-equivalent when no model is attached.
-  double temperature_c() const noexcept;
   /// True when the core runs hot enough that the controller must back off.
+  /// A core with no slot bound never throttles.
   bool thermally_throttled() const noexcept {
-    if (temp_slot_ != nullptr) {
-      return *temp_slot_ >= soa_thermal_spec_->throttle_temp_c;
-    }
-    return thermal_ && thermal_->above_throttle();
+    return temp_slot_ != nullptr &&
+           *temp_slot_ >= thermal_spec_->throttle_temp_c;
   }
 
  private:
@@ -100,9 +88,8 @@ class CpuCore {
   std::unique_ptr<workload::UtilizationSource> source_;
   std::unique_ptr<workload::BatchJob> job_;
   workload::PerfCounterSample counters_;
-  std::optional<CoreThermalModel> thermal_;
   // SoA binding (non-owning; set by Server::attach_thermal).
-  const ThermalSpec* soa_thermal_spec_ = nullptr;
+  const ThermalSpec* thermal_spec_ = nullptr;
   const double* temp_slot_ = nullptr;
 };
 

@@ -16,7 +16,8 @@ Server::Server(const PlatformSpec& spec, std::vector<CpuCore> cores, Rng rng)
     : spec_(spec),
       cores_(std::move(cores)),
       measurement_(spec),
-      fan_(spec.fan_peak_power_w, kFanTauS, rng) {
+      fan_(spec.fan_peak_power_w, kFanTauS, rng),
+      core_dyn_w_(cores_.size(), 0.0) {
   spec_.validate();
   SPRINTCON_EXPECTS(cores_.size() == spec.cores_per_server,
                     "core count must match the platform spec");
@@ -25,10 +26,8 @@ Server::Server(const PlatformSpec& spec, std::vector<CpuCore> cores, Rng rng)
 void Server::attach_thermal(const ThermalSpec& spec) {
   spec.validate();
   thermal_spec_ = spec;
-  thermal_soa_ = true;
   thermal_cached_dt_s_ = -1.0;
   core_temp_.assign(cores_.size(), spec.ambient_c);
-  core_dyn_w_.assign(cores_.size(), 0.0);
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     cores_[i].bind_thermal_slot(&thermal_spec_, &core_temp_[i]);
   }
@@ -50,11 +49,7 @@ SPRINTCON_HOT void Server::step(double dt_s, double now_s) {
     core.step(dt_s, now_s);
     const double dyn =
         measurement_.core_dynamic_w(core.freq(), core.utilization());
-    if (thermal_soa_) {
-      core_dyn_w_[i] = dyn;
-    } else {
-      core.update_thermal(dyn, dt_s);
-    }
+    core_dyn_w_[i] = dyn;
     if (core.is_batch()) {
       batch_dyn_w_ += dyn;
     } else {
@@ -62,7 +57,7 @@ SPRINTCON_HOT void Server::step(double dt_s, double now_s) {
     }
   }
 
-  if (thermal_soa_) {
+  if (!core_temp_.empty()) {
     if (dt_s != thermal_cached_dt_s_) {
       // Same expression CoreThermalModel::step uses, so the SoA kernel
       // produces bit-identical temperatures.

@@ -30,9 +30,10 @@ class Server {
   /// Attach one shared thermal model to every core, storing per-core
   /// junction temperatures in a server-owned SoA array that step()
   /// advances as a single elementwise kernel (cache-friendly, one cached
-  /// exp per dt). Numerically identical to attaching a CoreThermalModel
-  /// to each core. Must be called once the server has reached its final
-  /// address (cores keep raw pointers into this object).
+  /// exp per dt). Bit-identical to stepping one CoreThermalModel per core
+  /// with the core's dynamic power. Must be called once the server has
+  /// reached its final address (cores keep raw pointers into this object).
+  /// Without it the cores read ambient and never throttle.
   void attach_thermal(const ThermalSpec& spec);
 
   /// Advance all cores and the fan by dt. No-op when powered off.
@@ -66,10 +67,8 @@ class Server {
   std::vector<CpuCore> cores_;
   MeasurementPowerModel measurement_;
   FanModel fan_;
-  // SoA thermal state (attach_thermal); empty when cores carry their own
-  // per-core models.
+  // SoA thermal state; core_temp_ is empty until attach_thermal.
   ThermalSpec thermal_spec_{};
-  bool thermal_soa_ = false;
   std::vector<double> core_temp_;
   std::vector<double> core_dyn_w_;
   double thermal_cached_dt_s_ = -1.0;

@@ -110,29 +110,35 @@ TEST(FacilityShard, ShardsResolveToAtMostNumRacks) {
 }
 
 TEST(FacilityShard, EpochCallbackSeesQuiescentRigsAtEpochTime) {
-  FacilityConfig cfg = sweep_config(4, 2, false, false);
-  // 70 s at 30 s epochs = boundaries at 30, 60, 70.
-  std::vector<std::pair<std::size_t, double>> seen;
-  Facility* facility_ptr = nullptr;
-  cfg.epoch_callback = [&](std::size_t epoch, double t_s) {
-    seen.emplace_back(epoch, t_s);
-    // Every worker is parked at the barrier, so every rig's clock must
-    // have reached the epoch boundary (the clock overshoots t_s by at
-    // most one dt when the epoch is not a tick multiple).
-    for (std::size_t r = 0; r < facility_ptr->num_racks(); ++r) {
-      const double now =
-          facility_ptr->rig(r).simulation().clock().now_s();
-      EXPECT_GE(now, t_s);
-      EXPECT_LT(now, t_s + facility_ptr->rig(r).config().dt_s + 1e-12);
-    }
-  };
-  Facility facility(cfg);
-  facility_ptr = &facility;
-  facility.run();
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], (std::pair<std::size_t, double>{0, 30.0}));
-  EXPECT_EQ(seen[1], (std::pair<std::size_t, double>{1, 60.0}));
-  EXPECT_EQ(seen[2], (std::pair<std::size_t, double>{2, 70.0}));
+  // One shard runs on the caller, two on worker threads. Both go through
+  // the same barrier, so the callback contract is the same.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("run_threads=" + std::to_string(threads));
+    FacilityConfig cfg = sweep_config(4, threads, false, false);
+    // 70 s at 30 s epochs = boundaries at 30, 60, 70.
+    std::vector<std::pair<std::size_t, double>> seen;
+    Facility* facility_ptr = nullptr;
+    cfg.epoch_callback = [&](std::size_t epoch, double t_s) {
+      seen.emplace_back(epoch, t_s);
+      // Every worker is parked at the barrier, so every rig's clock must
+      // have reached the epoch boundary (the clock overshoots t_s by at
+      // most one dt when the epoch is not a tick multiple).
+      for (std::size_t r = 0; r < facility_ptr->num_racks(); ++r) {
+        const double now =
+            facility_ptr->rig(r).simulation().clock().now_s();
+        EXPECT_GE(now, t_s);
+        EXPECT_LT(now, t_s + facility_ptr->rig(r).config().dt_s + 1e-12);
+      }
+    };
+    Facility facility(cfg);
+    ASSERT_EQ(facility.num_shards(), threads);
+    facility_ptr = &facility;
+    facility.run();
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_EQ(seen[0], (std::pair<std::size_t, double>{0, 30.0}));
+    EXPECT_EQ(seen[1], (std::pair<std::size_t, double>{1, 60.0}));
+    EXPECT_EQ(seen[2], (std::pair<std::size_t, double>{2, 70.0}));
+  }
 }
 
 TEST(FacilityShard, InvalidEpochThrows) {
@@ -157,19 +163,29 @@ void arm_failure(Facility& facility, std::size_t r, double t_fail_s) {
 }
 
 TEST(FacilityWorkerFailure, FailFastStillRethrowsByDefault) {
-  FacilityConfig cfg = sweep_config(4, 2, false, true);
-  ASSERT_EQ(cfg.worker_failure, WorkerFailurePolicy::kFailFast);
-  Facility facility(cfg);
-  arm_failure(facility, 0, 40.0);
-  EXPECT_THROW(facility.run(), std::runtime_error);
-  // The error is still fully accounted even though it rethrew.
-  ASSERT_EQ(facility.worker_errors().size(), 1u);
-  EXPECT_EQ(facility.worker_errors()[0].worker, 0u);
-  EXPECT_EQ(facility.worker_errors()[0].epoch, 1u);
-  EXPECT_EQ(facility.worker_errors()[0].what, "injected rig failure");
-  EXPECT_EQ(facility.obs()->metrics().snapshot().counter(
-                "facility.worker_errors"),
-            1u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("run_threads=" + std::to_string(threads));
+    FacilityConfig cfg = sweep_config(4, threads, false, true);
+    ASSERT_EQ(cfg.worker_failure, WorkerFailurePolicy::kFailFast);
+    std::vector<std::size_t> epochs_seen;
+    cfg.epoch_callback = [&](std::size_t epoch, double) {
+      epochs_seen.push_back(epoch);
+    };
+    Facility facility(cfg);
+    arm_failure(facility, 0, 40.0);
+    EXPECT_THROW(facility.run(), std::runtime_error);
+    // The failed worker keeps arriving at the barrier, so every epoch
+    // boundary still runs before run() rethrows, on one shard as on two.
+    EXPECT_EQ(epochs_seen, (std::vector<std::size_t>{0, 1, 2}));
+    // The error is still fully accounted even though it rethrew.
+    ASSERT_EQ(facility.worker_errors().size(), 1u);
+    EXPECT_EQ(facility.worker_errors()[0].worker, 0u);
+    EXPECT_EQ(facility.worker_errors()[0].epoch, 1u);
+    EXPECT_EQ(facility.worker_errors()[0].what, "injected rig failure");
+    EXPECT_EQ(facility.obs()->metrics().snapshot().counter(
+                  "facility.worker_errors"),
+              1u);
+  }
 }
 
 TEST(FacilityWorkerFailure, DegradePolicyCompletesOnSurvivors) {

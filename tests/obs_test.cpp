@@ -313,24 +313,10 @@ TEST(MpcObs, StepCountsSolvesAndIterations) {
 
   const MetricsSnapshot snap = sink.metrics().snapshot();
   EXPECT_EQ(snap.counter("mpc.solves.structured"), 5u);
-  EXPECT_EQ(snap.counter("mpc.solves.dense"), 0u);
   EXPECT_GE(snap.counter("mpc.qp.iterations"), 5u);
   EXPECT_EQ(snap.histograms.at("mpc.step_us").count, 5u);
   EXPECT_EQ(snap.histograms.at("mpc.qp.exit_residual").count, 5u);
   EXPECT_EQ(snap.counter("mpc.qp.not_converged"), 0u);
-}
-
-TEST(MpcObs, DensePathCountsSeparately) {
-  control::MpcConfig cfg;
-  cfg.use_dense_qp = true;
-  control::MpcPowerController mpc(cfg);
-  ObsSink sink;
-  mpc.set_obs(&sink);
-  control::MpcOutput out;
-  mpc.step(small_problem(4), out);
-  const MetricsSnapshot snap = sink.metrics().snapshot();
-  EXPECT_EQ(snap.counter("mpc.solves.dense"), 1u);
-  EXPECT_EQ(snap.counter("mpc.solves.structured"), 0u);
 }
 
 TEST(MpcObs, DetachStopsCounting) {

@@ -1,9 +1,10 @@
 // Tests for the structured MPC QP operator: every O(n Lc) routine must
-// agree with the dense reference implementation, and the structured MPC
-// path must reproduce the dense controller's frequencies to solver
-// accuracy across random problems.
+// agree with the dense reference implementation, and the MPC controller
+// must reproduce the frequencies of a dense `solve_box_qp` assembly of the
+// same problem to solver accuracy across random problems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -178,6 +179,87 @@ MpcProblem random_mpc_problem(Rng& rng, std::size_t n) {
   return p;
 }
 
+/// Dense reference for MpcPowerController: materializes the (n Lc)^2 MPC
+/// Hessian and solves it with `solve_box_qp`, warm-starting from its own
+/// previous solution exactly as the controller does.
+class DenseMpcReference {
+ public:
+  explicit DenseMpcReference(const MpcConfig& cfg) : cfg_(cfg) {}
+
+  MpcOutput step(const MpcProblem& p) {
+    const std::size_t n = p.gains_w_per_f.size();
+    const std::size_t lc = cfg_.control_horizon;
+    const std::size_t lp = cfg_.prediction_horizon;
+    const std::size_t dim = n * lc;
+    // Reference trajectory (Eq. 7) relative to the prediction's constant
+    // part p_fb - K . F; the last control block covers the rest of Lp.
+    const double pred_base =
+        p.power_feedback_w - dot(p.gains_w_per_f, p.freq_current);
+    const double decay =
+        std::exp(-cfg_.control_period_s / cfg_.reference_time_constant_s);
+    Vector ref_minus_base(lp);
+    double e = p.power_target_w - p.power_feedback_w;
+    for (std::size_t s = 0; s < lp; ++s) {
+      e *= decay;
+      ref_minus_base[s] = (p.power_target_w - e) - pred_base;
+    }
+
+    BoxQp qp;
+    qp.hessian = Matrix(dim, dim, 0.0);
+    qp.gradient.assign(dim, 0.0);
+    qp.lower.assign(dim, 0.0);
+    qp.upper.assign(dim, 0.0);
+    const double q = cfg_.tracking_weight;
+    for (std::size_t b = 0; b < lc; ++b) {
+      const std::size_t last = (b + 1 == lc) ? lp - 1 : b;
+      double steps = 0.0;
+      double ref_sum = 0.0;
+      for (std::size_t s = b; s <= last; ++s) {
+        steps += 1.0;
+        ref_sum += ref_minus_base[s];
+      }
+      const std::size_t off = b * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double ki = p.gains_w_per_f[i];
+        for (std::size_t j = 0; j < n; ++j)
+          qp.hessian(off + i, off + j) += q * steps * ki * p.gains_w_per_f[j];
+        qp.hessian(off + i, off + i) += p.penalty_weights[i];
+        qp.gradient[off + i] =
+            -q * ki * ref_sum - p.penalty_weights[i] * p.freq_max[i];
+        qp.lower[off + i] = p.freq_min[i];
+        qp.upper[off + i] = p.freq_max[i];
+      }
+    }
+    const double slew = cfg_.max_slew_per_period;
+    for (std::size_t i = 0; slew > 0.0 && i < n; ++i) {
+      qp.lower[i] = std::max(qp.lower[i], p.freq_current[i] - slew);
+      qp.upper[i] = std::min(qp.upper[i], p.freq_current[i] + slew);
+      if (qp.lower[i] > qp.upper[i]) {
+        qp.lower[i] = p.freq_min[i];
+        qp.upper[i] = p.freq_max[i];
+      }
+    }
+
+    Vector x0 = warm_start_;
+    if (x0.size() != dim) {
+      x0.clear();
+      for (std::size_t b = 0; b < lc; ++b)
+        x0.insert(x0.end(), p.freq_current.begin(), p.freq_current.end());
+    }
+    MpcOutput out;
+    out.qp = solve_box_qp(qp, x0, cfg_.qp);
+    warm_start_ = out.qp.x;
+    out.freq_next.assign(out.qp.x.begin(),
+                         out.qp.x.begin() + static_cast<std::ptrdiff_t>(n));
+    out.predicted_power_w = pred_base + dot(p.gains_w_per_f, out.freq_next);
+    return out;
+  }
+
+ private:
+  MpcConfig cfg_;
+  Vector warm_start_;
+};
+
 TEST(StructuredMpc, MatchesDenseControllerAcrossRandomProblems) {
   Rng rng(77);
   for (int trial = 0; trial < 8; ++trial) {
@@ -186,13 +268,11 @@ TEST(StructuredMpc, MatchesDenseControllerAcrossRandomProblems) {
     cfg.control_horizon = 1 + static_cast<std::size_t>(trial % 3);
     cfg.qp.tolerance = 1e-11;
     cfg.qp.max_iterations = 5000;
-    MpcConfig dense_cfg = cfg;
-    dense_cfg.use_dense_qp = true;
     MpcPowerController structured(cfg);
-    MpcPowerController dense(dense_cfg);
+    DenseMpcReference dense(cfg);
     const std::size_t n = 1 + static_cast<std::size_t>(trial % 7);
-    // Warm-started sequence: the two paths must track each other step by
-    // step, not just on a cold solve.
+    // Warm-started sequence: the controller and the dense reference must
+    // track each other step by step, not just on a cold solve.
     MpcProblem p = random_mpc_problem(rng, n);
     for (int step = 0; step < 4; ++step) {
       const MpcOutput a = structured.step(p);
@@ -214,10 +294,8 @@ TEST(StructuredMpc, MatchesDenseWithSlewLimit) {
   cfg.max_slew_per_period = 0.07;
   cfg.qp.tolerance = 1e-11;
   cfg.qp.max_iterations = 5000;
-  MpcConfig dense_cfg = cfg;
-  dense_cfg.use_dense_qp = true;
   MpcPowerController structured(cfg);
-  MpcPowerController dense(dense_cfg);
+  DenseMpcReference dense(cfg);
   Rng rng(78);
   const MpcProblem p = random_mpc_problem(rng, 6);
   const MpcOutput a = structured.step(p);

@@ -1,4 +1,5 @@
-// Tests for the per-core thermal model and the controller's thermal guard.
+// Tests for the per-core thermal model, the server's SoA thermal kernel
+// built on it, and the controller's thermal guard.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -81,12 +82,11 @@ TEST(Thermal, StepInputValidation) {
   EXPECT_THROW(model.step(1.0, 0.0), sprintcon::InvalidArgumentError);
 }
 
-// --- integration with CpuCore / controller ----------------------------------
+// --- integration with Server / controller -----------------------------------
 
-std::unique_ptr<Rack> hot_rack() {
-  // One server, degraded cooling on the batch cores.
+/// One paper-platform server: four interactive cores, four batch cores.
+Server paper_server(Rng& rng) {
   const PlatformSpec spec = paper_platform();
-  Rng rng(321);
   std::vector<CpuCore> cores;
   for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
     if (c < 4) {
@@ -101,14 +101,52 @@ std::unique_ptr<Rack> hot_rack() {
                              rng.split()));
     }
   }
-  std::vector<Server> servers;
-  servers.emplace_back(spec, std::move(cores), rng.split());
-  auto rack = std::make_unique<Rack>(std::move(servers));
+  return Server(spec, std::move(cores), rng.split());
+}
+
+ThermalSpec hot_spec() {
   ThermalSpec hot;
   hot.resistance_c_per_w = 4.0;  // degraded cooling
-  for (Server& s : rack->servers())
-    for (CpuCore& c : s.cores()) c.attach_thermal(hot);
+  return hot;
+}
+
+std::unique_ptr<Rack> hot_rack() {
+  // One server, degraded cooling on every core.
+  Rng rng(321);
+  std::vector<Server> servers;
+  servers.push_back(paper_server(rng));
+  auto rack = std::make_unique<Rack>(std::move(servers));
+  for (Server& s : rack->servers()) s.attach_thermal(hot_spec());
   return rack;
+}
+
+TEST(Thermal, ServerKernelMatchesCoreModel) {
+  // The server-owned SoA kernel must reproduce a standalone
+  // CoreThermalModel per core fed the same dynamic power, bit for bit,
+  // across frequency changes and a dt change in each direction.
+  auto rack = hot_rack();
+  Server& server = rack->servers().front();
+  const MeasurementPowerModel measurement(server.spec());
+  std::vector<CoreThermalModel> reference(server.cores().size(),
+                                          CoreThermalModel(hot_spec()));
+  double now_s = 0.0;
+  for (int t = 0; t < 150; ++t) {
+    const double dt_s = (t >= 50 && t < 100) ? 0.5 : 1.0;
+    for (CpuCore& c : server.cores()) {
+      if (c.is_batch()) c.set_freq((t / 10) % 2 == 0 ? 1.0 : 0.4);
+    }
+    server.step(dt_s, now_s);
+    now_s += dt_s;
+    for (std::size_t i = 0; i < server.cores().size(); ++i) {
+      const CpuCore& core = server.cores()[i];
+      reference[i].step(
+          measurement.core_dynamic_w(core.freq(), core.utilization()), dt_s);
+      ASSERT_EQ(core.temperature_c(), reference[i].temperature_c())
+          << "tick " << t << " core " << i;
+    }
+  }
+  EXPECT_GT(server.cores().back().temperature_c(),
+            hot_spec().ambient_c + 10.0);
 }
 
 TEST(ThermalGuard, BacksOffHotCores) {
@@ -161,15 +199,16 @@ TEST(ThermalGuard, DisabledGuardLetsCoresOverheat) {
 }
 
 TEST(ThermalGuard, CoreWithoutModelNeverThrottles) {
-  const PlatformSpec spec = paper_platform();
-  CpuCore core(spec.freq_min, spec.freq_max,
-               std::make_unique<workload::BatchJob>(
-                   workload::spec2006_profile("444.namd"), 900.0, 100.0,
-                   workload::CompletionMode::kRunOnce, Rng(1)));
-  EXPECT_FALSE(core.has_thermal());
-  EXPECT_FALSE(core.thermally_throttled());
-  core.update_thermal(100.0, 1.0);  // no-op
-  EXPECT_DOUBLE_EQ(core.temperature_c(), ThermalSpec{}.ambient_c);
+  // A server without attach_thermal binds no slots: its cores read
+  // ambient and never throttle, however hard they run.
+  Rng rng(5);
+  Server server = paper_server(rng);
+  for (CpuCore& c : server.cores()) c.set_freq(c.freq_max());
+  for (int t = 0; t < 60; ++t) server.step(1.0, static_cast<double>(t));
+  for (const CpuCore& core : server.cores()) {
+    EXPECT_FALSE(core.thermally_throttled());
+    EXPECT_DOUBLE_EQ(core.temperature_c(), ThermalSpec{}.ambient_c);
+  }
 }
 
 }  // namespace
