@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -188,6 +189,10 @@ struct MttdCase {
   double start_s;             ///< must match the plan's start
   std::vector<std::string> causes;  ///< acceptable detecting rules
 };
+
+// Print the plan line, so the test's listed name is the same on every
+// run (gtest's default prints the raw bytes, i.e. the plan's address).
+void PrintTo(const MttdCase& c, std::ostream* os) { *os << c.plan; }
 
 class HealthMttd : public ::testing::TestWithParam<MttdCase> {};
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -350,6 +351,10 @@ struct MttrCase {
   double start_s;        ///< must match the plan's start
   double resolve_by_s;   ///< incident must fully close by this sim time
 };
+
+// Print the plan line, so the test's listed name is the same on every
+// run (gtest's default prints the raw bytes, i.e. the plan's address).
+void PrintTo(const MttrCase& c, std::ostream* os) { *os << c.plan; }
 
 class RecoveryMttr : public ::testing::TestWithParam<MttrCase> {};
 
