@@ -20,7 +20,10 @@ Two modes:
         (mpc_solve, power_outcome, shard_epoch) that a facility run must
         produce. This is the `trace` ctest.
 
-Exits non-zero with a reason on the first violation.
+Exits non-zero with a reason on the first violation. tests/trace_fixtures/
+holds one valid export and three invalid ones (broken nesting, a ts that
+goes backwards, an unnamed track); the `static` ctests check that each
+invalid one fails with its own reason.
 """
 
 import argparse
