@@ -35,14 +35,6 @@ struct QpOptions {
   /// Stop when the projected-gradient residual (infinity norm) is below
   /// this threshold.
   double tolerance = 1e-8;
-  /// Extra safety factor applied to the Lipschitz step bound.
-  double step_safety = 1.0;
-  /// Evaluate the convergence residual every this many iterations. The
-  /// residual costs a full extra Hessian matvec, so checking each iteration
-  /// nearly doubles the per-iteration cost; amortizing it over a few
-  /// iterations keeps the solve deterministic (the check schedule is fixed)
-  /// at the price of up to interval-1 surplus iterations after convergence.
-  int residual_check_interval = 4;
 };
 
 /// Result of a QP solve.

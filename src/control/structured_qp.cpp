@@ -92,6 +92,12 @@ double structured_lambda_max_bound(const StructuredBlockQp& qp) {
 
 namespace {
 
+/// Evaluate the convergence residual every this many iterations. The
+/// residual costs an extra matvec, so checking each iteration nearly
+/// doubles the per-iteration cost; a fixed schedule keeps the solve
+/// deterministic at the price of up to three surplus iterations.
+constexpr int kResidualCheckInterval = 4;
+
 /// Exact minimizer of one block: 0.5 x^T (diag(r) + c k k^T) x + g^T x over
 /// the box. For a fixed scalar s = k^T x the problem separates —
 /// x_i(s) = clamp(-(g_i + c k_i s) / r_i) — and phi(s) = k^T x(s) - s is
@@ -202,14 +208,15 @@ SPRINTCON_HOT void solve_structured_qp(const StructuredBlockQp& qp,
   const std::size_t dim = qp.dim();
   SPRINTCON_EXPECTS(x0.size() == dim, "QP warm-start dimension mismatch");
   SPRINTCON_EXPECTS(options.max_iterations > 0, "QP needs >= 1 iteration");
-  SPRINTCON_EXPECTS(options.residual_check_interval > 0,
-                    "QP residual check interval must be >= 1");
 
   // Fast path: with strictly positive penalties each block is solved
-  // exactly through its scalar KKT equation. The iterative fallback below
-  // only runs if a penalty is zero (rank-deficient block) or the direct
-  // residual somehow misses the tolerance — then it polishes the direct
-  // answer rather than starting from x0.
+  // through its scalar KKT equation. The FISTA loop below runs when a
+  // penalty is zero (rank-deficient block; it then starts from x0) or when
+  // the direct answer's residual misses the tolerance (it then polishes
+  // that answer). The second case is routine, not rare: perfbench at seed
+  // 42 polished 63% of solves on paper-racks, 6% on small-rig-fleet and
+  // 69% on surge-brownout, mostly with a single FISTA step, while no
+  // penalty was ever zero.
   bool direct_ok = true;
   for (const double r : qp.penalty) {
     if (!(r > 0.0)) {
@@ -240,7 +247,7 @@ SPRINTCON_HOT void solve_structured_qp(const StructuredBlockQp& qp,
   // inequality per block), so no safety padding is needed beyond a floor
   // against an all-zero Hessian.
   const double lmax = structured_lambda_max_bound(qp);
-  const double step = options.step_safety / std::max(lmax, 1e-12);
+  const double step = 1.0 / std::max(lmax, 1e-12);
 
   Vector& x = scratch.x;
   Vector& y = scratch.y;
@@ -288,10 +295,10 @@ SPRINTCON_HOT void solve_structured_qp(const StructuredBlockQp& qp,
 
     // Convergence check on the true iterate (not the extrapolated point).
     // The residual costs another O(n Lc) pass, so amortize it over
-    // `residual_check_interval` iterations — except when polishing the
+    // kResidualCheckInterval iterations — except when polishing the
     // direct answer, which starts within a few iterations of tolerance:
     // there a per-iteration check exits sooner than it costs.
-    if (direct_ok || (it + 1) % options.residual_check_interval == 0) {
+    if (direct_ok || (it + 1) % kResidualCheckInterval == 0) {
       const double res = structured_residual(qp, x);
       if (res < options.tolerance) {
         result.converged = true;

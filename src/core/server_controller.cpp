@@ -214,8 +214,10 @@ void ServerPowerController::record_commanded_freq() {
   const auto& refs = rack_.batch_cores();
   double sum = 0.0;
   for (const auto& ref : refs) sum += rack_.core(ref).freq();
-  obs_->metrics().gauge("control.cmd_batch_freq")
-      .set(refs.empty() ? 0.0 : sum / static_cast<double>(refs.size()));
+  if (cmd_freq_ == nullptr) {
+    cmd_freq_ = &obs_->metrics().gauge("control.cmd_batch_freq");
+  }
+  cmd_freq_->set(refs.empty() ? 0.0 : sum / static_cast<double>(refs.size()));
 }
 
 std::vector<BatchJobStatus> ServerPowerController::job_statuses(

@@ -75,6 +75,7 @@ class ServerPowerController {
   /// the HealthMonitor compares against realized frequencies).
   void set_obs(obs::ObsSink* sink) {
     obs_ = sink;
+    cmd_freq_ = nullptr;
     mpc_.set_obs(sink);
   }
 
@@ -87,6 +88,8 @@ class ServerPowerController {
   control::MpcProblem problem_;  ///< reused across updates (no realloc)
   control::MpcOutput last_out_;
   obs::ObsSink* obs_ = nullptr;
+  /// `control.cmd_batch_freq`, looked up on first publish and cached.
+  obs::Gauge* cmd_freq_ = nullptr;
   /// Publish the mean batch frequency this controller just commanded.
   void record_commanded_freq();
   /// PI-fallback control period (replaces the MPC solve + actuation).

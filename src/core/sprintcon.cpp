@@ -46,6 +46,7 @@ void SprintConController::set_control_mode(ControlMode mode) {
 
 void SprintConController::set_obs(obs::ObsSink* sink) {
   obs_ = sink;
+  met_ = ObsHandles{};
   safety_.set_obs(sink);
   allocator_.set_obs(sink);
   server_ctrl_.set_obs(sink);
@@ -140,10 +141,15 @@ void SprintConController::step(const sim::SimClock& clock) {
     // Redundant-sensor cross-check: the decision path sees the (possibly
     // faulted) meter, the physics path sees truth. Their residual is the
     // meter-health signal the HealthMonitor watches (DESIGN.md §8.5).
-    obs_->metrics().gauge("control.p_total_w").set(p_total);
-    obs_->metrics().gauge("control.p_meas_w").set(p_meas);
-    obs_->metrics().gauge("control.meter_residual_w")
-        .set(std::abs(p_meas - p_total));
+    if (met_.p_total == nullptr) {
+      auto& m = obs_->metrics();
+      met_.p_total = &m.gauge("control.p_total_w");
+      met_.p_meas = &m.gauge("control.p_meas_w");
+      met_.meter_residual = &m.gauge("control.meter_residual_w");
+    }
+    met_.p_total->set(p_total);
+    met_.p_meas->set(p_meas);
+    met_.meter_residual->set(std::abs(p_meas - p_total));
   }
 
   if (fault_ != nullptr && fault_->control_dropped()) {
@@ -301,8 +307,12 @@ void SprintConController::resolve_flows(double p_total_w, double now_s,
     const double expected_w = std::min(ups_command_w_, flows.demand_w);
     const double shortfall_w = expected_w - flows.ups_w;
     if (shortfall_w > 5.0) {
-      obs_->metrics().counter("power.ups_shortfall_j")
-          .add(static_cast<std::uint64_t>(shortfall_w * dt_s + 0.5));
+      if (met_.ups_shortfall_j == nullptr) {
+        met_.ups_shortfall_j =
+            &obs_->metrics().counter("power.ups_shortfall_j");
+      }
+      met_.ups_shortfall_j->add(
+          static_cast<std::uint64_t>(shortfall_w * dt_s + 0.5));
     }
   }
   if (flows.unserved_w > 50.0) {

@@ -123,6 +123,14 @@ class SprintConController : public sim::Component {
 
   const fault::FaultInjector* fault_ = nullptr;
   obs::ObsSink* obs_ = nullptr;
+  /// Metric handles, each looked up (registering its metric) and cached on
+  /// the first tick that uses it; set_obs() clears them.
+  struct ObsHandles {
+    obs::Gauge* p_total = nullptr;
+    obs::Gauge* p_meas = nullptr;
+    obs::Gauge* meter_residual = nullptr;
+    obs::Counter* ups_shortfall_j = nullptr;
+  } met_;
   double prev_soc_ = -1.0;  ///< SOC at the previous tick (< 0 = unseen)
 };
 

@@ -3,8 +3,10 @@
 // A sink bundles the per-rig EventLog with a MetricsRegistry. Subsystems
 // accept a nullable `ObsSink*` via set_obs(); a null sink means
 // observability is disabled and every emit site costs exactly one
-// predictable branch (`if (obs_)`), which the perf_controller benchmark
-// holds to < 2% on the MPC hot path.
+// predictable branch (`if (obs_)`). Nothing gates the cost of a live
+// sink: bench/perf_controller's BM_MpcStep/BM_MpcStepObserved pair
+// measures it on the MPC hot path, and perfbench's obs.trace_overhead_frac
+// reports obs plus tracing on each workload's run time.
 //
 // Threading contract (checked where checkable — DESIGN.md §11): the
 // EventLog and the trace_ pointer are single-owner — wired before the

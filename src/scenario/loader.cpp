@@ -1,11 +1,13 @@
 #include "scenario/loader.hpp"
 
+#include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <map>
 #include <sstream>
+#include <variant>
 
 #include "common/validation.hpp"
 
@@ -66,19 +68,6 @@ std::uint64_t parse_u64(const Cursor& at, const std::string& key,
   return static_cast<std::uint64_t>(v);
 }
 
-std::size_t parse_size(const Cursor& at, const std::string& key,
-                       const std::string& value) {
-  return static_cast<std::size_t>(parse_u64(at, key, value));
-}
-
-bool parse_bool(const Cursor& at, const std::string& key,
-                const std::string& value) {
-  if (value == "true") return true;
-  if (value == "false") return false;
-  at.fail("malformed bool for " + key + ": '" + value +
-          "' (want true or false)");
-}
-
 /// Run a section's validate() with the section line's position attached.
 template <typename F>
 void validate_at(const Cursor& at, F&& validate) {
@@ -111,116 +100,58 @@ void parse_scenario_header(const Cursor& at, std::istringstream& tokens,
     }
   }
   if (!have_name) at.fail("scenario line needs name=<id>");
-  validate_at(at, [&] {
-    SPRINTCON_EXPECTS(!spec.name.empty(), "scenario needs a name");
-    for (const char c : spec.name) {
-      SPRINTCON_EXPECTS((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                            c == '-' || c == '_',
-                        "scenario name must be [a-z0-9_-]: '" + spec.name +
-                            "'");
-    }
-    SPRINTCON_EXPECTS(spec.duration_s > 0.0 && std::isfinite(spec.duration_s),
-                      "duration must be positive and finite");
-    SPRINTCON_EXPECTS(spec.dt_s > 0.0 && spec.dt_s <= spec.duration_s,
-                      "dt must be positive and at most the duration");
-  });
+  // Nothing but the header is set yet (the scenario line comes first), so
+  // this checks exactly the header.
+  validate_at(at, [&] { spec.validate(); });
 }
 
-void parse_fleet(const Cursor& at, std::istringstream& tokens,
-                 FleetSpec& fleet) {
+void parse_into(const Cursor& at, const std::string& key,
+                const std::string& value, double& out) {
+  out = parse_double(at, key, value);
+}
+
+void parse_into(const Cursor& at, const std::string& key,
+                const std::string& value, std::size_t& out) {
+  out = static_cast<std::size_t>(parse_u64(at, key, value));
+}
+
+void parse_into(const Cursor& at, const std::string& key,
+                const std::string& value, bool& out) {
+  if (value != "true" && value != "false") {
+    at.fail("malformed bool for " + key + ": '" + value +
+            "' (want true or false)");
+  }
+  out = value == "true";
+}
+
+void parse_into(const Cursor& at, const std::string& /*key*/,
+                const std::string& value, Policy& out) {
+  validate_at(at, [&] { out = parse_policy_token(value); });
+}
+
+/// One fleet/rack/workload line: each key=value lands in the field the
+/// section's table names, then the destination configs validate the
+/// result.
+void parse_section(const Cursor& at, std::istringstream& tokens,
+                   const Section& section, FacilityConfig& config) {
   std::string word;
   while (tokens >> word) {
-    const auto [key, value] = split_kv(at, word);
-    if (key == "racks") {
-      fleet.racks = parse_size(at, key, value);
-    } else if (key == "threads") {
-      fleet.threads = parse_size(at, key, value);
-    } else if (key == "staggered") {
-      fleet.staggered = parse_bool(at, key, value);
-    } else if (key == "epoch") {
-      fleet.epoch_s = parse_double(at, key, value);
-    } else if (key == "health") {
-      fleet.health = parse_bool(at, key, value);
-    } else if (key == "recovery") {
-      fleet.recovery = parse_bool(at, key, value);
-    } else {
-      at.fail("unknown fleet key '" + key + "'");
+    const auto [name, value] = split_kv(at, word);
+    const auto key =
+        std::find_if(section.keys.begin(), section.keys.end(),
+                     [&](const SectionKey& k) { return name == k.name; });
+    if (key == section.keys.end()) {
+      at.fail("unknown " + std::string(section.name) + " key '" + name + "'");
     }
+    std::visit([&](auto* field) { parse_into(at, name, value, *field); },
+               key->field(config));
   }
-  validate_at(at, [&] { fleet.validate(); });
+  validate_at(at, [&] { config.validate(); });
 }
 
-void parse_rack(const Cursor& at, std::istringstream& tokens,
-                RackSpec& rack) {
-  std::string word;
-  while (tokens >> word) {
-    const auto [key, value] = split_kv(at, word);
-    if (key == "servers") {
-      rack.servers = parse_size(at, key, value);
-    } else if (key == "interactive_cores") {
-      rack.interactive_cores = parse_size(at, key, value);
-    } else if (key == "dedicated") {
-      rack.dedicated = parse_bool(at, key, value);
-    } else if (key == "policy") {
-      validate_at(at, [&] { rack.policy = parse_policy_token(value); });
-    } else if (key == "ups_wh") {
-      rack.ups_wh = parse_double(at, key, value);
-    } else if (key == "supercap_wh") {
-      rack.supercap_wh = parse_double(at, key, value);
-    } else if (key == "deadline") {
-      rack.deadline_s = parse_double(at, key, value);
-    } else if (key == "work_scale") {
-      rack.work_scale = parse_double(at, key, value);
-    } else if (key == "cb_rated_w") {
-      rack.cb_rated_w = parse_double(at, key, value);
-    } else if (key == "overload") {
-      rack.overload = parse_double(at, key, value);
-    } else if (key == "overload_s") {
-      rack.overload_s = parse_double(at, key, value);
-    } else if (key == "recovery_s") {
-      rack.recovery_s = parse_double(at, key, value);
-    } else {
-      at.fail("unknown rack key '" + key + "'");
-    }
-  }
-  validate_at(at, [&] { rack.validate(); });
-}
-
-void parse_workload(const Cursor& at, std::istringstream& tokens,
-                    WorkloadSpec& workload) {
-  std::string word;
-  while (tokens >> word) {
-    const auto [key, value] = split_kv(at, word);
-    if (key == "mean_util") {
-      workload.mean_util = parse_double(at, key, value);
-    } else if (key == "idle_util") {
-      workload.idle_util = parse_double(at, key, value);
-    } else if (key == "ramp_up") {
-      workload.ramp_up_s = parse_double(at, key, value);
-    } else if (key == "swell_amplitude") {
-      workload.swell_amplitude = parse_double(at, key, value);
-    } else if (key == "swell_period") {
-      workload.swell_period_s = parse_double(at, key, value);
-    } else if (key == "noise_sigma") {
-      workload.noise_sigma = parse_double(at, key, value);
-    } else if (key == "noise_tau") {
-      workload.noise_tau_s = parse_double(at, key, value);
-    } else if (key == "spike_rate") {
-      workload.spike_rate_per_s = parse_double(at, key, value);
-    } else if (key == "spike_magnitude") {
-      workload.spike_magnitude = parse_double(at, key, value);
-    } else if (key == "spike_decay") {
-      workload.spike_decay_s = parse_double(at, key, value);
-    } else if (key == "queueing") {
-      workload.queueing = parse_bool(at, key, value);
-    } else {
-      at.fail("unknown workload key '" + key + "'");
-    }
-  }
-  validate_at(at, [&] { workload.validate(); });
-}
-
-SurgeSpec parse_surge(const Cursor& at, std::istringstream& tokens) {
+/// One surge line; it must start after `earlier`'s last down-ramp ends.
+SurgeSpec parse_surge(const Cursor& at, std::istringstream& tokens,
+                      const std::vector<SurgeSpec>& earlier) {
   SurgeSpec surge;
   std::string word;
   while (tokens >> word) {
@@ -237,7 +168,13 @@ SurgeSpec parse_surge(const Cursor& at, std::istringstream& tokens) {
       at.fail("unknown surge key '" + key + "'");
     }
   }
-  validate_at(at, [&] { surge.validate(); });
+  validate_at(at, [&] {
+    surge.validate();
+    SPRINTCON_EXPECTS(
+        earlier.empty() ||
+            surge.start_s >= earlier.back().end_s() + earlier.back().ramp_s,
+        "overlapping surge windows (including the down-ramp)");
+  });
   return surge;
 }
 
@@ -268,10 +205,7 @@ ScenarioSpec parse_scenario(std::istream& in, std::string_view filename) {
   ScenarioSpec spec;
   Cursor at{filename, 0};
   bool seen_scenario = false;
-  bool seen_fleet = false;
-  bool seen_rack = false;
-  bool seen_workload = false;
-  int fleet_line = 0;
+  std::map<std::string_view, int> section_line;  // keyword -> its line
 
   std::string line;
   while (std::getline(in, line)) {
@@ -291,29 +225,17 @@ ScenarioSpec parse_scenario(std::istream& in, std::string_view filename) {
     if (!seen_scenario) {
       at.fail("the 'scenario' line must come first (got '" + section + "')");
     }
-    if (section == "fleet") {
-      if (seen_fleet) at.fail("duplicate 'fleet' line");
-      seen_fleet = true;
-      fleet_line = at.line_no;
-      parse_fleet(at, tokens, spec.fleet);
-    } else if (section == "rack") {
-      if (seen_rack) at.fail("duplicate 'rack' line");
-      seen_rack = true;
-      parse_rack(at, tokens, spec.rack);
-    } else if (section == "workload") {
-      if (seen_workload) at.fail("duplicate 'workload' line");
-      seen_workload = true;
-      parse_workload(at, tokens, spec.workload);
+    const std::span<const Section> sections = key_sections();
+    const auto keyed =
+        std::find_if(sections.begin(), sections.end(),
+                     [&](const Section& s) { return section == s.name; });
+    if (keyed != sections.end()) {
+      if (!section_line.emplace(keyed->name, at.line_no).second) {
+        at.fail("duplicate '" + section + "' line");
+      }
+      parse_section(at, tokens, *keyed, spec.facility);
     } else if (section == "surge") {
-      const SurgeSpec surge = parse_surge(at, tokens);
-      validate_at(at, [&] {
-        SPRINTCON_EXPECTS(
-            spec.surges.empty() ||
-                surge.start_s >=
-                    spec.surges.back().end_s() + spec.surges.back().ramp_s,
-            "overlapping surge windows (including the down-ramp)");
-      });
-      spec.surges.push_back(surge);
+      spec.surges.push_back(parse_surge(at, tokens, spec.surges));
     } else if (section == "grid") {
       spec.grid_events.push_back(parse_grid(at, tokens));
     } else if (section == "fault") {
@@ -334,18 +256,11 @@ ScenarioSpec parse_scenario(std::istream& in, std::string_view filename) {
     at.line_no = std::max(at.line_no, 1);
     at.fail("missing required 'scenario' line");
   }
-  // Cross-section rule: the recovery knob (fleet line) needs the SprintCon
-  // controller ladder (rack line, possibly later in the file).
-  if (spec.fleet.recovery && spec.rack.policy != Policy::kSprintCon) {
-    at.line_no = fleet_line;
-    at.fail("recovery requires policy=sprintcon");
-  }
-  // Backstop: everything above should have validated piecewise already.
-  try {
-    spec.validate();
-  } catch (const InvalidArgumentError& e) {
-    throw InvalidArgumentError(std::string(filename) + ": " + e.what());
-  }
+  // Every line has validated as it was read. What is left is the one
+  // cross-section rule: recovery (fleet line) needs policy=sprintcon (rack
+  // line, possibly later in the file), reported at the fleet line.
+  at.line_no = section_line["fleet"];
+  validate_at(at, [&] { spec.validate(); });
   return spec;
 }
 
@@ -364,53 +279,32 @@ ScenarioSpec load_scenario(const std::string& path) {
 FacilityConfig compile(const ScenarioSpec& spec) {
   spec.validate();
 
+  // Every key, copied from the spec onto a default configuration.
   FacilityConfig fc;
-  fc.num_racks = spec.fleet.racks;
-  fc.run_threads = spec.fleet.threads;
-  fc.staggered = spec.fleet.staggered;
-  fc.epoch_s = spec.fleet.epoch_s;
-  fc.health = spec.fleet.health;
-  fc.recovery = spec.fleet.recovery;
+  for (const Section& section : key_sections()) {
+    for (const SectionKey& key : section.keys) {
+      const KeyField from = key.read(spec.facility);
+      std::visit([&](auto* to) { *to = *std::get<decltype(to)>(from); },
+                 key.field(fc));
+    }
+  }
 
   RigConfig& rig = fc.rack;
-  rig.policy = spec.rack.policy;
-  rig.num_servers = spec.rack.servers;
-  rig.interactive_cores_per_server = spec.rack.interactive_cores;
-  rig.dedicated_servers = spec.rack.dedicated;
   rig.dt_s = spec.dt_s;
   rig.duration_s = spec.duration_s;
-  rig.batch_deadline_s = spec.rack.deadline_s;
-  rig.batch_work_scale = spec.rack.work_scale;
-  rig.ups_capacity_wh = spec.rack.ups_wh;
-  rig.supercap_wh = spec.rack.supercap_wh;
   rig.seed = spec.seed;
   rig.fault_seed = spec.fault_seed;
-  rig.use_request_queues = spec.workload.queueing;
-  rig.sprint.cb_rated_w = spec.rack.cb_rated_w;
-  rig.sprint.cb_overload_degree = spec.rack.overload;
-  rig.sprint.cb_overload_duration_s = spec.rack.overload_s;
-  rig.sprint.cb_recovery_duration_s = spec.rack.recovery_s;
   // The sprint covers the whole run (the rig default keeps them equal
   // too); the overload policy then follows the scenario's horizon.
   rig.sprint.burst_duration_s = spec.duration_s;
 
-  // --- workload mix + surge lowering ------------------------------------
+  // --- surge lowering ----------------------------------------------------
   workload::InteractiveTraceConfig& trace = rig.interactive;
-  trace.mean_utilization = spec.workload.mean_util;
-  trace.idle_utilization = spec.workload.idle_util;
-  trace.ramp_up_s = spec.workload.ramp_up_s;
-  trace.swell_amplitude = spec.workload.swell_amplitude;
-  trace.swell_period_s = spec.workload.swell_period_s;
-  trace.noise_sigma = spec.workload.noise_sigma;
-  trace.noise_tau_s = spec.workload.noise_tau_s;
-  trace.spike_rate_per_s = spec.workload.spike_rate_per_s;
-  trace.spike_magnitude = spec.workload.spike_magnitude;
-  trace.spike_decay_s = spec.workload.spike_decay_s;
   if (!spec.surges.empty()) {
     // Trapezoid per surge on the baseline mean. Adjacent points can
     // coincide (a surge starting exactly where the previous down-ramp
     // lands); push() drops those so the envelope stays strictly sorted.
-    const double base = spec.workload.mean_util;
+    const double base = trace.mean_utilization;
     double last_t = -1.0;
     const auto push = [&](double t_s, double mean) {
       if (t_s > last_t) {

@@ -5,10 +5,10 @@
 // number, out-of-range value, overlapping surge windows, bad
 // duration/seed) throws InvalidArgumentError whose message starts with
 // "<file>:<line>:". compile() lowers a validated spec onto the existing
-// runtime: surges become interactive-envelope breakpoints, grid events
-// become fault-plan entries (outage -> utility_outage, derate ->
-// cb_drift), and everything else maps field-for-field onto
-// FacilityConfig/RigConfig. One driver then runs any scenario:
+// runtime: every fleet/rack/workload key is copied through its table
+// (spec.hpp key_sections()), surges become interactive-envelope
+// breakpoints and grid events become fault-plan entries (outage ->
+// utility_outage, derate -> cb_drift). One driver then runs any scenario:
 //
 //     Facility facility(compile(load_scenario(path)));
 //     facility.run();

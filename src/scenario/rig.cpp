@@ -99,6 +99,18 @@ void RigConfig::validate() const {
   SPRINTCON_EXPECTS(batch_deadline_s > 0.0, "deadline must be positive");
   SPRINTCON_EXPECTS(batch_work_scale > 0.0, "work scale must be positive");
   SPRINTCON_EXPECTS(ups_capacity_wh > 0.0, "UPS capacity must be positive");
+  SPRINTCON_EXPECTS(supercap_wh >= 0.0,
+                    "supercap capacity must be non-negative");
+  const std::size_t cores = server::paper_platform().cores_per_server;
+  SPRINTCON_EXPECTS(interactive_cores_per_server <= cores,
+                    "more interactive cores than the server has");
+  // The MPC needs at least one batch core to steer; the baselines run
+  // without any.
+  const bool has_batch_core = dedicated_servers
+                                  ? num_servers > (num_servers + 1) / 2
+                                  : interactive_cores_per_server < cores;
+  SPRINTCON_EXPECTS(policy != Policy::kSprintCon || has_batch_core,
+                    "SprintCon needs at least one batch core to control");
   SPRINTCON_EXPECTS(health_period_s > 0.0, "health period must be positive");
   SPRINTCON_EXPECTS(metrics_window_s > 0.0, "metric window must be positive");
   SPRINTCON_EXPECTS(!recovery || policy == Policy::kSprintCon,
@@ -114,9 +126,6 @@ Rig::Rig(const RigConfig& config) : config_(config) {
   config.validate();
 
   const server::PlatformSpec spec = server::paper_platform();
-  SPRINTCON_EXPECTS(
-      config.interactive_cores_per_server <= spec.cores_per_server,
-      "more interactive cores than the server has");
 
   Rng master(config.seed);
   const auto spec_profiles = workload::spec2006_profiles();
@@ -250,25 +259,47 @@ Rig::Rig(const RigConfig& config) : config_(config) {
     // Per-tick derived health gauges + periodic window rotation. Runs
     // after the actuator stage, so "realized" frequencies include any
     // injected actuation fault — exactly what a real monitor would see.
-    sim_->add_post_tick_hook([this](const sim::SimClock& clock) {
+    // Each handle is looked up (registering its metric) and cached on the
+    // first tick that uses it, so a conditional metric such as
+    // rig.batch_freq appears in snapshots only once it has a value.
+    struct TickMetrics {
+      obs::WindowedHistogram* response_ms = nullptr;
+      obs::Gauge* cmd_freq = nullptr;
+      obs::Gauge* capacity_wh = nullptr;
+      obs::Gauge* batch_freq = nullptr;
+      obs::Gauge* divergence = nullptr;
+    };
+    sim_->add_post_tick_hook([this, h = TickMetrics{}](
+                                 const sim::SimClock& clock) mutable {
       auto& m = obs_->metrics();
       if (!queues_.empty()) {
         double t = 0.0;
         for (const auto* q : queues_) t += q->response_time_s();
-        m.windowed("queue.response_ms.window")
-            .record(t / static_cast<double>(queues_.size()) * 1000.0);
+        if (h.response_ms == nullptr) {
+          h.response_ms = &m.windowed("queue.response_ms.window");
+        }
+        h.response_ms->record(t / static_cast<double>(queues_.size()) *
+                              1000.0);
       }
-      const double cmd = m.gauge("control.cmd_batch_freq").value();
+      if (h.cmd_freq == nullptr) {
+        h.cmd_freq = &m.gauge("control.cmd_batch_freq");
+        h.capacity_wh = &m.gauge("rig.battery_capacity_wh");
+      }
+      const double cmd = h.cmd_freq->value();
       if (cmd > 0.0) {
         double sum = 0.0;
         const auto& refs = rack_->batch_cores();
         for (const auto& ref : refs) sum += rack_->core(ref).freq();
         const double realized =
             refs.empty() ? 0.0 : sum / static_cast<double>(refs.size());
-        m.gauge("rig.batch_freq").set(realized);
-        m.gauge("rig.dvfs_divergence").set(std::abs(realized - cmd));
+        if (h.batch_freq == nullptr) {
+          h.batch_freq = &m.gauge("rig.batch_freq");
+          h.divergence = &m.gauge("rig.dvfs_divergence");
+        }
+        h.batch_freq->set(realized);
+        h.divergence->set(std::abs(realized - cmd));
       }
-      m.gauge("rig.battery_capacity_wh").set(path_->battery().capacity_wh());
+      h.capacity_wh->set(path_->battery().capacity_wh());
       if (clock.every(config_.metrics_window_s)) m.rotate_windows();
     });
   }

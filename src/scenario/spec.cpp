@@ -33,9 +33,79 @@ constexpr GridKindName kGridKindNames[] = {
     {GridEventKind::kDerate, "derate"},
 };
 
-std::string bool_token(bool v) { return v ? "true" : "false"; }
+using Cfg = FacilityConfig;
+
+// Every fleet, rack and workload key, each defined once. The loader parses
+// into these fields, to_text() prints them in this order, operator==
+// compares them and compile() copies them; defaults and range checks are
+// the destination configs' own.
+constexpr SectionKey kFleetKeys[] = {
+    {"racks", [](Cfg& c) -> KeyField { return &c.num_racks; }},
+    {"threads", [](Cfg& c) -> KeyField { return &c.run_threads; }},
+    {"staggered", [](Cfg& c) -> KeyField { return &c.staggered; }},
+    {"epoch", [](Cfg& c) -> KeyField { return &c.epoch_s; }},
+    {"health", [](Cfg& c) -> KeyField { return &c.health; }},
+    {"recovery", [](Cfg& c) -> KeyField { return &c.recovery; }},
+};
+
+constexpr SectionKey kRackKeys[] = {
+    {"servers", [](Cfg& c) -> KeyField { return &c.rack.num_servers; }},
+    {"interactive_cores",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive_cores_per_server; }},
+    {"dedicated", [](Cfg& c) -> KeyField { return &c.rack.dedicated_servers; }},
+    {"policy", [](Cfg& c) -> KeyField { return &c.rack.policy; }},
+    {"ups_wh", [](Cfg& c) -> KeyField { return &c.rack.ups_capacity_wh; }},
+    {"supercap_wh", [](Cfg& c) -> KeyField { return &c.rack.supercap_wh; }},
+    {"deadline", [](Cfg& c) -> KeyField { return &c.rack.batch_deadline_s; }},
+    {"work_scale", [](Cfg& c) -> KeyField { return &c.rack.batch_work_scale; }},
+    {"cb_rated_w",
+     [](Cfg& c) -> KeyField { return &c.rack.sprint.cb_rated_w; }},
+    {"overload",
+     [](Cfg& c) -> KeyField { return &c.rack.sprint.cb_overload_degree; }},
+    {"overload_s",
+     [](Cfg& c) -> KeyField { return &c.rack.sprint.cb_overload_duration_s; }},
+    {"recovery_s",
+     [](Cfg& c) -> KeyField { return &c.rack.sprint.cb_recovery_duration_s; }},
+};
+
+constexpr SectionKey kWorkloadKeys[] = {
+    {"mean_util",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.mean_utilization; }},
+    {"idle_util",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.idle_utilization; }},
+    {"ramp_up",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.ramp_up_s; }},
+    {"swell_amplitude",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.swell_amplitude; }},
+    {"swell_period",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.swell_period_s; }},
+    {"noise_sigma",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.noise_sigma; }},
+    {"noise_tau",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.noise_tau_s; }},
+    {"spike_rate",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.spike_rate_per_s; }},
+    {"spike_magnitude",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.spike_magnitude; }},
+    {"spike_decay",
+     [](Cfg& c) -> KeyField { return &c.rack.interactive.spike_decay_s; }},
+    {"queueing", [](Cfg& c) -> KeyField { return &c.rack.use_request_queues; }},
+};
+
+constexpr Section kSections[] = {
+    {"fleet", kFleetKeys},
+    {"rack", kRackKeys},
+    {"workload", kWorkloadKeys},
+};
+
+std::string format_value(const double* v) { return format_plan_double(*v); }
+std::string format_value(const std::size_t* v) { return std::to_string(*v); }
+std::string format_value(const bool* v) { return *v ? "true" : "false"; }
+std::string format_value(const Policy* v) { return policy_token(*v); }
 
 }  // namespace
+
+std::span<const Section> key_sections() noexcept { return kSections; }
 
 const char* policy_token(Policy policy) noexcept {
   for (const PolicyToken& p : kPolicyTokens) {
@@ -95,41 +165,6 @@ void GridEventSpec::validate() const {
   }
 }
 
-void FleetSpec::validate() const {
-  SPRINTCON_EXPECTS(racks > 0, "fleet needs at least one rack");
-  SPRINTCON_EXPECTS(epoch_s > 0.0, "epoch length must be positive");
-}
-
-void RackSpec::validate() const {
-  SPRINTCON_EXPECTS(servers > 0, "rack needs at least one server");
-  SPRINTCON_EXPECTS(ups_wh > 0.0, "UPS capacity must be positive");
-  SPRINTCON_EXPECTS(supercap_wh >= 0.0,
-                    "supercap capacity must be non-negative");
-  SPRINTCON_EXPECTS(deadline_s > 0.0, "batch deadline must be positive");
-  SPRINTCON_EXPECTS(work_scale > 0.0, "work scale must be positive");
-  SPRINTCON_EXPECTS(cb_rated_w > 0.0, "CB rating must be positive");
-  SPRINTCON_EXPECTS(overload > 1.0, "overload degree must exceed 1");
-  SPRINTCON_EXPECTS(overload_s > 0.0, "overload window must be positive");
-  SPRINTCON_EXPECTS(recovery_s > 0.0, "recovery window must be positive");
-}
-
-void WorkloadSpec::validate() const {
-  // Reuse the trace generator's own validation by building the config the
-  // loader would; keeps the two layers from drifting apart.
-  workload::InteractiveTraceConfig trace;
-  trace.mean_utilization = mean_util;
-  trace.idle_utilization = idle_util;
-  trace.ramp_up_s = ramp_up_s;
-  trace.swell_amplitude = swell_amplitude;
-  trace.swell_period_s = swell_period_s;
-  trace.noise_sigma = noise_sigma;
-  trace.noise_tau_s = noise_tau_s;
-  trace.spike_rate_per_s = spike_rate_per_s;
-  trace.spike_magnitude = spike_magnitude;
-  trace.spike_decay_s = spike_decay_s;
-  trace.validate();
-}
-
 void ScenarioSpec::validate() const {
   SPRINTCON_EXPECTS(!name.empty(), "scenario needs a name");
   for (const char c : name) {
@@ -141,11 +176,10 @@ void ScenarioSpec::validate() const {
                     "duration must be positive and finite");
   SPRINTCON_EXPECTS(dt_s > 0.0 && dt_s <= duration_s,
                     "dt must be positive and at most the duration");
-  fleet.validate();
-  rack.validate();
-  workload.validate();
-  SPRINTCON_EXPECTS(!fleet.recovery || rack.policy == Policy::kSprintCon,
-                    "recovery requires policy=sprintcon");
+  facility.validate();
+  SPRINTCON_EXPECTS(
+      !facility.recovery || facility.rack.policy == Policy::kSprintCon,
+      "recovery requires policy=sprintcon");
   for (const SurgeSpec& surge : surges) surge.validate();
   for (std::size_t i = 1; i < surges.size(); ++i) {
     // Down-ramp of surge i-1 must complete before surge i starts, so the
@@ -188,40 +222,17 @@ std::string ScenarioSpec::to_text() const {
   out += " dt=" + format_plan_double(dt_s);
   out += '\n';
 
-  out += "fleet racks=" + std::to_string(fleet.racks);
-  out += " threads=" + std::to_string(fleet.threads);
-  out += " staggered=" + bool_token(fleet.staggered);
-  out += " epoch=" + format_plan_double(fleet.epoch_s);
-  out += " health=" + bool_token(fleet.health);
-  out += " recovery=" + bool_token(fleet.recovery);
-  out += '\n';
-
-  out += "rack servers=" + std::to_string(rack.servers);
-  out += " interactive_cores=" + std::to_string(rack.interactive_cores);
-  out += " dedicated=" + bool_token(rack.dedicated);
-  out += std::string(" policy=") + policy_token(rack.policy);
-  out += " ups_wh=" + format_plan_double(rack.ups_wh);
-  out += " supercap_wh=" + format_plan_double(rack.supercap_wh);
-  out += " deadline=" + format_plan_double(rack.deadline_s);
-  out += " work_scale=" + format_plan_double(rack.work_scale);
-  out += " cb_rated_w=" + format_plan_double(rack.cb_rated_w);
-  out += " overload=" + format_plan_double(rack.overload);
-  out += " overload_s=" + format_plan_double(rack.overload_s);
-  out += " recovery_s=" + format_plan_double(rack.recovery_s);
-  out += '\n';
-
-  out += "workload mean_util=" + format_plan_double(workload.mean_util);
-  out += " idle_util=" + format_plan_double(workload.idle_util);
-  out += " ramp_up=" + format_plan_double(workload.ramp_up_s);
-  out += " swell_amplitude=" + format_plan_double(workload.swell_amplitude);
-  out += " swell_period=" + format_plan_double(workload.swell_period_s);
-  out += " noise_sigma=" + format_plan_double(workload.noise_sigma);
-  out += " noise_tau=" + format_plan_double(workload.noise_tau_s);
-  out += " spike_rate=" + format_plan_double(workload.spike_rate_per_s);
-  out += " spike_magnitude=" + format_plan_double(workload.spike_magnitude);
-  out += " spike_decay=" + format_plan_double(workload.spike_decay_s);
-  out += " queueing=" + bool_token(workload.queueing);
-  out += '\n';
+  for (const Section& section : kSections) {
+    out += section.name;
+    for (const SectionKey& key : section.keys) {
+      out += ' ';
+      out += key.name;
+      out += '=';
+      out += std::visit([](auto* v) { return format_value(v); },
+                        key.read(facility));
+    }
+    out += '\n';
+  }
 
   for (const SurgeSpec& surge : surges) {
     out += surge.to_line();
@@ -236,6 +247,25 @@ std::string ScenarioSpec::to_text() const {
     out += '\n';
   }
   return out;
+}
+
+bool ScenarioSpec::operator==(const ScenarioSpec& other) const {
+  if (name != other.name || seed != other.seed ||
+      fault_seed != other.fault_seed || duration_s != other.duration_s ||
+      dt_s != other.dt_s || surges != other.surges ||
+      grid_events != other.grid_events || faults != other.faults) {
+    return false;
+  }
+  for (const Section& section : kSections) {
+    for (const SectionKey& key : section.keys) {
+      const KeyField theirs = key.read(other.facility);
+      const bool same = std::visit(
+          [&](auto* v) { return *v == *std::get<decltype(v)>(theirs); },
+          key.read(facility));
+      if (!same) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace sprintcon::scenario

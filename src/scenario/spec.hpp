@@ -30,11 +30,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
+#include <vector>
 
 #include "fault/fault.hpp"
-#include "scenario/rig.hpp"
+#include "scenario/facility.hpp"
 
 namespace sprintcon::scenario {
 
@@ -94,64 +97,34 @@ struct GridEventSpec {
   bool operator==(const GridEventSpec&) const = default;
 };
 
-/// Fleet composition: how many racks, how they are sharded and staggered,
-/// and which facility-level services run.
-struct FleetSpec {
-  std::size_t racks = 4;
-  /// Worker shards for Facility::run(); 0 = one per hardware thread.
-  std::size_t threads = 0;
-  bool staggered = true;
-  double epoch_s = 30.0;
-  bool health = false;
-  bool recovery = false;
+/// Where one fleet/rack/workload key lives: a pointer into the runtime
+/// configuration it lowers to, typed as the key's value (number, count,
+/// bool or policy token).
+using KeyField = std::variant<double*, std::size_t*, bool*, Policy*>;
 
-  void validate() const;
+/// One `key=value` of a fleet, rack or workload line. The tables behind
+/// key_sections() are the only place a key is defined: the loader parses
+/// into `field`, to_text() prints it, operator== compares it and compile()
+/// copies it. A key's default and range are its field's own (the
+/// destination config's initializer and validate()).
+struct SectionKey {
+  const char* name;
+  KeyField (*field)(FacilityConfig&);
 
-  bool operator==(const FleetSpec&) const = default;
+  /// The same field of a const config; callers only read through it.
+  KeyField read(const FacilityConfig& config) const {
+    return field(const_cast<FacilityConfig&>(config));
+  }
 };
 
-/// Per-rack shape: servers, core split, policy, storage, batch deadline
-/// and the breaker's overload schedule.
-struct RackSpec {
-  std::size_t servers = 16;
-  std::size_t interactive_cores = 4;
-  bool dedicated = false;
-  Policy policy = Policy::kSprintCon;
-  double ups_wh = 400.0;
-  double supercap_wh = 0.0;
-  double deadline_s = 720.0;
-  double work_scale = 0.65;
-  double cb_rated_w = 3200.0;
-  double overload = 1.25;
-  double overload_s = 150.0;
-  double recovery_s = 300.0;
-
-  void validate() const;
-
-  bool operator==(const RackSpec&) const = default;
+/// A fleet, rack or workload line: its keyword and its keys.
+struct Section {
+  const char* name;
+  std::span<const SectionKey> keys;
 };
 
-/// Workload mix: the interactive trace shape (baseline the surges ride
-/// on) and whether interactive cores run the open-loop trace or the
-/// closed-loop request-queue backend.
-struct WorkloadSpec {
-  double mean_util = 0.65;
-  double idle_util = 0.15;
-  double ramp_up_s = 20.0;
-  double swell_amplitude = 0.15;
-  double swell_period_s = 210.0;
-  double noise_sigma = 0.07;
-  double noise_tau_s = 12.0;
-  double spike_rate_per_s = 1.0 / 90.0;
-  double spike_magnitude = 0.22;
-  double spike_decay_s = 12.0;
-  /// Closed-loop request queues instead of the open-loop trace.
-  bool queueing = false;
-
-  void validate() const;
-
-  bool operator==(const WorkloadSpec&) const = default;
-};
+/// The fleet, rack and workload sections, in canonical print order.
+std::span<const Section> key_sections() noexcept;
 
 /// One complete declarative scenario.
 struct ScenarioSpec {
@@ -161,17 +134,19 @@ struct ScenarioSpec {
   double duration_s = 900.0;
   double dt_s = 1.0;
 
-  FleetSpec fleet;
-  RackSpec rack;
-  WorkloadSpec workload;
+  /// The fleet/rack/workload keys, held in the fields they lower to.
+  /// Only the fields key_sections() names belong to the spec; compile()
+  /// copies exactly those onto a default FacilityConfig.
+  FacilityConfig facility;
   std::vector<SurgeSpec> surges;
   std::vector<GridEventSpec> grid_events;
   /// Embedded fault plan (one `fault <plan-line>` per spec).
   fault::FaultPlan faults;
 
-  /// Validate every section plus the cross-cutting rules (surges sorted
-  /// and non-overlapping including their ramps); throws
-  /// InvalidArgumentError. The loader re-runs the same checks with
+  /// Validate the header, `facility` (its own validate()), every surge,
+  /// grid event and fault, plus the cross-cutting rules (recovery needs
+  /// SprintCon; surges sorted and non-overlapping including their ramps);
+  /// throws InvalidArgumentError. The loader runs the same checks with
   /// file:line context while parsing.
   void validate() const;
 
@@ -179,7 +154,8 @@ struct ScenarioSpec {
   /// back through the loader reproduces this spec exactly.
   std::string to_text() const;
 
-  bool operator==(const ScenarioSpec&) const = default;
+  /// Compares the header, every key and every surge/grid/fault line.
+  bool operator==(const ScenarioSpec& other) const;
 };
 
 }  // namespace sprintcon::scenario
