@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SprintCon project-invariant linter (DESIGN.md section 11).
 
-Enforces three SprintCon-specific correctness rules that generic
+Enforces four SprintCon-specific correctness rules that generic
 clang-tidy profiles cannot express:
 
   wall-clock  No wall-clock or ambient-randomness source reachable from
@@ -24,6 +24,14 @@ clang-tidy profiles cannot express:
               a pre-sized reservation is allowed; the rule targets the
               unconditional per-call allocations. The check is textual
               and per-body (not transitive through callees).
+
+  fp-contract No explicit fused multiply-add (std::fma and friends) and
+              no `#pragma STDC FP_CONTRACT` in the decision path (same
+              directories as wall-clock). The build pins
+              -ffp-contract=off so every a*b+c rounds twice on every
+              target (DESIGN.md section 7.4); an explicit fma or a
+              pragma that re-enables contraction would give FMA hosts
+              different bits from the goldens.
 
   raw-unit    No `double` parameter whose name is a bare unit noun
               (seconds, watts, joules, watt_hours, wh) in a public
@@ -99,6 +107,12 @@ HOT_BANNED_PATTERNS = [
     (re.compile(r"\bmake_shared\b"), "std::make_shared"),
 ]
 
+FP_CONTRACT_PATTERNS = [
+    (re.compile(r"(?<![\w.>])(?:std::)?fma[fl]?\s*\("), "fma()"),
+    (re.compile(r"#\s*pragma\s+STDC\s+FP_CONTRACT\b"),
+     "#pragma STDC FP_CONTRACT"),
+]
+
 RAW_UNIT_NAMES = ("seconds", "watts", "joules", "watt_hours", "wh")
 RAW_UNIT_PATTERN = re.compile(
     r"[(,]\s*(?:const\s+)?double\s+(" + "|".join(RAW_UNIT_NAMES)
@@ -108,7 +122,7 @@ ALLOW_DIRECTIVE = re.compile(r"lint:allow\(([a-z0-9_-]+)\)")
 TREAT_AS_DIRECTIVE = re.compile(r"lint:treat-as\(([^)]+)\)")
 EXPECT_DIRECTIVE = re.compile(r"lint:expect\(([a-z0-9_-]+)\)")
 
-RULE_IDS = ("wall-clock", "hot-alloc", "raw-unit")
+RULE_IDS = ("wall-clock", "hot-alloc", "fp-contract", "raw-unit")
 
 
 @dataclass
@@ -244,6 +258,12 @@ def lint_file(path: str, rel_path: str, text: str) -> list[Violation]:
                     f"{what} in the decision path ({effective}); use the "
                     "SimClock / a seeded Rng (only src/obs may read wall "
                     "time)")
+        for pattern, what in FP_CONTRACT_PATTERNS:
+            for m in pattern.finditer(stripped):
+                add("fp-contract", m.start(),
+                    f"{what} in the decision path ({effective}); the "
+                    "build pins -ffp-contract=off so results do not "
+                    "depend on the target's FMA (write a*b + c)")
 
     for body_start, body in hot_function_bodies(stripped):
         for pattern, what in HOT_BANNED_PATTERNS:

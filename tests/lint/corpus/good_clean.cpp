@@ -2,10 +2,12 @@
 //  * steady_clock is fine because this file "lives" in src/obs (the
 //    allowlisted layer that owns the wall-clock epoch);
 //  * the SPRINTCON_HOT function only touches pre-sized state;
-//  * "new" / "malloc" inside comments and strings must not count.
+//  * "new" / "malloc" inside comments and strings must not count;
+//  * std::fma is legal outside the decision path (src/obs only reports).
 // lint:treat-as(src/obs/good_probe.cpp)
 #define SPRINTCON_HOT
 #include <chrono>
+#include <cmath>
 
 namespace sprintcon::obs {
 
@@ -17,6 +19,11 @@ double epoch_us() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+// Mentions of fma( and #pragma STDC FP_CONTRACT in a comment are text.
+double scaled_us(double us, double scale, double offset_us) {
+  return std::fma(us, scale, offset_us);
 }
 
 SPRINTCON_HOT void hot_fill(double* out, int n, double v) {
