@@ -33,7 +33,7 @@ std::unique_ptr<server::Rack> batch_rack(std::size_t n_servers) {
                                workload::InteractiveTraceConfig{}, rng.split()));
       } else {
         cores.emplace_back(spec.freq_min, spec.freq_max,
-                           std::make_unique<workload::BatchJob>(
+                           workload::BatchJob(
                                profiles[pi++ % profiles.size()], 900.0, 1e6,
                                workload::CompletionMode::kRunOnce, rng.split()));
       }

@@ -36,7 +36,7 @@ std::unique_ptr<server::Rack> batch_rack() {
                                workload::InteractiveTraceConfig{}, rng.split()));
       } else {
         cores.emplace_back(spec.freq_min, spec.freq_max,
-                           std::make_unique<workload::BatchJob>(
+                           workload::BatchJob(
                                profiles[pi++ % profiles.size()], 720.0, 380.0,
                                workload::CompletionMode::kRunOnce, rng.split()));
       }

@@ -37,7 +37,7 @@ int main() {
                            workload::InteractiveTraceGenerator(
                                trace, rng.split(), 17.0 * double(s)));
       } else {
-        auto job = std::make_unique<workload::BatchJob>(
+        workload::BatchJob job(
             profiles[profile_index++ % profiles.size()],
             /*deadline_s=*/600.0, /*work_s=*/320.0,
             workload::CompletionMode::kRunOnce, rng.split());

@@ -147,11 +147,11 @@ int main(int argc, char** argv) {
         const double offset =
             static_cast<double>(s * 11 + c * 3) * trace.dt_s;
         cores.emplace_back(spec.freq_min, spec.freq_max,
-                           std::make_unique<workload::ReplayUtilization>(
+                           workload::ReplayUtilization(
                                trace, /*scale=*/1.0, /*loop=*/true, offset));
       } else {
         cores.emplace_back(spec.freq_min, spec.freq_max,
-                           std::make_unique<workload::BatchJob>(
+                           workload::BatchJob(
                                profiles[pi++ % profiles.size()], 720.0, 300.0,
                                workload::CompletionMode::kRepeat, rng.split()));
       }

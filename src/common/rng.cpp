@@ -6,10 +6,6 @@ namespace sprintcon {
 
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 // SplitMix64: expands a single seed into well-distributed state words.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
@@ -26,27 +22,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : s_) word = splitmix64(sm);
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
   if (n == 0) return 0;
   // Lemire-style rejection to avoid modulo bias.
@@ -57,33 +32,10 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
   }
 }
 
-double Rng::normal() noexcept {
-  if (has_spare_normal_) {
-    has_spare_normal_ = false;
-    return spare_normal_;
-  }
-  double u = 0.0, v = 0.0, s = 0.0;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double mul = std::sqrt(-2.0 * std::log(s) / s);
-  spare_normal_ = v * mul;
-  has_spare_normal_ = true;
-  return u * mul;
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  return mean + stddev * normal();
-}
-
 double Rng::exponential(double rate) noexcept {
   // Inverse-CDF; uniform() < 1 so the log argument is strictly positive.
   return -std::log(1.0 - uniform()) / rate;
 }
-
-bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 Rng Rng::split() noexcept {
   return Rng((*this)() ^ 0xa5a5a5a5a5a5a5a5ULL);

@@ -17,6 +17,10 @@ ServerPowerController::ServerPowerController(const SprintConfig& config,
   config.validate();
   SPRINTCON_EXPECTS(!rack.batch_cores().empty(),
                     "server power controller needs batch cores to actuate");
+  batch_cores_.reserve(rack.batch_cores().size());
+  for (const server::BatchCoreRef& ref : rack.batch_cores()) {
+    batch_cores_.push_back(&rack.core(ref));
+  }
 }
 
 double ServerPowerController::effective_gain_w_per_f() const {
@@ -48,8 +52,7 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
   SPRINTCON_EXPECTS(p_total_w >= 0.0, "measured power must be >= 0");
   SPRINTCON_EXPECTS(p_batch_target_w >= 0.0, "P_batch must be >= 0");
 
-  const auto& refs = rack_.batch_cores();
-  const std::size_t n = refs.size();
+  const std::size_t n = batch_cores_.size();
 
   // Eq. 6: the batch power cannot be metered directly on colocated
   // servers, so subtract the modeled interactive power from the rack meter.
@@ -58,7 +61,7 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
   // Adaptive gain: learn dP/df from (applied frequency move, observed
   // power change) pairs across control periods.
   double freq_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) freq_sum += rack_.core(refs[i]).freq();
+  for (std::size_t i = 0; i < n; ++i) freq_sum += batch_cores_[i]->freq();
   if (config_.adaptive_gain && prev_freq_sum_ >= 0.0) {
     gain_estimator_.observe(freq_sum - prev_freq_sum_, p_fb - prev_p_fb_w_);
   }
@@ -77,7 +80,7 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
 
   const double k = effective_gain_w_per_f();
   for (std::size_t i = 0; i < n; ++i) {
-    const server::CpuCore& core = rack_.core(refs[i]);
+    const server::CpuCore& core = *batch_cores_[i];
     problem.gains_w_per_f[i] = k;
     problem.freq_current[i] = core.freq();
     problem.freq_min[i] = core.freq_min();
@@ -113,7 +116,7 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
                                "dvfs_actuate", "decision", "cores",
                                static_cast<double>(n));
     for (std::size_t i = 0; i < n; ++i) {
-      rack_.core(refs[i]).set_freq(last_out_.freq_next[i]);
+      batch_cores_[i]->set_freq(last_out_.freq_next[i]);
     }
   }
   record_commanded_freq();
@@ -128,12 +131,11 @@ void ServerPowerController::set_pid_fallback(bool on) {
     // dP/du ~= n * K * (fmax - fmin). Gains are normalized by it so the
     // closed loop converges in a handful of control periods regardless
     // of rack size or model gain.
-    const auto& refs = rack_.batch_cores();
-    const server::CpuCore& first = rack_.core(refs.front());
+    const server::CpuCore& first = *batch_cores_.front();
     const double span = std::max(1e-9, first.freq_max() - first.freq_min());
-    const double dp_du = std::max(
-        1e-9,
-        static_cast<double>(refs.size()) * effective_gain_w_per_f() * span);
+    const double dp_du =
+        std::max(1e-9, static_cast<double>(batch_cores_.size()) *
+                           effective_gain_w_per_f() * span);
     control::PidConfig pc;
     pc.kp = 0.4 / dp_du;
     pc.ki = 0.25 / dp_du;
@@ -151,15 +153,14 @@ void ServerPowerController::set_pid_fallback(bool on) {
 
 void ServerPowerController::update_pid(double p_fb_w,
                                        double p_batch_target_w) {
-  const auto& refs = rack_.batch_cores();
-  const std::size_t n = refs.size();
-  const server::CpuCore& first = rack_.core(refs.front());
+  const std::size_t n = batch_cores_.size();
+  const server::CpuCore& first = *batch_cores_.front();
   const double fmin = first.freq_min();
   const double span = std::max(1e-9, first.freq_max() - fmin);
 
   if (!pid_primed_) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) sum += rack_.core(refs[i]).freq();
+    for (std::size_t i = 0; i < n; ++i) sum += batch_cores_[i]->freq();
     const double mean = sum / static_cast<double>(n);
     pid_.preload_output(std::clamp((mean - fmin) / span, 0.0, 1.0));
     pid_primed_ = true;
@@ -176,17 +177,16 @@ void ServerPowerController::update_pid(double p_fb_w,
     const double f =
         std::clamp(freq, problem_.freq_min[i], problem_.freq_max[i]);
     last_out_.freq_next[i] = f;
-    rack_.core(refs[i]).set_freq(f);
+    batch_cores_[i]->set_freq(f);
   }
   if (obs_ != nullptr) obs_->metrics().counter("control.pid_updates").add(1);
   record_commanded_freq();
 }
 
 void ServerPowerController::reissue_last_command() {
-  const auto& refs = rack_.batch_cores();
-  if (last_out_.freq_next.size() != refs.size()) return;
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    rack_.core(refs[i]).set_freq(last_out_.freq_next[i]);
+  if (last_out_.freq_next.size() != batch_cores_.size()) return;
+  for (std::size_t i = 0; i < batch_cores_.size(); ++i) {
+    batch_cores_[i]->set_freq(last_out_.freq_next[i]);
   }
   record_commanded_freq();
 }
@@ -211,30 +211,30 @@ void ServerPowerController::record_commanded_freq() {
   // that later diverges from this gauge (a stuck actuator overwriting the
   // command, for instance) is an actuation fault the HealthMonitor can
   // catch by comparing against the realized batch frequencies.
-  const auto& refs = rack_.batch_cores();
   double sum = 0.0;
-  for (const auto& ref : refs) sum += rack_.core(ref).freq();
+  for (const server::CpuCore* core : batch_cores_) sum += core->freq();
   if (cmd_freq_ == nullptr) {
     cmd_freq_ = &obs_->metrics().gauge("control.cmd_batch_freq");
   }
-  cmd_freq_->set(refs.empty() ? 0.0 : sum / static_cast<double>(refs.size()));
+  cmd_freq_->set(batch_cores_.empty()
+                     ? 0.0
+                     : sum / static_cast<double>(batch_cores_.size()));
 }
 
 std::vector<BatchJobStatus> ServerPowerController::job_statuses(
     double now_s) const {
   std::vector<BatchJobStatus> out;
-  out.reserve(rack_.batch_cores().size());
-  for (const auto& ref : rack_.batch_cores()) {
-    const server::CpuCore& core = rack_.core(ref);
-    const workload::BatchJob& job = *core.job();
+  out.reserve(batch_cores_.size());
+  for (const server::CpuCore* core : batch_cores_) {
+    const workload::BatchJob& job = *core->job();
     BatchJobStatus status;
     status.remaining_work_s = job.remaining_work_s();
     status.time_left_s = std::max(0.0, job.deadline_s() - now_s);
     status.compute_fraction = job.model().compute_fraction();
     status.gain_w_per_f = effective_gain_w_per_f();
     status.constant_w = model_.constant_w();
-    status.freq_min = core.freq_min();
-    status.freq_max = core.freq_max();
+    status.freq_min = core->freq_min();
+    status.freq_max = core->freq_max();
     // Deadline pressure applies while the first execution is incomplete;
     // later passes of a repeating trace are throughput work (the paper's
     // 15-minute continuous traces) and never raise the P_batch floor.

@@ -1,13 +1,16 @@
 // Server power controller (Section V of the paper).
 //
 // Every control period it executes the paper's four-step loop:
-//   1. read per-core monitors (utilization / perf counters, Eq. 5 inputs);
+//   1. read the per-core monitors: interactive utilization (Eq. 5) and each
+//      batch job's progress and deadline (the R weights);
 //   2. compute the feedback power p_fb = p_total - p_inter (Eq. 6) and run
 //      the MPC to get new frequencies for the batch cores (Eq. 7-9);
 //   3. write the frequencies to the DVFS actuators;
 //   4. pick up the latest P_batch from the power load allocator.
 // Interactive cores are pinned at peak frequency throughout the sprint.
 #pragma once
+
+#include <vector>
 
 #include "control/mpc.hpp"
 #include "control/pid.hpp"
@@ -70,6 +73,12 @@ class ServerPowerController {
 
   const server::LinearPowerModel& model() const noexcept { return model_; }
 
+  /// The rack's batch cores in Rack::batch_cores() order, resolved once at
+  /// construction (the rack's layout is fixed for its lifetime).
+  const std::vector<server::CpuCore*>& batch_cores() const noexcept {
+    return batch_cores_;
+  }
+
   /// Attach an observability sink (forwarded to the MPC profiling hooks;
   /// also enables the dvfs_actuate span and the commanded-frequency gauge
   /// the HealthMonitor compares against realized frequencies).
@@ -82,6 +91,7 @@ class ServerPowerController {
  private:
   SprintConfig config_;
   server::Rack& rack_;
+  std::vector<server::CpuCore*> batch_cores_;
   server::LinearPowerModel model_;
   control::MpcPowerController mpc_;
   control::GainEstimator gain_estimator_;

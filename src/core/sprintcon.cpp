@@ -66,12 +66,11 @@ double SprintConController::bid_batch_budget_w(double budget_w,
   double batch_dyn_demand_w = 0.0;  // full-speed dynamic power
   double batch_urgency = 0.0;
   std::size_t active_jobs = 0;
-  for (const auto& ref : rack_.batch_cores()) {
-    const server::CpuCore& core = rack_.core(ref);
+  for (const server::CpuCore* core : server_ctrl_.batch_cores()) {
     batch_idle_w += model.constant_w();
-    const workload::BatchJob& job = *core.job();
+    const workload::BatchJob& job = *core->job();
     if (job.completed()) continue;
-    batch_dyn_demand_w += model.gain_w_per_f() * core.freq_max();
+    batch_dyn_demand_w += model.gain_w_per_f() * core->freq_max();
     batch_urgency += job.penalty_weight(now_s);
     ++active_jobs;
   }
@@ -227,8 +226,8 @@ void SprintConController::step(const sim::SimClock& clock) {
     // DVFS floor (re-imposed every period so a wedged actuator cannot
     // creep it back up); no MPC, no bidding. The rig/facility layer
     // sheds or re-routes the interactive load.
-    const auto& refs = rack_.batch_cores();
-    server_ctrl_.force_batch_frequency(rack_.core(refs.front()).freq_min());
+    server_ctrl_.force_batch_frequency(
+        server_ctrl_.batch_cores().front()->freq_min());
     p_batch_eff_w_ = 0.0;
   } else if (clock.every(config_.control_period_s)) {
     double batch_target = std::min(targets.p_batch_w, p_cb_eff_w_);

@@ -165,6 +165,18 @@ Facility::Facility(const FacilityConfig& config) : config_(config) {
   }
 }
 
+Facility::~Facility() {
+  // Last built, first freed. The first chunks a thread frees stay in its
+  // allocator cache, so freeing each shard's newest rigs first keeps the
+  // top of that shard's heap in use and glibc does not trim it; freeing
+  // the oldest first let the rest coalesce into the top, which was
+  // trimmed and re-faulted by the next build (measured: a rebuilt 500-rig,
+  // 2-shard facility re-faulted one shard's heap, ~3k minor faults, on 58%
+  // of repetitions in forward order and 5% in reverse; 4-vCPU x86-64
+  // host, glibc 2.36).
+  for (auto it = rigs_.rbegin(); it != rigs_.rend(); ++it) it->reset();
+}
+
 void Facility::run() {
   if (ran_) return;
   const double duration = config_.rack.duration_s;

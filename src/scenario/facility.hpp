@@ -105,6 +105,8 @@ struct FacilityConfig {
 class Facility {
  public:
   explicit Facility(const FacilityConfig& config);
+  /// Destroys the rigs in reverse construction order (see facility.cpp).
+  ~Facility();
 
   /// Run every rack's sprint (idempotent), sharded across
   /// config.run_threads long-lived workers.

@@ -150,25 +150,25 @@ Rig::Rig(const RigConfig& config) : config_(config) {
         if (config.use_request_queues) {
           workload::RequestQueueConfig queue;
           queue.offered_load = config.interactive;
-          auto source = std::make_unique<workload::RequestQueueSource>(
-              queue, master.split(), phase);
-          queues_.push_back(source.get());
-          cores.emplace_back(spec.freq_min, spec.freq_max,
-                             std::move(source));
+          cores.emplace_back(
+              spec.freq_min, spec.freq_max,
+              std::in_place_type<workload::RequestQueueSource>, queue,
+              master.split(), phase);
         } else {
           cores.emplace_back(
               spec.freq_min, spec.freq_max,
-              workload::InteractiveTraceGenerator(config.interactive,
-                                                  master.split(), phase));
+              std::in_place_type<workload::InteractiveTraceGenerator>,
+              config.interactive, master.split(), phase);
         }
       } else {
         const auto& profile =
             spec_profiles[batch_index++ % spec_profiles.size()];
-        auto job = std::make_unique<workload::BatchJob>(
-            profile, config.batch_deadline_s,
+        cores.emplace_back(
+            spec.freq_min, spec.freq_max,
+            std::in_place_type<workload::BatchJob>, profile,
+            config.batch_deadline_s,
             profile.nominal_work_s * config.batch_work_scale,
             config.completion, master.split());
-        cores.emplace_back(spec.freq_min, spec.freq_max, std::move(job));
       }
     }
     servers.emplace_back(spec, std::move(cores), master.split());
@@ -176,8 +176,17 @@ Rig::Rig(const RigConfig& config) : config_(config) {
   rack_ = std::make_unique<server::Rack>(std::move(servers));
   // Server-owned SoA thermal state (one elementwise kernel per tick)
   // rather than a CoreThermalModel per core; the servers sit at their
-  // final addresses now, so the cores' slot bindings stay valid.
-  for (server::Server& s : rack_->servers()) s.attach_thermal(config.thermal);
+  // final addresses now, so the cores' slot bindings stay valid. The
+  // queue pointers are taken here for the same reason: the cores hold
+  // their sources by value, so only their final addresses are stable.
+  for (server::Server& s : rack_->servers()) {
+    s.attach_thermal(config.thermal);
+    for (server::CpuCore& c : s.cores()) {
+      if (auto* q = std::get_if<workload::RequestQueueSource>(&c.workload())) {
+        queues_.push_back(q);
+      }
+    }
+  }
 
   // --- power infrastructure --------------------------------------------------
   const double max_rack_w =

@@ -5,22 +5,10 @@
 namespace sprintcon::server {
 
 MeasurementPowerModel::MeasurementPowerModel(const PlatformSpec& spec)
-    : spec_(spec) {
+    : spec_(spec),
+      linear_coeff_w_(spec.core_linear_coeff_w()),
+      cubic_coeff_w_(spec.core_cubic_coeff_w()) {
   spec.validate();
-}
-
-double MeasurementPowerModel::core_dynamic_w(double freq,
-                                             double utilization) const {
-  SPRINTCON_EXPECTS(freq >= 0.0 && freq <= 1.0 + 1e-9,
-                    "normalized frequency must be in [0, 1]");
-  SPRINTCON_EXPECTS(utilization >= 0.0 && utilization <= 1.0 + 1e-9,
-                    "utilization must be in [0, 1]");
-  return utilization * (spec_.core_linear_coeff_w() * freq +
-                        spec_.core_cubic_coeff_w() * freq * freq * freq);
-}
-
-double MeasurementPowerModel::server_power_w(double sum_dynamic_w) const {
-  return spec_.idle_power_w + sum_dynamic_w;
 }
 
 LinearPowerModel::LinearPowerModel(const PlatformSpec& spec,

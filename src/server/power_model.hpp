@@ -14,6 +14,7 @@
 //    paper's feedback design is meant to absorb (Section V-C).
 #pragma once
 
+#include "common/validation.hpp"
 #include "server/platform.hpp"
 
 namespace sprintcon::server {
@@ -24,16 +25,30 @@ class MeasurementPowerModel {
   explicit MeasurementPowerModel(const PlatformSpec& spec);
 
   /// Dynamic power of one core at normalized frequency f, utilization u.
-  double core_dynamic_w(double freq, double utilization) const;
+  /// Inline: Server::step calls it for every core every tick.
+  double core_dynamic_w(double freq, double utilization) const {
+    SPRINTCON_EXPECTS(freq >= 0.0 && freq <= 1.0 + 1e-9,
+                      "normalized frequency must be in [0, 1]");
+    SPRINTCON_EXPECTS(utilization >= 0.0 && utilization <= 1.0 + 1e-9,
+                      "utilization must be in [0, 1]");
+    return utilization *
+           (linear_coeff_w_ * freq + cubic_coeff_w_ * freq * freq * freq);
+  }
 
   /// Full-server power for aggregate core states, excluding the fan.
   /// @param sum_dynamic_w  precomputed sum of core_dynamic_w over cores
-  double server_power_w(double sum_dynamic_w) const;
+  double server_power_w(double sum_dynamic_w) const noexcept {
+    return spec_.idle_power_w + sum_dynamic_w;
+  }
 
   const PlatformSpec& spec() const noexcept { return spec_; }
 
  private:
   PlatformSpec spec_;
+  // The spec's derived coefficients, computed once here rather than with
+  // a division per core per tick (same expressions, so the same bits).
+  double linear_coeff_w_;
+  double cubic_coeff_w_;
 };
 
 /// Controller-side linear model p = K f + C per core (Eq. 1/2).

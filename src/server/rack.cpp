@@ -139,13 +139,4 @@ bool Rack::any_powered() const {
   return false;
 }
 
-void Rack::for_each_core(CoreRole role,
-                         const std::function<void(CpuCore&)>& fn) {
-  for (Server& s : servers_) {
-    for (CpuCore& c : s.cores()) {
-      if (c.role() == role) fn(c);
-    }
-  }
-}
-
 }  // namespace sprintcon::server

@@ -1,7 +1,6 @@
 // A rack of servers — the unit SprintCon controls.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "server/server.hpp"
@@ -69,7 +68,14 @@ class Rack : public sim::Component {
   bool any_powered() const;
 
   /// Apply a function to every core of the given role.
-  void for_each_core(CoreRole role, const std::function<void(CpuCore&)>& fn);
+  template <typename Fn>
+  void for_each_core(CoreRole role, Fn&& fn) {
+    for (Server& s : servers_) {
+      for (CpuCore& c : s.cores()) {
+        if (c.role() == role) fn(c);
+      }
+    }
+  }
 
  private:
   std::vector<Server> servers_;

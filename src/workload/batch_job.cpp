@@ -1,19 +1,10 @@
 #include "workload/batch_job.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/validation.hpp"
 
 namespace sprintcon::workload {
-
-namespace {
-// Peak clock of the evaluation platform (2.0 GHz); counter synthesis only.
-constexpr double kPeakHz = 2.0e9;
-// Phase modulation: new utilization perturbation every ~20 s of execution.
-constexpr double kPhasePeriodS = 20.0;
-constexpr double kPhaseSigma = 0.03;
-}  // namespace
 
 BatchJob::BatchJob(const BatchProfile& profile, double deadline_s,
                    double work_s, CompletionMode mode, Rng rng)
@@ -25,55 +16,6 @@ BatchJob::BatchJob(const BatchProfile& profile, double deadline_s,
       rng_(rng) {
   SPRINTCON_EXPECTS(deadline_s > 0.0, "deadline must be positive");
   SPRINTCON_EXPECTS(work_total_s_ > 0.0, "work must be positive");
-}
-
-PerfCounterSample BatchJob::advance(double dt_s, double freq, double now_s) {
-  SPRINTCON_EXPECTS(dt_s > 0.0, "dt must be positive");
-  SPRINTCON_EXPECTS(freq > 0.0 && freq <= 1.0 + 1e-9,
-                    "normalized frequency must be in (0, 1]");
-
-  PerfCounterSample sample;
-  if (completed_ && mode_ == CompletionMode::kRunOnce) {
-    return sample;  // core idles; all counters zero
-  }
-
-  // Slow phase modulation so the counter traces are not perfectly flat.
-  phase_timer_s_ += dt_s;
-  if (phase_timer_s_ >= kPhasePeriodS) {
-    phase_timer_s_ = 0.0;
-    phase_noise_ = std::clamp(rng_.normal(0.0, kPhaseSigma), -0.08, 0.08);
-  }
-
-  const double rate = model_.rate(freq);
-  const double work_done = rate * dt_s;
-  progress_ += work_done / work_total_s_;
-
-  if (progress_ >= 1.0) {
-    ++completions_;
-    if (completion_time_s_ < 0.0) {
-      // Linear back-interpolation of the actual completion instant.
-      const double overshoot = (progress_ - 1.0) * work_total_s_ / rate;
-      completion_time_s_ = now_s + dt_s - overshoot;
-    }
-    if (mode_ == CompletionMode::kRepeat) {
-      progress_ -= 1.0;
-      start_time_s_ = now_s + dt_s;
-    } else {
-      progress_ = 1.0;
-      completed_ = true;
-    }
-  }
-
-  // Counter synthesis: the core is busy for the whole period while running;
-  // instructions retired scale with useful work, cache misses with the
-  // profile's MPKI.
-  sample.busy_fraction = utilization();
-  sample.cycles = freq * kPeakHz * dt_s * sample.busy_fraction;
-  // Nominal 1 IPC at peak for the compute part of the pipeline.
-  sample.instructions = work_done * kPeakHz * (1.0 + phase_noise_);
-  sample.cache_misses =
-      sample.instructions / 1000.0 * profile_.cache_mpki * (1.0 + phase_noise_);
-  return sample;
 }
 
 double BatchJob::remaining_work_s() const noexcept {
@@ -103,11 +45,6 @@ double BatchJob::penalty_weight(double now_s) const {
   if (window <= 0.0) return 100.0;
   const double normalized_left = left / window;
   return std::min(remaining_progress / std::max(normalized_left, 1e-3), 100.0);
-}
-
-double BatchJob::utilization() const noexcept {
-  if (completed_ && mode_ == CompletionMode::kRunOnce) return 0.0;
-  return std::clamp(profile_.utilization * (1.0 + phase_noise_), 0.0, 1.0);
 }
 
 bool BatchJob::deadline_at_risk(double now_s, double freq) const {

@@ -7,10 +7,12 @@
 // work, deadline slack, and the R weight of Section V-B.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
 #include "common/rng.hpp"
+#include "common/validation.hpp"
 #include "workload/batch_profile.hpp"
 #include "workload/progress_model.hpp"
 
@@ -50,8 +52,57 @@ class BatchJob {
   CompletionMode mode() const noexcept { return mode_; }
 
   /// Advance by dt at the given normalized frequency. Returns the
-  /// perf-counter sample for the interval.
-  PerfCounterSample advance(double dt_s, double freq, double now_s);
+  /// perf-counter sample for the interval. Inline: every batch core calls
+  /// it every tick from CpuCore::step (DESIGN.md §7.5), and a caller that
+  /// reads only busy_fraction lets the compiler drop the other counters.
+  PerfCounterSample advance(double dt_s, double freq, double now_s) {
+    SPRINTCON_EXPECTS(dt_s > 0.0, "dt must be positive");
+    SPRINTCON_EXPECTS(freq > 0.0 && freq <= 1.0 + 1e-9,
+                      "normalized frequency must be in (0, 1]");
+
+    PerfCounterSample sample;
+    if (completed_ && mode_ == CompletionMode::kRunOnce) {
+      return sample;  // core idles; all counters zero
+    }
+
+    // Slow phase modulation so the counter traces are not perfectly flat.
+    phase_timer_s_ += dt_s;
+    if (phase_timer_s_ >= kPhasePeriodS) {
+      phase_timer_s_ = 0.0;
+      phase_noise_ = std::clamp(rng_.normal(0.0, kPhaseSigma), -0.08, 0.08);
+    }
+
+    const double rate = model_.rate(freq);
+    const double work_done = rate * dt_s;
+    progress_ += work_done / work_total_s_;
+
+    if (progress_ >= 1.0) {
+      ++completions_;
+      if (completion_time_s_ < 0.0) {
+        // Linear back-interpolation of the actual completion instant.
+        const double overshoot = (progress_ - 1.0) * work_total_s_ / rate;
+        completion_time_s_ = now_s + dt_s - overshoot;
+      }
+      if (mode_ == CompletionMode::kRepeat) {
+        progress_ -= 1.0;
+        start_time_s_ = now_s + dt_s;
+      } else {
+        progress_ = 1.0;
+        completed_ = true;
+      }
+    }
+
+    // Counter synthesis: the core is busy for the whole period while
+    // running; instructions retired scale with useful work, cache misses
+    // with the profile's MPKI.
+    sample.busy_fraction = utilization();
+    sample.cycles = freq * kPeakHz * dt_s * sample.busy_fraction;
+    // Nominal 1 IPC at peak for the compute part of the pipeline.
+    sample.instructions = work_done * kPeakHz * (1.0 + phase_noise_);
+    sample.cache_misses = sample.instructions / 1000.0 * profile_.cache_mpki *
+                          (1.0 + phase_noise_);
+    return sample;
+  }
 
   // --- progress & deadline queries ---------------------------------------
   /// Fraction complete of the *current* execution, in [0, 1].
@@ -76,13 +127,22 @@ class BatchJob {
   double penalty_weight(double now_s) const;
 
   /// Core utilization while the job runs (0 when a kRunOnce job is done).
-  double utilization() const noexcept;
+  double utilization() const noexcept {
+    if (completed_ && mode_ == CompletionMode::kRunOnce) return 0.0;
+    return std::clamp(profile_.utilization * (1.0 + phase_noise_), 0.0, 1.0);
+  }
 
   /// True if, at the given frequency, the job is expected to miss its
   /// deadline (used by the allocator's P_batch escalation).
   bool deadline_at_risk(double now_s, double freq) const;
 
  private:
+  // Peak clock of the evaluation platform (2.0 GHz); counter synthesis only.
+  static constexpr double kPeakHz = 2.0e9;
+  // Phase modulation: new utilization perturbation every ~20 s of execution.
+  static constexpr double kPhasePeriodS = 20.0;
+  static constexpr double kPhaseSigma = 0.03;
+
   BatchProfile profile_;
   ProgressModel model_;
   CompletionMode mode_;

@@ -1,9 +1,5 @@
 #include "workload/interactive.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <numbers>
-
 #include "common/validation.hpp"
 
 namespace sprintcon::workload {
@@ -35,65 +31,6 @@ InteractiveTraceGenerator::InteractiveTraceGenerator(
     : config_(config), rng_(rng), phase_s_(phase_s),
       utilization_(config.idle_utilization) {
   config.validate();
-}
-
-double InteractiveTraceGenerator::envelope_mean(double t_s) const {
-  const auto& env = config_.envelope;
-  if (env.empty()) return config_.mean_utilization;
-  if (t_s <= env.front().t_s) return env.front().mean_utilization;
-  if (t_s >= env.back().t_s) return env.back().mean_utilization;
-  for (std::size_t i = 1; i < env.size(); ++i) {
-    if (t_s <= env[i].t_s) {
-      const double x =
-          (t_s - env[i - 1].t_s) / (env[i].t_s - env[i - 1].t_s);
-      return env[i - 1].mean_utilization +
-             x * (env[i].mean_utilization - env[i - 1].mean_utilization);
-    }
-  }
-  return env.back().mean_utilization;  // unreachable
-}
-
-double InteractiveTraceGenerator::step(double dt_s, double /*freq*/) {
-  SPRINTCON_EXPECTS(dt_s > 0.0, "dt must be positive");
-  now_s_ += dt_s;
-
-  // Burst envelope (or constant mean), with the onset ramp applied on top.
-  const double mean = envelope_mean(now_s_);
-  double base = mean;
-  if (config_.ramp_up_s > 0.0 && now_s_ < config_.ramp_up_s) {
-    const double x = now_s_ / config_.ramp_up_s;
-    base = config_.idle_utilization + (mean - config_.idle_utilization) * x;
-  }
-
-  // Slow swell (minutes scale).
-  const double swell =
-      config_.swell_amplitude *
-      std::sin(2.0 * std::numbers::pi * (now_s_ + phase_s_) /
-               config_.swell_period_s);
-
-  // AR(1) noise discretized to stay stationary for any dt, and the spike
-  // process' decay/arrival factors. All four depend only on (config, dt);
-  // the fixed-step simulator always passes the same dt, so the hot path
-  // reuses the cached factors instead of re-evaluating exp/sqrt per tick.
-  if (dt_s != cached_dt_s_) {
-    noise_rho_ = std::exp(-dt_s / config_.noise_tau_s);
-    innovation_sigma_ =
-        config_.noise_sigma *
-        std::sqrt(std::max(1.0 - noise_rho_ * noise_rho_, 0.0));
-    spike_retain_ = std::exp(-dt_s / config_.spike_decay_s);
-    spike_p_arrival_ = 1.0 - std::exp(-config_.spike_rate_per_s * dt_s);
-    cached_dt_s_ = dt_s;
-  }
-  ar_state_ = noise_rho_ * ar_state_ + rng_.normal(0.0, innovation_sigma_);
-
-  // Spike process: Poisson arrivals, exponential decay.
-  spike_level_ *= spike_retain_;
-  if (rng_.bernoulli(spike_p_arrival_)) {
-    spike_level_ += config_.spike_magnitude * rng_.uniform(0.6, 1.4);
-  }
-
-  utilization_ = std::clamp(base + swell + ar_state_ + spike_level_, 0.0, 1.0);
-  return utilization_;
 }
 
 }  // namespace sprintcon::workload

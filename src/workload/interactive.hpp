@@ -12,10 +12,13 @@
 // utilization only (Eq. 5 of the paper).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "workload/utilization_source.hpp"
+#include "common/validation.hpp"
 
 namespace sprintcon::workload {
 
@@ -59,7 +62,10 @@ struct InteractiveTraceConfig {
 };
 
 /// Deterministic per-core interactive utilization generator.
-class InteractiveTraceGenerator final : public UtilizationSource {
+///
+/// step() and envelope_mean() are inline: every interactive core calls
+/// them every tick from CpuCore::step (DESIGN.md §7.5).
+class InteractiveTraceGenerator {
  public:
   /// @param config   trace shape
   /// @param rng      private random stream (use Rng::split per core)
@@ -69,17 +75,73 @@ class InteractiveTraceGenerator final : public UtilizationSource {
 
   /// Advance by dt and return the utilization for the elapsed interval
   /// (trace-driven: the core frequency is ignored).
-  double step(double dt_s, double freq = 1.0) override;
+  double step(double dt_s, double /*freq*/ = 1.0) {
+    SPRINTCON_EXPECTS(dt_s > 0.0, "dt must be positive");
+    now_s_ += dt_s;
+
+    // Burst envelope (or constant mean), with the onset ramp applied on top.
+    const double mean = envelope_mean(now_s_);
+    double base = mean;
+    if (config_.ramp_up_s > 0.0 && now_s_ < config_.ramp_up_s) {
+      const double x = now_s_ / config_.ramp_up_s;
+      base = config_.idle_utilization + (mean - config_.idle_utilization) * x;
+    }
+
+    // Slow swell (minutes scale).
+    const double swell =
+        config_.swell_amplitude *
+        std::sin(2.0 * std::numbers::pi * (now_s_ + phase_s_) /
+                 config_.swell_period_s);
+
+    // AR(1) noise discretized to stay stationary for any dt, and the spike
+    // process' decay/arrival factors. All four depend only on (config, dt);
+    // the fixed-step simulator always passes the same dt, so the hot path
+    // reuses the cached factors instead of re-evaluating exp/sqrt per tick.
+    if (dt_s != cached_dt_s_) {
+      noise_rho_ = std::exp(-dt_s / config_.noise_tau_s);
+      innovation_sigma_ =
+          config_.noise_sigma *
+          std::sqrt(std::max(1.0 - noise_rho_ * noise_rho_, 0.0));
+      spike_retain_ = std::exp(-dt_s / config_.spike_decay_s);
+      spike_p_arrival_ = 1.0 - std::exp(-config_.spike_rate_per_s * dt_s);
+      cached_dt_s_ = dt_s;
+    }
+    ar_state_ = noise_rho_ * ar_state_ + rng_.normal(0.0, innovation_sigma_);
+
+    // Spike process: Poisson arrivals, exponential decay.
+    spike_level_ *= spike_retain_;
+    if (rng_.bernoulli(spike_p_arrival_)) {
+      spike_level_ += config_.spike_magnitude * rng_.uniform(0.6, 1.4);
+    }
+
+    utilization_ =
+        std::clamp(base + swell + ar_state_ + spike_level_, 0.0, 1.0);
+    return utilization_;
+  }
 
   /// Utilization of the last completed interval (initial value before any
   /// step: the idle utilization).
-  double utilization() const noexcept override { return utilization_; }
+  double utilization() const noexcept { return utilization_; }
 
   const InteractiveTraceConfig& config() const noexcept { return config_; }
 
   /// The envelope's target mean at an absolute trace time (the constant
   /// mean when no envelope is configured). Exposed for tests.
-  double envelope_mean(double t_s) const;
+  double envelope_mean(double t_s) const {
+    const auto& env = config_.envelope;
+    if (env.empty()) return config_.mean_utilization;
+    if (t_s <= env.front().t_s) return env.front().mean_utilization;
+    if (t_s >= env.back().t_s) return env.back().mean_utilization;
+    for (std::size_t i = 1; i < env.size(); ++i) {
+      if (t_s <= env[i].t_s) {
+        const double x =
+            (t_s - env[i - 1].t_s) / (env[i].t_s - env[i - 1].t_s);
+        return env[i - 1].mean_utilization +
+               x * (env[i].mean_utilization - env[i - 1].mean_utilization);
+      }
+    }
+    return env.back().mean_utilization;  // unreachable
+  }
 
  private:
   InteractiveTraceConfig config_;

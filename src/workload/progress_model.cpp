@@ -11,11 +11,6 @@ ProgressModel::ProgressModel(double compute_fraction) : mu_(compute_fraction) {
                     "compute fraction must be in [0, 1]");
 }
 
-double ProgressModel::rate(double freq) const {
-  SPRINTCON_EXPECTS(freq > 0.0, "frequency must be positive");
-  return 1.0 / (mu_ / freq + (1.0 - mu_));
-}
-
 double ProgressModel::time_for(double work, double freq) const {
   SPRINTCON_EXPECTS(work >= 0.0, "work must be non-negative");
   return work / rate(freq);

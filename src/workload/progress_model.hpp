@@ -13,6 +13,8 @@
 // This also yields the per-watt speedup analysis behind Figure 1.
 #pragma once
 
+#include "common/validation.hpp"
+
 namespace sprintcon::workload {
 
 /// Rate/time/speedup math for one job characterized by compute-boundedness.
@@ -24,8 +26,12 @@ class ProgressModel {
   double compute_fraction() const noexcept { return mu_; }
 
   /// Progress rate at normalized frequency f (rate(1) == 1).
-  /// Units: work-seconds completed per wall second.
-  double rate(double freq) const;
+  /// Units: work-seconds completed per wall second. Inline: batch cores
+  /// call it every tick (DESIGN.md §7.5).
+  double rate(double freq) const {
+    SPRINTCON_EXPECTS(freq > 0.0, "frequency must be positive");
+    return 1.0 / (mu_ / freq + (1.0 - mu_));
+  }
 
   /// Wall time to complete `work` work-seconds at constant frequency.
   double time_for(double work, double freq) const;

@@ -15,10 +15,10 @@
 // (queueing.hpp) can only predict.
 #pragma once
 
-#include <memory>
+#include <algorithm>
 
+#include "common/validation.hpp"
 #include "workload/interactive.hpp"
-#include "workload/utilization_source.hpp"
 
 namespace sprintcon::workload {
 
@@ -36,7 +36,11 @@ struct RequestQueueConfig {
 };
 
 /// A per-core request queue driven by a synthetic offered-load trace.
-class RequestQueueSource final : public UtilizationSource {
+///
+/// step() is inline: every queue-backed core calls it every tick from
+/// CpuCore::step (DESIGN.md §7.5). Of its config the queue keeps only the
+/// two scalars it reads; the offered-load shape lives in the generator.
+class RequestQueueSource {
  public:
   /// @param config config
   /// @param rng    stream for the offered-load generator
@@ -46,8 +50,47 @@ class RequestQueueSource final : public UtilizationSource {
 
   /// Advance the queue by dt with the core at normalized frequency `freq`.
   /// Returns the busy fraction of the interval.
-  double step(double dt_s, double freq) override;
-  double utilization() const noexcept override { return utilization_; }
+  double step(double dt_s, double freq) {
+    SPRINTCON_EXPECTS(dt_s > 0.0, "dt must be positive");
+    SPRINTCON_EXPECTS(freq >= 0.0 && freq <= 1.0 + 1e-9,
+                      "normalized frequency must be in [0, 1]");
+
+    // Offered load fraction -> arrival rate. The routing scale rides on
+    // top of the generator so the underlying trace (and its RNG stream)
+    // advances identically whether or not traffic is re-routed.
+    const double load_fraction = offered_.step(dt_s);
+    arrival_rate_ = load_fraction * service_rate_peak_ * load_scale_;
+
+    // Fluid queue: capacity this tick, work available, work served.
+    const double capacity = service_rate_peak_ * freq * dt_s;
+    const double arriving = arrival_rate_ * dt_s;
+    const double available = backlog_ + arriving;
+    const double served = std::min(available, capacity);
+    const double backlog_before = backlog_;
+    backlog_ = available - served;
+
+    // Admission control: shed load beyond the cap.
+    if (backlog_ > max_backlog_) {
+      shed_ += backlog_ - max_backlog_;
+      backlog_ = max_backlog_;
+    }
+
+    // Busy fraction of the tick.
+    utilization_ =
+        capacity > 0.0 ? served / capacity : (available > 0.0 ? 1.0 : 0.0);
+    utilization_ = std::clamp(utilization_, 0.0, 1.0);
+
+    // Little's law on the mean backlog over the tick, plus the bare
+    // service time at the current speed.
+    const double mean_backlog = 0.5 * (backlog_before + backlog_);
+    const double service_time =
+        freq > 0.0 ? 1.0 / (service_rate_peak_ * freq) : 0.0;
+    response_s_ = service_time + (arrival_rate_ > 1e-9
+                                      ? mean_backlog / arrival_rate_
+                                      : 0.0);
+    return utilization_;
+  }
+  double utilization() const noexcept { return utilization_; }
 
   /// Requests waiting at the end of the last tick.
   double backlog() const noexcept { return backlog_; }
@@ -67,8 +110,9 @@ class RequestQueueSource final : public UtilizationSource {
   double load_scale() const noexcept { return load_scale_; }
 
  private:
-  RequestQueueConfig config_;
   InteractiveTraceGenerator offered_;
+  double service_rate_peak_;
+  double max_backlog_;
   double backlog_ = 0.0;
   double arrival_rate_ = 0.0;
   double utilization_ = 0.0;

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "workload/utilization_source.hpp"
 
 namespace sprintcon::workload {
 
@@ -43,7 +42,7 @@ RecordedTrace read_trace_csv_file(const std::string& path,
 void write_trace_csv(std::ostream& out, const RecordedTrace& trace);
 
 /// Replays a recorded trace as a utilization source.
-class ReplayUtilization final : public UtilizationSource {
+class ReplayUtilization {
  public:
   /// @param trace   recorded samples (utilization or any demand proxy)
   /// @param scale   multiplier applied to every sample (then clamped to
@@ -53,8 +52,10 @@ class ReplayUtilization final : public UtilizationSource {
   ReplayUtilization(RecordedTrace trace, double scale = 1.0, bool loop = true,
                     double offset_s = 0.0);
 
-  double step(double dt_s, double freq = 1.0) override;
-  double utilization() const noexcept override { return utilization_; }
+  /// Advance by dt and return the utilization for the elapsed interval
+  /// (trace-driven: the core frequency is ignored).
+  double step(double dt_s, double freq = 1.0);
+  double utilization() const noexcept { return utilization_; }
 
   const RecordedTrace& trace() const noexcept { return trace_; }
 

@@ -35,7 +35,7 @@ std::unique_ptr<Rack> small_rack(std::size_t n_servers = 2,
                            workload::InteractiveTraceGenerator(
                                workload::InteractiveTraceConfig{}, rng.split()));
       } else {
-        auto job = std::make_unique<workload::BatchJob>(
+        workload::BatchJob job(
             profiles[pi++ % profiles.size()], deadline_s, 400.0,
             workload::CompletionMode::kRunOnce, rng.split());
         cores.emplace_back(spec.freq_min, spec.freq_max, std::move(job));

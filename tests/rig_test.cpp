@@ -1,6 +1,8 @@
 // Tests for the scenario rig construction and bookkeeping.
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "common/error.hpp"
 #include "scenario/rig.hpp"
 
@@ -33,6 +35,45 @@ TEST(Rig, BuildsPaperTopology) {
   EXPECT_DOUBLE_EQ(rig.power_path().breaker().rated_power_w(), 3200.0);
   EXPECT_NE(rig.sprintcon(), nullptr);
   EXPECT_EQ(rig.sgct(), nullptr);
+}
+
+TEST(Rig, RequestQueuePointersReachTheCores) {
+  // The cores hold their queues by value, so the rig must collect its
+  // pointers from the cores' final addresses. Scaling the load through
+  // request_queues() must change exactly that core's next arrival rate.
+  RigConfig cfg = tiny();
+  cfg.use_request_queues = true;
+  Rig scaled(cfg);
+  Rig reference(cfg);
+  const auto& queues = scaled.request_queues();
+  ASSERT_EQ(queues.size(), 2u * cfg.interactive_cores_per_server);
+
+  std::vector<const workload::RequestQueueSource*> scaled_cores;
+  std::vector<const workload::RequestQueueSource*> reference_cores;
+  for (std::size_t s = 0; s < cfg.num_servers; ++s) {
+    for (std::size_t c = 0; c < cfg.interactive_cores_per_server; ++c) {
+      scaled_cores.push_back(std::get_if<workload::RequestQueueSource>(
+          &scaled.rack().servers()[s].cores()[c].workload()));
+      reference_cores.push_back(std::get_if<workload::RequestQueueSource>(
+          &reference.rack().servers()[s].cores()[c].workload()));
+    }
+  }
+  ASSERT_EQ(scaled_cores.size(), queues.size());
+  for (std::size_t i = 0; i < queues.size(); ++i) {
+    EXPECT_EQ(queues[i], scaled_cores[i]) << "queue " << i;
+  }
+
+  const std::size_t target = 3;
+  queues[target]->set_load_scale(0.5);
+  scaled.run_until(cfg.dt_s);
+  reference.run_until(cfg.dt_s);
+  for (std::size_t i = 0; i < queues.size(); ++i) {
+    const double want = reference_cores[i]->arrival_rate();
+    ASSERT_GT(want, 0.0);
+    EXPECT_EQ(scaled_cores[i]->arrival_rate(),
+              i == target ? 0.5 * want : want)
+        << "queue " << i;
+  }
 }
 
 TEST(Rig, SgctPolicyInstantiatesBaseline) {

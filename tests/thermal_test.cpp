@@ -95,7 +95,7 @@ Server paper_server(Rng& rng) {
                              workload::InteractiveTraceConfig{}, rng.split()));
     } else {
       cores.emplace_back(spec.freq_min, spec.freq_max,
-                         std::make_unique<workload::BatchJob>(
+                         workload::BatchJob(
                              workload::spec2006_profile("444.namd"), 900.0,
                              1e6, workload::CompletionMode::kRunOnce,
                              rng.split()));
