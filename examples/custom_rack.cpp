@@ -13,7 +13,7 @@
 #include "common/rng.hpp"
 #include "core/sprintcon.hpp"
 #include "scenario/rig.hpp"  // only for metrics printing conventions
-#include "sim/simulation.hpp"
+#include "sim/clock.hpp"
 #include "workload/batch_profile.hpp"
 
 int main() {
@@ -62,18 +62,18 @@ int main() {
       power::DischargeCircuit(2400.0, 200, 0.95));
 
   // --- controller and loop ---------------------------------------------------
+  // Each tick: the rack realizes this interval's power, then the
+  // controller reads it and writes the next frequencies and UPS command.
   core::SprintConController sprintcon(sprint, rack, path);
-  sim::Simulation sim(1.0);
-  sim.add(rack);
-  sim.add(sprintcon);
-  sim.recorder().add_probe("cb_w", [&path] { return path.last().cb_w; });
-  sim.recorder().add_probe("ups_w", [&path] { return path.last().ups_w; });
-  sim.recorder().add_probe("soc",
-                           [&path] { return path.battery().state_of_charge(); });
+  sim::SimClock clock(1.0);
 
   std::cout << "minute  CB(W)  UPS(W)  SOC    state\n";
   for (int minute = 1; minute <= 12; ++minute) {
-    sim.run_until(60.0 * minute);
+    while (clock.now_s() < 60.0 * minute) {
+      rack.step(clock);
+      sprintcon.step(clock);
+      clock.advance();
+    }
     std::cout.setf(std::ios::fixed);
     std::cout.precision(0);
     std::cout << minute << "\t" << path.last().cb_w << "\t"

@@ -30,7 +30,7 @@
 #include "fault/injector.hpp"
 #include "scenario/loader.hpp"
 #include "scenario/rig.hpp"
-#include "sim/simulation.hpp"
+#include "sim/clock.hpp"
 #include "workload/batch_profile.hpp"
 #include "workload/trace_io.hpp"
 
@@ -169,22 +169,23 @@ int main(int argc, char** argv) {
       power::DischargeCircuit(2400.0, 200, 0.95));
   core::SprintConController sprintcon(sprint, rack, path);
 
-  sim::Simulation sim(1.0);
-  sim.add(rack);
   std::unique_ptr<fault::FaultInjector> injector;
-  std::unique_ptr<fault::FaultActuatorStage> actuators;
   if (!plan.empty()) {
     injector = std::make_unique<fault::FaultInjector>(plan, /*seed=*/1729,
                                                       rack, path);
-    sim.add(*injector);
     sprintcon.set_fault(injector.get());
   }
-  sim.add(sprintcon);
-  if (injector) {
-    actuators = std::make_unique<fault::FaultActuatorStage>(*injector);
-    sim.add(*actuators);
+  // The rig's stage order, by hand: the injector sees this tick's true
+  // power before the controller reads the meter, and its actuator stage
+  // overwrites the controller's frequency writes.
+  sim::SimClock clock(1.0);
+  while (clock.now_s() < 900.0) {
+    rack.step(clock);
+    if (injector) injector->step(clock);
+    sprintcon.step(clock);
+    if (injector) injector->post_tick(clock);
+    clock.advance();
   }
-  sim.run_until(900.0);
 
   std::cout << "\nafter a 15-minute sprint on the replayed trace:\n"
             << "  breaker trips:        " << path.breaker().trip_count()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SprintCon project-invariant linter (DESIGN.md section 11).
 
-Enforces four SprintCon-specific correctness rules that generic
+Enforces five SprintCon-specific correctness rules that generic
 clang-tidy profiles cannot express:
 
   wall-clock  No wall-clock or ambient-randomness source reachable from
@@ -41,6 +41,15 @@ clang-tidy profiles cannot express:
               role-suffixed name (dt_s, budget_w). src/common/units.hpp
               is the one legal raw-double conversion boundary and is
               exempt.
+
+  tick-dispatch
+              No `std::function` and no `virtual` under src/sim. The
+              simulation core runs one fixed tick (scenario::Rig::step,
+              bound as a plain function pointer) and one recorder fill
+              per tick; type-erased or virtual dispatch there would bring
+              back a run-time stage list that no run ever changes. Other
+              layers (the facility's epoch callback in src/scenario, the
+              recovery target interface) may use either.
 
 Suppressions: a line containing `lint:allow(<rule-id>)` (in a comment)
 is exempt from that rule, e.g.
@@ -122,7 +131,16 @@ ALLOW_DIRECTIVE = re.compile(r"lint:allow\(([a-z0-9_-]+)\)")
 TREAT_AS_DIRECTIVE = re.compile(r"lint:treat-as\(([^)]+)\)")
 EXPECT_DIRECTIVE = re.compile(r"lint:expect\(([a-z0-9_-]+)\)")
 
-RULE_IDS = ("wall-clock", "hot-alloc", "fp-contract", "raw-unit")
+# The fixed-tick layer: no type-erased or virtual dispatch.
+TICK_DISPATCH_DIRS = ("src/sim/",)
+
+TICK_DISPATCH_PATTERNS = [
+    (re.compile(r"\bstd::function\b"), "std::function"),
+    (re.compile(r"\bvirtual\b"), "virtual"),
+]
+
+RULE_IDS = ("wall-clock", "hot-alloc", "fp-contract", "raw-unit",
+            "tick-dispatch")
 
 
 @dataclass
@@ -264,6 +282,14 @@ def lint_file(path: str, rel_path: str, text: str) -> list[Violation]:
                     f"{what} in the decision path ({effective}); the "
                     "build pins -ffp-contract=off so results do not "
                     "depend on the target's FMA (write a*b + c)")
+
+    if any(effective.startswith(d) for d in TICK_DISPATCH_DIRS):
+        for pattern, what in TICK_DISPATCH_PATTERNS:
+            for m in pattern.finditer(stripped):
+                add("tick-dispatch", m.start(),
+                    f"{what} in the fixed-tick layer ({effective}); bind "
+                    "the tick and the recorder fill once as plain function "
+                    "pointers")
 
     for body_start, body in hot_function_bodies(stripped):
         for pattern, what in HOT_BANNED_PATTERNS:

@@ -14,12 +14,12 @@
 #include "core/config.hpp"
 #include "power/power_path.hpp"
 #include "server/rack.hpp"
-#include "sim/component.hpp"
+#include "sim/clock.hpp"
 
 namespace sprintcon::baselines {
 
 /// Uniform-DVFS power capping to the CB rated capacity.
-class PowerCapController : public sim::Component {
+class PowerCapController {
  public:
   /// @param config shares the SprintConfig for the CB rating / periods
   /// @param rack   controlled rack (outlives the controller)
@@ -27,8 +27,7 @@ class PowerCapController : public sim::Component {
   PowerCapController(const core::SprintConfig& config, server::Rack& rack,
                      power::PowerPath& path);
 
-  std::string_view name() const override { return "power-cap"; }
-  void step(const sim::SimClock& clock) override;
+  void step(const sim::SimClock& clock);
 
   /// The cap (the breaker's rated capacity).
   double cap_w() const noexcept { return config_.cb_rated_w; }

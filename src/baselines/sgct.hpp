@@ -30,7 +30,7 @@
 #include "power/power_path.hpp"
 #include "server/power_model.hpp"
 #include "server/rack.hpp"
-#include "sim/component.hpp"
+#include "sim/clock.hpp"
 
 namespace sprintcon::baselines {
 
@@ -39,7 +39,7 @@ enum class SgctVariant { kRaw, kV1, kV2 };
 const char* to_string(SgctVariant variant) noexcept;
 
 /// Sprinting-game controller for one rack.
-class SgctController : public sim::Component {
+class SgctController {
  public:
   /// @param config   shares the SprintConfig for CB/overload numbers
   /// @param rack     controlled rack (outlives the controller)
@@ -52,8 +52,7 @@ class SgctController : public sim::Component {
                  power::PowerPath& path, SgctVariant variant,
                  double normal_freq = 0.5, double sprint_threshold = 0.5);
 
-  std::string_view name() const override { return "sgct"; }
-  void step(const sim::SimClock& clock) override;
+  void step(const sim::SimClock& clock);
 
   SgctVariant variant() const noexcept { return variant_; }
   bool outage() const noexcept { return outage_; }

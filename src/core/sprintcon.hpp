@@ -1,8 +1,9 @@
 // SprintCon: the top-level controllable-sprinting mechanism (Figure 4).
 //
-// A sim::Component that wires the power load allocator, the MPC server
-// power controller, the UPS power controller, and the safety monitor to a
-// rack and its power path. Each tick it:
+// The rig's policy stage (stepped after the rack and the fault injector):
+// it wires the power load allocator, the MPC server power controller, the
+// UPS power controller, and the safety monitor to a rack and its power
+// path. Each tick it:
 //   1. reads the rack's power monitor and the safety state;
 //   2. resolves the current CB target P_cb (overload schedule + safety
 //      overrides) and batch budget P_batch;
@@ -27,7 +28,7 @@
 #include "core/ups_controller.hpp"
 #include "power/power_path.hpp"
 #include "server/rack.hpp"
-#include "sim/component.hpp"
+#include "sim/clock.hpp"
 
 namespace sprintcon::fault {
 class FaultInjector;
@@ -48,7 +49,7 @@ enum class ControlMode : std::uint8_t {
 const char* to_string(ControlMode mode) noexcept;
 
 /// The complete SprintCon controller for one rack.
-class SprintConController : public sim::Component {
+class SprintConController {
  public:
   /// @param config config (validated)
   /// @param rack   controlled rack (outlives the controller)
@@ -56,10 +57,9 @@ class SprintConController : public sim::Component {
   SprintConController(const SprintConfig& config, server::Rack& rack,
                       power::PowerPath& path);
 
-  std::string_view name() const override { return "sprintcon"; }
-  void step(const sim::SimClock& clock) override;
+  void step(const sim::SimClock& clock);
 
-  // --- observability (probes / tests) ------------------------------------
+  // --- observability (recorder channels / tests) --------------------------
   const SprintConfig& config() const noexcept { return config_; }
   SprintState state() const noexcept { return safety_.state(); }
   /// Effective CB target after safety overrides.

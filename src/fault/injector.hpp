@@ -1,7 +1,7 @@
 // FaultInjector: executes a FaultPlan against one rig, deterministically.
 //
-// The injector is a sim::Component registered between the rack and the
-// controller, plus a post-tick stage for actuator faults. Each tick it
+// The rig steps the injector between the rack and the controller, and
+// its post_tick() stage after the controller. Each tick step()
 //   1. records the true rack power (the meter-history buffer that delay
 //      faults replay);
 //   2. activates/clears every spec whose window boundary was crossed,
@@ -13,11 +13,10 @@
 //      control-drop coin) from its own seeded Rng so that the hooks the
 //      controller pulls (`meter_power_w`, `control_dropped`) are pure
 //      functions of per-tick state.
-// After the controller has stepped, `post_tick()` (run by the Rig via a
-// FaultActuatorStage component) applies DVFS actuator faults by
-// overwriting the frequencies the controller just wrote — exactly
-// equivalent to the hardware ignoring or lagging the write, because the
-// rack only realizes frequencies at the next tick.
+// After the controller has stepped, `post_tick()` applies DVFS actuator
+// faults by overwriting the frequencies the controller just wrote —
+// exactly equivalent to the hardware ignoring or lagging the write,
+// because the rack only realizes frequencies at the next tick.
 //
 // Determinism: all randomness comes from the explicit seed, drawn in
 // fixed (tick, spec) order; identical (plan, seed, rig) => bit-identical
@@ -33,11 +32,10 @@
 #include "power/power_path.hpp"
 #include "server/rack.hpp"
 #include "sim/clock.hpp"
-#include "sim/component.hpp"
 
 namespace sprintcon::fault {
 
-class FaultInjector : public sim::Component {
+class FaultInjector {
  public:
   /// @param plan validated fault schedule
   /// @param seed injector RNG seed (independent of the workload seeds)
@@ -46,15 +44,14 @@ class FaultInjector : public sim::Component {
   FaultInjector(FaultPlan plan, std::uint64_t seed, server::Rack& rack,
                 power::PowerPath& path);
 
-  std::string_view name() const override { return "fault-injector"; }
-
   /// Pre-controller stage (see file comment). Step order matters: the Rig
-  /// registers the injector after the rack and before the controller.
-  void step(const sim::SimClock& clock) override;
+  /// steps the injector after the rack and before the controller.
+  void step(const sim::SimClock& clock);
 
-  /// Post-controller stage: DVFS stuck/lag overwrites. The Rig registers
-  /// this (via FaultActuatorStage) as a component after the controller,
-  /// so the overwrite lands before the recorder samples the tick.
+  /// Post-controller stage: DVFS stuck/lag overwrites. The Rig runs it
+  /// right after the controller, so the overwrite lands before the
+  /// recorder samples the tick and the trace shows the *realized*
+  /// frequencies, not the controller's overridden writes.
   void post_tick(const sim::SimClock& clock);
 
   // --- hooks the controller pulls (valid for the current tick) ------------
@@ -69,7 +66,7 @@ class FaultInjector : public sim::Component {
   /// counted under "fault.activations".
   void set_obs(obs::ObsSink* sink);
   const FaultPlan& plan() const noexcept { return plan_; }
-  /// Currently active specs (probe-friendly).
+  /// Currently active specs (the rig's fault_active channel).
   std::size_t active_count() const noexcept;
   /// Activation edges seen so far.
   std::uint64_t activations() const noexcept { return activations_; }
@@ -98,22 +95,6 @@ class FaultInjector : public sim::Component {
   bool control_dropped_ = false;
   std::uint64_t activations_ = 0;
   obs::ObsSink* obs_ = nullptr;
-};
-
-/// Adapter that runs the injector's actuator stage as a component stepped
-/// after the controller — the recorded trace then shows the *realized*
-/// frequencies, not the controller's overridden writes.
-class FaultActuatorStage : public sim::Component {
- public:
-  explicit FaultActuatorStage(FaultInjector& injector)
-      : injector_(injector) {}
-  std::string_view name() const override { return "fault-actuators"; }
-  void step(const sim::SimClock& clock) override {
-    injector_.post_tick(clock);
-  }
-
- private:
-  FaultInjector& injector_;
 };
 
 }  // namespace sprintcon::fault

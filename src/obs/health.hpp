@@ -7,8 +7,8 @@
 // name); once healthy again for `recover_after` checks it emits
 // kHealthRecovered. The hysteresis keeps one-sample glitches from paging.
 //
-// The monitor is pull-based and runs at epoch boundaries (rig post-tick
-// hook), never on the per-tick hot path. It only *reads* metrics and
+// The monitor is pull-based and runs at check boundaries (the last step
+// of Rig::step, every health_period_s), never on the per-tick hot path. It only *reads* metrics and
 // *writes* events/health metrics, so enabling it cannot perturb physics —
 // the golden-trace determinism suite stays bit-identical with health on.
 //

@@ -1,7 +1,7 @@
 // Closed-loop recovery engine (DESIGN.md §10).
 //
 // The RecoveryManager turns HealthMonitor alerts into remediation. It is
-// polled right after every health check (same post-tick hook cadence), so
+// polled right after every health check (same Rig::step cadence), so
 // its only clock is the health-check count — which makes every decision a
 // pure function of the simulated trajectory and keeps sharded facility
 // runs bit-identical to sequential ones.

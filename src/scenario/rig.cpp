@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/attributes.hpp"
 #include "common/validation.hpp"
 #include "fault/injector.hpp"
 #include "power/wear.hpp"
@@ -76,6 +77,23 @@ class RigRecoveryTarget final : public recovery::RecoveryTarget {
   int cap_ = 0;
   int quarantine_ = 0;
 };
+
+/// The rig's channels, in recording order; Rig::fill_row writes them.
+std::vector<std::string> rig_channels(bool faults, bool queues) {
+  std::vector<std::string> names = {
+      "total_power_w", "cb_power_w", "ups_power_w", "unserved_w",
+      "cb_budget_w", "p_batch_target_w",
+      "freq_interactive", "freq_batch", "core_temp_max_c",
+      "interactive_p95_latency_ms",
+      "battery_soc", "cb_thermal_stress", "breaker_open"};
+  if (faults) names.emplace_back("fault_active");
+  names.emplace_back("battery_component_soc");
+  if (queues) {
+    names.emplace_back("queue_backlog_mean");
+    names.emplace_back("queue_response_ms");
+  }
+  return names;
+}
 
 }  // namespace
 
@@ -209,48 +227,36 @@ Rig::Rig(const RigConfig& config) : config_(config) {
       power::DischargeCircuit(/*full_scale_w=*/max_rack_w, /*duty_steps=*/200,
                               /*efficiency=*/0.95));
 
+  hybrid_ = dynamic_cast<const power::HybridStore*>(&path_->battery());
+
   // --- controller -------------------------------------------------------------
   sim_ = std::make_unique<sim::Simulation>(config.dt_s);
-  sim_->add(*rack_);
-  // The injector steps after the rack (so it sees this tick's true power)
-  // and before the controller (so the pulled hooks are resolved); its
-  // actuator stage steps after the controller's frequency writes.
   if (!config.faults.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(
         config.faults, config.fault_seed, *rack_, *path_);
-    sim_->add(*injector_);
   }
   switch (config.policy) {
     case Policy::kSprintCon:
       sprintcon_ = std::make_unique<core::SprintConController>(config.sprint,
                                                                *rack_, *path_);
       sprintcon_->set_fault(injector_.get());
-      sim_->add(*sprintcon_);
       break;
     case Policy::kSgct:
       sgct_ = std::make_unique<baselines::SgctController>(
           config.sprint, *rack_, *path_, baselines::SgctVariant::kRaw);
-      sim_->add(*sgct_);
       break;
     case Policy::kSgctV1:
       sgct_ = std::make_unique<baselines::SgctController>(
           config.sprint, *rack_, *path_, baselines::SgctVariant::kV1);
-      sim_->add(*sgct_);
       break;
     case Policy::kSgctV2:
       sgct_ = std::make_unique<baselines::SgctController>(
           config.sprint, *rack_, *path_, baselines::SgctVariant::kV2);
-      sim_->add(*sgct_);
       break;
     case Policy::kPowerCap:
       cap_ = std::make_unique<baselines::PowerCapController>(config.sprint,
                                                              *rack_, *path_);
-      sim_->add(*cap_);
       break;
-  }
-  if (injector_) {
-    actuator_stage_ = std::make_unique<fault::FaultActuatorStage>(*injector_);
-    sim_->add(*actuator_stage_);
   }
 
   // --- observability ----------------------------------------------------------
@@ -264,53 +270,6 @@ Rig::Rig(const RigConfig& config) : config_(config) {
     // Tick wall-time profiling: cumulative + sliding-window percentiles.
     sim_->set_tick_obs(&obs_->metrics().histogram("sim.tick_us"),
                        &obs_->metrics().windowed("sim.tick_us.window"));
-
-    // Per-tick derived health gauges + periodic window rotation. Runs
-    // after the actuator stage, so "realized" frequencies include any
-    // injected actuation fault — exactly what a real monitor would see.
-    // Each handle is looked up (registering its metric) and cached on the
-    // first tick that uses it, so a conditional metric such as
-    // rig.batch_freq appears in snapshots only once it has a value.
-    struct TickMetrics {
-      obs::WindowedHistogram* response_ms = nullptr;
-      obs::Gauge* cmd_freq = nullptr;
-      obs::Gauge* capacity_wh = nullptr;
-      obs::Gauge* batch_freq = nullptr;
-      obs::Gauge* divergence = nullptr;
-    };
-    sim_->add_post_tick_hook([this, h = TickMetrics{}](
-                                 const sim::SimClock& clock) mutable {
-      auto& m = obs_->metrics();
-      if (!queues_.empty()) {
-        double t = 0.0;
-        for (const auto* q : queues_) t += q->response_time_s();
-        if (h.response_ms == nullptr) {
-          h.response_ms = &m.windowed("queue.response_ms.window");
-        }
-        h.response_ms->record(t / static_cast<double>(queues_.size()) *
-                              1000.0);
-      }
-      if (h.cmd_freq == nullptr) {
-        h.cmd_freq = &m.gauge("control.cmd_batch_freq");
-        h.capacity_wh = &m.gauge("rig.battery_capacity_wh");
-      }
-      const double cmd = h.cmd_freq->value();
-      if (cmd > 0.0) {
-        double sum = 0.0;
-        const auto& refs = rack_->batch_cores();
-        for (const auto& ref : refs) sum += rack_->core(ref).freq();
-        const double realized =
-            refs.empty() ? 0.0 : sum / static_cast<double>(refs.size());
-        if (h.batch_freq == nullptr) {
-          h.batch_freq = &m.gauge("rig.batch_freq");
-          h.divergence = &m.gauge("rig.dvfs_divergence");
-        }
-        h.batch_freq->set(realized);
-        h.divergence->set(std::abs(realized - cmd));
-      }
-      h.capacity_wh->set(path_->battery().capacity_wh());
-      if (clock.every(config_.metrics_window_s)) m.rotate_windows();
-    });
   }
 
   // --- health monitoring ------------------------------------------------------
@@ -362,11 +321,6 @@ Rig::Rig(const RigConfig& config) : config_(config) {
                        .metric = "power.ups_shortfall_j",
                        .reference = {},
                        .threshold = 150.0});
-    sim_->add_post_tick_hook([this](const sim::SimClock& clock) {
-      if (clock.every(config_.health_period_s)) {
-        health_->check(clock.now_s());
-      }
-    });
   }
 
   // --- recovery engine --------------------------------------------------------
@@ -377,16 +331,9 @@ Rig::Rig(const RigConfig& config) : config_(config) {
         obs_.get(), health_.get(), recovery_target_.get(),
         config.playbook.empty() ? recovery::Playbook::defaults()
                                 : config.playbook);
-    // Registered after the health hook, so every health check is followed
-    // by exactly one engine poll at the same simulated instant.
-    sim_->add_post_tick_hook([this](const sim::SimClock& clock) {
-      if (clock.every(config_.health_period_s)) {
-        recovery_->poll(clock.now_s());
-      }
-    });
   }
 
-  // --- probes ------------------------------------------------------------------
+  // --- recorder ----------------------------------------------------------------
   auto& rec = sim_->recorder();
   // Pre-size every channel for the run horizon so per-tick sampling never
   // reallocates (capped so a "never-ending" tick-driven rig, e.g. the
@@ -395,64 +342,11 @@ Rig::Rig(const RigConfig& config) : config_(config) {
       std::min<std::size_t>(
           static_cast<std::size_t>(config.duration_s / config.dt_s) + 2,
           std::size_t{1} << 20));
-  rec.add_probe("total_power_w", [this] { return rack_->total_power_w(); });
-  rec.add_probe("cb_power_w", [this] { return path_->last().cb_w; });
-  rec.add_probe("ups_power_w", [this] { return path_->last().ups_w; });
-  rec.add_probe("unserved_w", [this] { return path_->last().unserved_w; });
-  rec.add_probe("cb_budget_w", [this] {
-    if (sprintcon_) return sprintcon_->p_cb_effective_w();
-    if (cap_) return cap_->cap_w();
-    return sgct_->cb_target_at(sim_->clock().now_s());
-  });
-  rec.add_probe("p_batch_target_w", [this] {
-    return sprintcon_ ? sprintcon_->p_batch_w() : 0.0;
-  });
-  // The four per-core channels ride one fused O(num_cores) scan with
-  // batched appends instead of four independent passes (see
-  // Rack::telemetry for the bit-identity argument).
-  rec.add_probe_group(
-      {"freq_interactive", "freq_batch", "core_temp_max_c",
-       "interactive_p95_latency_ms"},
-      [this](double* out) {
-        const server::RackTelemetry t = rack_->telemetry();
-        out[0] = t.freq_interactive;
-        out[1] = t.freq_batch;
-        out[2] = t.core_temp_max_c;
-        out[3] = t.p95_latency_ms;
-      });
-  rec.add_probe("battery_soc",
-                [this] { return path_->battery().state_of_charge(); });
-  rec.add_probe("cb_thermal_stress",
-                [this] { return path_->breaker().thermal_stress(); });
-  rec.add_probe("breaker_open",
-                [this] { return path_->breaker().open() ? 1.0 : 0.0; });
-  if (injector_) {
-    rec.add_probe("fault_active", [this] {
-      return static_cast<double>(injector_->active_count());
-    });
-  }
-  // For a hybrid store, the wear analysis wants the *battery's* SOC, not
-  // the combined store's. The store type is fixed at construction, so
-  // resolve the downcast once instead of per tick.
-  rec.add_probe(
-      "battery_component_soc",
-      [store = dynamic_cast<const power::HybridStore*>(&path_->battery()),
-       this] {
-        return store != nullptr ? store->battery().state_of_charge()
-                                : path_->battery().state_of_charge();
-      });
-  if (!queues_.empty()) {
-    rec.add_probe("queue_backlog_mean", [this] {
-      double b = 0.0;
-      for (const auto* q : queues_) b += q->backlog();
-      return b / static_cast<double>(queues_.size());
-    });
-    rec.add_probe("queue_response_ms", [this] {
-      double t = 0.0;
-      for (const auto* q : queues_) t += q->response_time_s();
-      return t / static_cast<double>(queues_.size()) * 1000.0;
-    });
-  }
+  rec.set_channels(rig_channels(injector_ != nullptr, !queues_.empty()), this,
+                   [](const void* rig, double* row) {
+                     static_cast<const Rig*>(rig)->fill_row(row);
+                   });
+  sim_->bind_tick(this, [](void* rig) { static_cast<Rig*>(rig)->step(); });
 }
 
 Rig::~Rig() = default;
@@ -464,6 +358,105 @@ void Rig::run() {
 }
 
 void Rig::run_until(double t_s) { sim_->run_until(t_s); }
+
+SPRINTCON_HOT void Rig::step() {
+  sim::SimClock& clock = sim_->clock();
+  rack_->step(clock);
+  // The injector steps after the rack (so it sees this tick's true power)
+  // and before the controller (so the pulled hooks are resolved); its
+  // actuator stage runs after the controller's frequency writes.
+  if (injector_) injector_->step(clock);
+  if (sprintcon_) {
+    sprintcon_->step(clock);
+  } else if (sgct_) {
+    sgct_->step(clock);
+  } else {
+    cap_->step(clock);
+  }
+  if (injector_) injector_->post_tick(clock);
+  clock.advance();
+  sim_->recorder().sample();
+  if (obs_) record_tick_metrics();
+  // Every health check is followed by exactly one recovery poll at the
+  // same simulated instant.
+  if (health_ && clock.every(config_.health_period_s)) {
+    health_->check(clock.now_s());
+    if (recovery_) recovery_->poll(clock.now_s());
+  }
+}
+
+SPRINTCON_HOT void Rig::fill_row(double* row) const {
+  const power::PowerFlows& flows = path_->last();
+  *row++ = rack_->total_power_w();
+  *row++ = flows.cb_w;
+  *row++ = flows.ups_w;
+  *row++ = flows.unserved_w;
+  *row++ = sprintcon_ ? sprintcon_->p_cb_effective_w()
+           : cap_     ? cap_->cap_w()
+                      : sgct_->cb_target_at(sim_->clock().now_s());
+  *row++ = sprintcon_ ? sprintcon_->p_batch_w() : 0.0;
+  // The four per-core channels ride one fused O(num_cores) scan (see
+  // Rack::telemetry for the bit-identity argument).
+  const server::RackTelemetry t = rack_->telemetry();
+  *row++ = t.freq_interactive;
+  *row++ = t.freq_batch;
+  *row++ = t.core_temp_max_c;
+  *row++ = t.p95_latency_ms;
+  *row++ = path_->battery().state_of_charge();
+  *row++ = path_->breaker().thermal_stress();
+  *row++ = path_->breaker().open() ? 1.0 : 0.0;
+  if (injector_) *row++ = static_cast<double>(injector_->active_count());
+  *row++ = hybrid_ != nullptr ? hybrid_->battery().state_of_charge()
+                              : path_->battery().state_of_charge();
+  if (!queues_.empty()) {
+    double b = 0.0;
+    for (const auto* q : queues_) b += q->backlog();
+    *row++ = b / static_cast<double>(queues_.size());
+    *row = mean_response_s() * 1000.0;
+  }
+}
+
+double Rig::mean_response_s() const {
+  double t = 0.0;
+  for (const auto* q : queues_) t += q->response_time_s();
+  return t / static_cast<double>(queues_.size());
+}
+
+// Per-tick derived health gauges + periodic window rotation. Runs after
+// the actuator stage, so "realized" frequencies include any injected
+// actuation fault — exactly what a real monitor would see. A conditional
+// metric such as rig.batch_freq appears in snapshots only once it has a
+// value.
+void Rig::record_tick_metrics() {
+  auto& m = obs_->metrics();
+  TickMetrics& h = tick_metrics_;
+  if (!queues_.empty()) {
+    if (h.response_ms == nullptr) {
+      h.response_ms = &m.windowed("queue.response_ms.window");
+    }
+    h.response_ms->record(mean_response_s() * 1000.0);
+  }
+  if (h.cmd_freq == nullptr) {
+    h.cmd_freq = &m.gauge("control.cmd_batch_freq");
+    h.capacity_wh = &m.gauge("rig.battery_capacity_wh");
+  }
+  const double cmd = h.cmd_freq->value();
+  if (cmd > 0.0) {
+    double sum = 0.0;
+    const auto& refs = rack_->batch_cores();
+    for (const auto& ref : refs) sum += rack_->core(ref).freq();
+    const double realized =
+        refs.empty() ? 0.0 : sum / static_cast<double>(refs.size());
+    if (h.batch_freq == nullptr) {
+      h.batch_freq = &m.gauge("rig.batch_freq");
+      h.divergence = &m.gauge("rig.dvfs_divergence");
+    }
+    h.batch_freq->set(realized);
+    h.divergence->set(std::abs(realized - cmd));
+  }
+  h.capacity_wh->set(path_->battery().capacity_wh());
+  if (sim_->clock().every(config_.metrics_window_s)) m.rotate_windows();
+}
 
 metrics::RunSummary Rig::summary() const {
   metrics::RunSummary out;

@@ -6,10 +6,10 @@
 // for 15 minutes under a chosen sprinting policy, and extracts the metrics
 // and trace channels every figure of the paper is built from.
 //
-// Recorded channels (uniform 1-sample-per-tick):
-//   total_power_w, cb_power_w, ups_power_w, cb_budget_w, unserved_w,
-//   freq_interactive, freq_batch, battery_soc, cb_thermal_stress,
-//   p_batch_target_w, breaker_open
+// Each tick runs one fixed stage order (Rig::step). The recorded channels
+// (one sample per tick) are listed once, in rig.cpp's rig_channels(), and
+// Rig::fill_row writes them in that order; recorder().channel_names()
+// gives the list for a built rig.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@
 
 namespace sprintcon::fault {
 class FaultInjector;
-class FaultActuatorStage;
 }
 
 namespace sprintcon::scenario {
@@ -144,6 +143,13 @@ class Rig {
   /// Advance partially (for tests that inspect mid-run state).
   void run_until(double t_s);
 
+  /// One tick, in the paper's fixed stage order (§VI-A): rack, fault
+  /// injector, policy controller, the injector's actuator stage, clock
+  /// advance, recorder sample, then (with obs on) the tick metrics and,
+  /// every health_period_s, the health check and the recovery poll.
+  /// simulation().step_once() runs it under the tick timer.
+  void step();
+
   const RigConfig& config() const noexcept { return config_; }
   sim::Simulation& simulation() noexcept { return *sim_; }
   const sim::TraceRecorder& recorder() const { return sim_->recorder(); }
@@ -193,7 +199,6 @@ class Rig {
   std::unique_ptr<server::Rack> rack_;
   std::unique_ptr<power::PowerPath> path_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<fault::FaultActuatorStage> actuator_stage_;
   std::unique_ptr<core::SprintConController> sprintcon_;
   std::unique_ptr<baselines::SgctController> sgct_;
   std::unique_ptr<baselines::PowerCapController> cap_;
@@ -202,7 +207,26 @@ class Rig {
   std::unique_ptr<obs::HealthMonitor> health_;
   std::unique_ptr<recovery::RecoveryTarget> recovery_target_;
   std::unique_ptr<recovery::RecoveryManager> recovery_;
+  /// The store as a HybridStore, or null: the wear analysis wants the
+  /// battery's own SOC, and the store type is fixed at construction.
+  const power::HybridStore* hybrid_ = nullptr;
+  /// Metric handles for the per-tick gauges, each looked up (registering
+  /// its metric) on the first tick that uses it.
+  struct TickMetrics {
+    obs::WindowedHistogram* response_ms = nullptr;
+    obs::Gauge* cmd_freq = nullptr;
+    obs::Gauge* capacity_wh = nullptr;
+    obs::Gauge* batch_freq = nullptr;
+    obs::Gauge* divergence = nullptr;
+  };
+  TickMetrics tick_metrics_;
   bool ran_ = false;
+
+  /// Writes this tick's row, in rig_channels() order.
+  void fill_row(double* row) const;
+  void record_tick_metrics();
+  /// Mean response time over the request queues (non-empty), in s.
+  double mean_response_s() const;
 };
 
 /// Convenience: build, run, summarize.

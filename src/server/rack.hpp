@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "server/server.hpp"
-#include "sim/component.hpp"
 #include "sim/clock.hpp"
 
 namespace sprintcon::server {
@@ -29,12 +28,11 @@ struct RackTelemetry {
 /// The rack owns its servers and advances them each tick. Controllers
 /// address batch cores through BatchCoreRef lists so they never need to
 /// know the rack layout.
-class Rack : public sim::Component {
+class Rack {
  public:
   explicit Rack(std::vector<Server> servers);
 
-  std::string_view name() const override { return "rack"; }
-  void step(const sim::SimClock& clock) override;
+  void step(const sim::SimClock& clock);
 
   std::vector<Server>& servers() noexcept { return servers_; }
   const std::vector<Server>& servers() const noexcept { return servers_; }

@@ -1,10 +1,10 @@
 // Fixed-step simulation clock.
 //
 // The whole evaluation runs on a synchronous fixed-step loop: every
-// component advances by dt each tick, and controllers with longer periods
-// divide the tick counter (see Component::step). A fixed step keeps the
-// feedback loops exactly periodic, matching how the paper's control periods
-// are defined.
+// stage of the rig tick advances by dt, and controllers with longer
+// periods divide the tick counter (see SimClock::every). A fixed step
+// keeps the feedback loops exactly periodic, matching how the paper's
+// control periods are defined.
 #pragma once
 
 #include <cstdint>

@@ -9,48 +9,33 @@ TraceRecorder::TraceRecorder(double dt_s) : dt_s_(dt_s) {
   SPRINTCON_EXPECTS(dt_s > 0.0, "recorder interval must be positive");
 }
 
-std::size_t TraceRecorder::register_channel(std::string name) {
-  SPRINTCON_EXPECTS(!has(name), "duplicate probe name: " + name);
-  const std::size_t idx = series_.size();
-  index_.emplace(name, idx);
-  series_.emplace_back(std::move(name), dt_s_);
-  if (expected_samples_ > 0) series_.back().reserve(expected_samples_);
-  return idx;
+void TraceRecorder::set_channels(std::vector<std::string> names,
+                                 const void* owner, FillFn fill) {
+  SPRINTCON_EXPECTS(fill_ == nullptr, "channels are declared once");
+  SPRINTCON_EXPECTS(fill != nullptr, "channels need a fill function");
+  SPRINTCON_EXPECTS(!names.empty(), "declare at least one channel");
+  index_.reserve(names.size());
+  series_.reserve(names.size());
+  for (std::string& name : names) {
+    SPRINTCON_EXPECTS(!has(name), "duplicate channel name: " + name);
+    index_.emplace(name, series_.size());
+    series_.emplace_back(std::move(name), dt_s_);
+    if (expected_samples_ > 0) series_.back().reserve(expected_samples_);
+  }
+  row_.assign(series_.size(), 0.0);
+  owner_ = owner;
+  fill_ = fill;
 }
 
-void TraceRecorder::add_probe(std::string name, std::function<double()> probe) {
-  SPRINTCON_EXPECTS(static_cast<bool>(probe), "probe must be callable");
-  const std::size_t idx = register_channel(std::move(name));
-  probes_.push_back({idx, std::move(probe)});
-}
-
-void TraceRecorder::add_probe_group(std::vector<std::string> names,
-                                    std::function<void(double*)> probe) {
-  SPRINTCON_EXPECTS(static_cast<bool>(probe), "probe must be callable");
-  SPRINTCON_EXPECTS(!names.empty(), "probe group needs at least one channel");
-  SPRINTCON_EXPECTS(names.size() <= kMaxGroupChannels,
-                    "probe group exceeds kMaxGroupChannels");
-  const std::size_t first = series_.size();
-  for (std::string& name : names) register_channel(std::move(name));
-  groups_.push_back({first, names.size(), std::move(probe)});
-}
-
-void TraceRecorder::reserve_horizon(std::size_t expected_samples,
-                                    std::size_t expected_channels) {
+void TraceRecorder::reserve_horizon(std::size_t expected_samples) {
   expected_samples_ = expected_samples;
-  index_.reserve(expected_channels);
   for (TimeSeries& s : series_) s.reserve(expected_samples);
 }
 
 SPRINTCON_HOT void TraceRecorder::sample() {
-  for (const ScalarProbe& p : probes_) series_[p.series_index].push(p.fn());
-  double buf[kMaxGroupChannels];
-  for (const GroupProbe& g : groups_) {
-    g.fn(buf);
-    for (std::size_t j = 0; j < g.count; ++j) {
-      series_[g.first_series + j].push(buf[j]);
-    }
-  }
+  if (fill_ == nullptr) return;
+  fill_(owner_, row_.data());
+  for (std::size_t i = 0; i < series_.size(); ++i) series_[i].push(row_[i]);
 }
 
 bool TraceRecorder::has(std::string_view name) const {

@@ -1,15 +1,15 @@
-// Trace recording: named probes sampled once per simulation tick.
+// Trace recording: one row of named channels sampled once per tick.
 //
-// Probes are arbitrary callables (typically lambdas reading component
-// state); the recorder turns them into TimeSeries that the metrics layer
-// and the figure-reproduction benches consume.
+// The owner of the simulated state declares its channel names once, with
+// one fill function that writes a whole row; the recorder turns each
+// column into a TimeSeries that the metrics layer and the
+// figure-reproduction benches consume.
 //
 // Hot-path notes (the recorder runs once per simulated tick):
-//  * reserve_horizon() pre-sizes every channel vector (and the name->index
-//    map) from the run length, so steady-state sampling never allocates.
-//  * add_probe_group() registers several channels filled by ONE callback —
-//    the scenario layer uses it to fuse what used to be four separate
-//    O(num_cores) scans into a single pass with batched appends.
+//  * reserve_horizon() pre-sizes every channel vector from the run length,
+//    so steady-state sampling never allocates.
+//  * One fill call per tick lets the owner compute shared state once (the
+//    rig fuses its four per-core channels into a single rack scan).
 #pragma once
 
 #include <cstddef>
@@ -23,34 +23,27 @@
 
 namespace sprintcon::sim {
 
-class SimClock;
-
-/// Collects one TimeSeries per registered probe.
+/// Collects one TimeSeries per declared channel.
 class TraceRecorder {
  public:
-  /// Widest probe group sample() can buffer on the stack.
-  static constexpr std::size_t kMaxGroupChannels = 16;
+  /// Writes this tick's value of channel i to row[i], for every channel.
+  using FillFn = void (*)(const void* owner, double* row);
 
   /// @param dt_s sampling interval; must equal the simulation step.
   explicit TraceRecorder(double dt_s);
 
-  /// Register a probe. Names must be unique.
-  void add_probe(std::string name, std::function<double()> probe);
-
-  /// Register a group of channels produced by one callback: each tick the
-  /// callback fills out[0..names.size()) and the recorder appends every
-  /// value. Lets one pass over shared state feed several channels.
-  void add_probe_group(std::vector<std::string> names,
-                       std::function<void(double*)> probe);
+  /// Declare the channels, once: series i is named names[i] and sample()
+  /// appends row[i] from fill(owner, row). Names must be unique; `owner`
+  /// is not owned and must outlive every sample().
+  void set_channels(std::vector<std::string> names, const void* owner,
+                    FillFn fill);
 
   /// Pre-size every channel vector (current and future) for a run of
-  /// `expected_samples` ticks, and the name->index map for
-  /// `expected_channels` probes, so steady-state sampling never grows a
+  /// `expected_samples` ticks, so steady-state sampling never grows a
   /// container. Callable any time; growth past the reservation is safe.
-  void reserve_horizon(std::size_t expected_samples,
-                       std::size_t expected_channels = 24);
+  void reserve_horizon(std::size_t expected_samples);
 
-  /// Sample all probes (called by Simulation once per tick). Hot path
+  /// Fill one row and append it (no-op before set_channels). Hot path
   /// (SPRINTCON_HOT): appends against the reserve_horizon() reservation.
   void sample();
 
@@ -69,26 +62,14 @@ class TraceRecorder {
     }
   };
 
-  struct ScalarProbe {
-    std::size_t series_index;
-    std::function<double()> fn;
-  };
-  struct GroupProbe {
-    std::size_t first_series;
-    std::size_t count;
-    std::function<void(double*)> fn;
-  };
-
-  std::size_t register_channel(std::string name);
-
   double dt_s_;
   std::size_t expected_samples_ = 0;
-  std::vector<ScalarProbe> probes_;
-  std::vector<GroupProbe> groups_;
+  const void* owner_ = nullptr;
+  FillFn fill_ = nullptr;
+  std::vector<double> row_;
   std::vector<TimeSeries> series_;
-  /// name -> index into series_; rigs register dozens of probes and the
-  /// metrics layer queries them by name per summary field, so lookups are
-  /// O(1) instead of a linear scan over the channels.
+  /// name -> index into series_; the metrics layer queries channels by
+  /// name per summary field, so lookups are O(1) instead of a linear scan.
   std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
       index_;
 };

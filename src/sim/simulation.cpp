@@ -8,21 +8,21 @@ namespace sprintcon::sim {
 
 Simulation::Simulation(double dt_s) : clock_(dt_s), recorder_(dt_s) {}
 
-void Simulation::add(Component& component) {
-  components_.push_back(&component);
-}
-
-void Simulation::add_post_tick_hook(std::function<void(const SimClock&)> hook) {
-  SPRINTCON_EXPECTS(static_cast<bool>(hook), "hook must be callable");
-  hooks_.push_back(std::move(hook));
+void Simulation::bind_tick(void* owner, TickFn tick) {
+  SPRINTCON_EXPECTS(owner != nullptr && tick != nullptr,
+                    "a tick needs an owner and a function");
+  tick_owner_ = owner;
+  tick_ = tick;
 }
 
 SPRINTCON_HOT void Simulation::step_once() {
   const obs::ScopedTimer timer(tick_hist_, tick_window_);
-  for (Component* c : components_) c->step(clock_);
-  clock_.advance();
-  recorder_.sample();
-  for (const auto& hook : hooks_) hook(clock_);
+  if (tick_ != nullptr) {
+    tick_(tick_owner_);
+  } else {
+    clock_.advance();
+    recorder_.sample();
+  }
 }
 
 void Simulation::run_until(double t_end_s) {

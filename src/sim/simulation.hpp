@@ -1,11 +1,7 @@
 // Synchronous fixed-step simulation driver.
 #pragma once
 
-#include <functional>
-#include <vector>
-
 #include "sim/clock.hpp"
-#include "sim/component.hpp"
 #include "sim/recorder.hpp"
 
 namespace sprintcon::obs {
@@ -15,13 +11,18 @@ class WindowedHistogram;
 
 namespace sprintcon::sim {
 
-/// Drives registered components with a fixed-step clock and records probes.
+/// A fixed-step clock, the trace recorder and one bound tick.
 ///
-/// Ownership: the Simulation observes components (raw non-owning pointers,
-/// Core Guidelines F.7); the caller (typically scenario::Rig) owns them and
-/// must outlive the simulation.
+/// The tick is a non-owning (object, function) pair that the owner of the
+/// simulated entities installs (scenario::Rig binds Rig::step); the owner
+/// must outlive every step_once(). Unbound, a tick only advances the clock
+/// and samples the recorder.
 class Simulation {
  public:
+  /// One whole tick of `owner`: its stages, clock().advance() and
+  /// recorder().sample().
+  using TickFn = void (*)(void* owner);
+
   explicit Simulation(double dt_s);
 
   SimClock& clock() noexcept { return clock_; }
@@ -29,12 +30,8 @@ class Simulation {
   TraceRecorder& recorder() noexcept { return recorder_; }
   const TraceRecorder& recorder() const noexcept { return recorder_; }
 
-  /// Register a component; stepped in registration order.
-  void add(Component& component);
-
-  /// Register a hook invoked after all components each tick (e.g. safety
-  /// checks or assertions in tests).
-  void add_post_tick_hook(std::function<void(const SimClock&)> hook);
+  /// Install the tick step_once() runs, replacing any earlier one.
+  void bind_tick(void* owner, TickFn tick);
 
   /// Attach wall-time tick profiling: every step_once() records its
   /// duration (µs) into `hist` and, if given, the sliding-window twin.
@@ -45,10 +42,8 @@ class Simulation {
     tick_window_ = windowed;
   }
 
-  /// Advance exactly one tick: step components in order, advance the
-  /// clock, sample the recorder.
-  /// One tick: components, clock, recorder, post-tick hooks. Hot path
-  /// (SPRINTCON_HOT): no direct heap allocation or dynamic_cast.
+  /// Advance exactly one tick: the bound tick under the tick timer. Hot
+  /// path (SPRINTCON_HOT): no direct heap allocation or dynamic_cast.
   void step_once();
 
   /// Run until clock.now_s() >= t_end_s.
@@ -57,8 +52,8 @@ class Simulation {
  private:
   SimClock clock_;
   TraceRecorder recorder_;
-  std::vector<Component*> components_;
-  std::vector<std::function<void(const SimClock&)>> hooks_;
+  void* tick_owner_ = nullptr;
+  TickFn tick_ = nullptr;
   obs::Histogram* tick_hist_ = nullptr;
   obs::WindowedHistogram* tick_window_ = nullptr;
 };

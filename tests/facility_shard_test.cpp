@@ -9,6 +9,7 @@
 // the same bits, not similar trajectories.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -151,15 +152,31 @@ TEST(FacilityShard, InvalidEpochThrows) {
 // Worker supervision: fail-fast vs degrade
 // ---------------------------------------------------------------------------
 
+/// A tick bound in place of a rig's own: runs Rig::step(), then throws
+/// once simulated time reaches `t_fail_s`, so the failure surfaces from
+/// inside the owning worker's run_until.
+struct FailingTick {
+  Rig* rig = nullptr;
+  double t_fail_s = 0.0;
+
+  static void tick(void* self) {
+    const auto& f = *static_cast<const FailingTick*>(self);
+    f.rig->step();
+    if (f.rig->simulation().clock().now_s() >= f.t_fail_s) {
+      throw std::runtime_error("injected rig failure");
+    }
+  }
+};
+
 /// Make rack `r` blow up its owning worker once simulated time passes
-/// `t_fail_s` (the hook throws from inside the rig's tick loop).
-void arm_failure(Facility& facility, std::size_t r, double t_fail_s) {
-  facility.rig(r).simulation().add_post_tick_hook(
-      [t_fail_s](const sim::SimClock& clock) {
-        if (clock.now_s() >= t_fail_s) {
-          throw std::runtime_error("injected rig failure");
-        }
-      });
+/// `t_fail_s`. The returned tick must outlive the facility's run().
+[[nodiscard]] std::unique_ptr<FailingTick> arm_failure(Facility& facility,
+                                                       std::size_t r,
+                                                       double t_fail_s) {
+  auto failing = std::make_unique<FailingTick>(
+      FailingTick{&facility.rig(r), t_fail_s});
+  facility.rig(r).simulation().bind_tick(failing.get(), &FailingTick::tick);
+  return failing;
 }
 
 TEST(FacilityWorkerFailure, FailFastStillRethrowsByDefault) {
@@ -172,7 +189,7 @@ TEST(FacilityWorkerFailure, FailFastStillRethrowsByDefault) {
       epochs_seen.push_back(epoch);
     };
     Facility facility(cfg);
-    arm_failure(facility, 0, 40.0);
+    const auto failing = arm_failure(facility, 0, 40.0);
     EXPECT_THROW(facility.run(), std::runtime_error);
     // The failed worker keeps arriving at the barrier, so every epoch
     // boundary still runs before run() rethrows, on one shard as on two.
@@ -194,7 +211,7 @@ TEST(FacilityWorkerFailure, DegradePolicyCompletesOnSurvivors) {
   Facility facility(cfg);
   // Worker 0 owns racks {0, 1}; blowing up rack 0 in epoch 1 takes the
   // whole shard out of service.
-  arm_failure(facility, 0, 40.0);
+  const auto failing = arm_failure(facility, 0, 40.0);
   EXPECT_NO_THROW(facility.run());
 
   EXPECT_TRUE(facility.rack_failed(0));
@@ -237,8 +254,8 @@ TEST(FacilityWorkerFailure, MultipleWorkerFailuresAllCounted) {
   FacilityConfig cfg = sweep_config(4, 4, false, true);
   cfg.worker_failure = WorkerFailurePolicy::kDegrade;
   Facility facility(cfg);
-  arm_failure(facility, 1, 35.0);
-  arm_failure(facility, 3, 35.0);
+  const auto failing1 = arm_failure(facility, 1, 35.0);
+  const auto failing3 = arm_failure(facility, 3, 35.0);
   EXPECT_NO_THROW(facility.run());
 
   EXPECT_EQ(facility.num_failed_racks(), 2u);
@@ -256,7 +273,7 @@ TEST(FacilityWorkerFailure, SequentialDegradeLosesTheSingleShard) {
   FacilityConfig cfg = sweep_config(2, 1, false, true);
   cfg.worker_failure = WorkerFailurePolicy::kDegrade;
   Facility facility(cfg);
-  arm_failure(facility, 0, 40.0);
+  const auto failing = arm_failure(facility, 0, 40.0);
   EXPECT_NO_THROW(facility.run());
   // One worker owns everything, so everything is lost — but run() still
   // completes and reports instead of throwing.

@@ -25,12 +25,14 @@ TEST(Integration, SprintConCbPowerRespectsBudget) {
   Rig rig(paper_rig(Policy::kSprintCon));
   // Safety invariant, checked every tick: power through the breaker never
   // exceeds the current CB budget by more than the one-period control lag.
-  rig.simulation().add_post_tick_hook([&rig](const sim::SimClock&) {
+  sim::Simulation& sim = rig.simulation();
+  while (sim.clock().now_s() < rig.config().duration_s) {
+    sim.step_once();
     const double cb = rig.power_path().last().cb_w;
     const double budget = rig.sprintcon()->p_cb_effective_w();
-    ASSERT_LE(cb, budget + 130.0);
-  });
-  rig.run();
+    ASSERT_LE(cb, budget + 130.0) << "at t = " << sim.clock().now_s();
+  }
+  EXPECT_EQ(sim.recorder().series("cb_power_w").size(), 900u);
 }
 
 TEST(Integration, SprintConKeepsInteractiveAtPeak) {

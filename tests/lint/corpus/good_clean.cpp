@@ -1,15 +1,23 @@
 // Known-good: everything here is legal and must produce zero findings.
-//  * steady_clock is fine because this file "lives" in src/obs (the
-//    allowlisted layer that owns the wall-clock epoch);
+//  * steady_clock is fine because this file "lives" in src/scenario,
+//    which only measures wall time around the simulation;
 //  * the SPRINTCON_HOT function only touches pre-sized state;
 //  * "new" / "malloc" inside comments and strings must not count;
-//  * std::fma is legal outside the decision path (src/obs only reports).
-// lint:treat-as(src/obs/good_probe.cpp)
+//  * std::fma is legal outside the decision path (src/scenario only
+//    reports);
+//  * std::function is legal outside src/sim (a facility epoch callback).
+// lint:treat-as(src/scenario/good_clean.cpp)
 #define SPRINTCON_HOT
 #include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <functional>
 
-namespace sprintcon::obs {
+namespace sprintcon::scenario {
+
+struct EpochHooks {
+  std::function<void(std::size_t, double)> epoch_callback;
+};
 
 // A comment mentioning new, delete, malloc(, dynamic_cast and
 // random_device — none of which is code.
@@ -30,4 +38,4 @@ SPRINTCON_HOT void hot_fill(double* out, int n, double v) {
   for (int i = 0; i < n; ++i) out[i] = v;  // no allocation, no downcast
 }
 
-}  // namespace sprintcon::obs
+}  // namespace sprintcon::scenario

@@ -1,7 +1,10 @@
 // Tests for the scenario rig construction and bookkeeping.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <variant>
+#include <vector>
 
 #include "common/error.hpp"
 #include "scenario/rig.hpp"
@@ -94,6 +97,63 @@ TEST(Rig, RecordsAllStandardChannels) {
         "cb_thermal_stress", "breaker_open", "unserved_w"}) {
     EXPECT_TRUE(rig.recorder().has(name)) << name;
     EXPECT_EQ(rig.recorder().series(name).size(), 120u) << name;
+  }
+}
+
+TEST(Rig, ChannelListFollowsRigShape) {
+  const std::vector<std::string> plain = {
+      "total_power_w",    "cb_power_w",       "ups_power_w",
+      "unserved_w",       "cb_budget_w",      "p_batch_target_w",
+      "freq_interactive", "freq_batch",       "core_temp_max_c",
+      "interactive_p95_latency_ms",           "battery_soc",
+      "cb_thermal_stress", "breaker_open",    "battery_component_soc"};
+  EXPECT_EQ(Rig(tiny()).recorder().channel_names(), plain);
+
+  // A fault plan adds fault_active just before battery_component_soc.
+  RigConfig faulted = tiny();
+  faulted.faults = fault::FaultPlan::parse_string(
+      "meter_noise start=10 duration=20 magnitude=0.05\n");
+  std::vector<std::string> with_fault = plain;
+  with_fault.insert(with_fault.end() - 1, "fault_active");
+  EXPECT_EQ(Rig(faulted).recorder().channel_names(), with_fault);
+
+  // Request queues append the two queue channels.
+  RigConfig queued = tiny();
+  queued.use_request_queues = true;
+  std::vector<std::string> with_queues = plain;
+  with_queues.emplace_back("queue_backlog_mean");
+  with_queues.emplace_back("queue_response_ms");
+  EXPECT_EQ(Rig(queued).recorder().channel_names(), with_queues);
+}
+
+TEST(Rig, DrivenReplayMatchesRun) {
+  // A SprintCon rig without faults or obs ticks as rack -> controller ->
+  // clock -> recorder, so driving those public calls by hand must
+  // reproduce run() bit for bit on every channel.
+  const RigConfig cfg = tiny();
+  Rig reference(cfg);
+  reference.run();
+
+  Rig driven(cfg);
+  ASSERT_NE(driven.sprintcon(), nullptr);
+  sim::SimClock& clock = driven.simulation().clock();
+  while (clock.now_s() < cfg.duration_s) {
+    driven.rack().step(clock);
+    driven.sprintcon()->step(clock);
+    clock.advance();
+    driven.simulation().recorder().sample();
+  }
+
+  const auto want = reference.recorder().all_series();
+  const auto got = driven.recorder().all_series();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    SCOPED_TRACE(want[c]->name());
+    EXPECT_EQ(got[c]->name(), want[c]->name());
+    ASSERT_EQ(got[c]->size(), want[c]->size());
+    EXPECT_EQ(std::memcmp(got[c]->values().data(), want[c]->values().data(),
+                          want[c]->size() * sizeof(double)),
+              0);
   }
 }
 

@@ -1,4 +1,4 @@
-// Tests for the simulation engine: clock, recorder, component stepping.
+// Tests for the simulation engine: clock, recorder, bound tick.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -7,16 +7,29 @@
 namespace sprintcon::sim {
 namespace {
 
-class Counter : public Component {
- public:
-  std::string_view name() const override { return "counter"; }
-  void step(const SimClock& clock) override {
-    ++steps;
-    last_time = clock.now_s();
-  }
+/// A one-stage owner: counts its ticks and records the count.
+struct Counter {
+  Simulation* sim = nullptr;
   int steps = 0;
   double last_time = -1.0;
+
+  static void tick(void* self) {
+    auto& c = *static_cast<Counter*>(self);
+    ++c.steps;
+    c.last_time = c.sim->clock().now_s();
+    c.sim->clock().advance();
+    c.sim->recorder().sample();
+  }
+  static void fill(const void* self, double* row) {
+    row[0] = static_cast<double>(static_cast<const Counter*>(self)->steps);
+  }
 };
+
+/// Writes row[i] = i for every channel of a recorder with `n` channels.
+template <int n>
+void fill_index(const void*, double* row) {
+  for (int i = 0; i < n; ++i) row[i] = static_cast<double>(i);
+}
 
 TEST(Clock, AdvancesByDt) {
   SimClock clock(0.5);
@@ -48,37 +61,19 @@ TEST(Clock, EverySubTickPeriodFiresEveryTick) {
   EXPECT_TRUE(clock.every(0.1));
 }
 
-TEST(Simulation, StepsComponentsInOrder) {
-  Simulation sim(1.0);
-  Counter a, b;
-  sim.add(a);
-  sim.add(b);
-  sim.run_until(5.0);
-  EXPECT_EQ(a.steps, 5);
-  EXPECT_EQ(b.steps, 5);
-  // Components see the pre-advance time of each tick.
-  EXPECT_DOUBLE_EQ(a.last_time, 4.0);
-}
-
 TEST(Simulation, RecorderSamplesEachTick) {
   Simulation sim(1.0);
-  Counter c;
-  sim.add(c);
-  sim.recorder().add_probe("steps",
-                           [&c] { return static_cast<double>(c.steps); });
+  Counter c{&sim};
+  sim.recorder().set_channels({"steps"}, &c, &Counter::fill);
+  sim.bind_tick(&c, &Counter::tick);
   sim.run_until(4.0);
+  EXPECT_EQ(c.steps, 4);
+  // The bound tick sees the pre-advance time of each tick.
+  EXPECT_DOUBLE_EQ(c.last_time, 3.0);
   const auto& ts = sim.recorder().series("steps");
   ASSERT_EQ(ts.size(), 4u);
   EXPECT_DOUBLE_EQ(ts[0], 1.0);
   EXPECT_DOUBLE_EQ(ts[3], 4.0);
-}
-
-TEST(Simulation, PostTickHookRuns) {
-  Simulation sim(1.0);
-  int hooks = 0;
-  sim.add_post_tick_hook([&hooks](const SimClock&) { ++hooks; });
-  sim.run_until(3.0);
-  EXPECT_EQ(hooks, 3);
 }
 
 TEST(Simulation, RunBackwardsThrows) {
@@ -89,8 +84,12 @@ TEST(Simulation, RunBackwardsThrows) {
 
 TEST(Recorder, DuplicateProbeNameThrows) {
   TraceRecorder rec(1.0);
-  rec.add_probe("x", [] { return 0.0; });
-  EXPECT_THROW(rec.add_probe("x", [] { return 0.0; }),
+  EXPECT_THROW(rec.set_channels({"x", "y", "x"}, nullptr, &fill_index<3>),
+               sprintcon::InvalidArgumentError);
+  // The channel list is declared once.
+  TraceRecorder once(1.0);
+  once.set_channels({"x"}, nullptr, &fill_index<1>);
+  EXPECT_THROW(once.set_channels({"y"}, nullptr, &fill_index<1>),
                sprintcon::InvalidArgumentError);
 }
 
@@ -101,23 +100,23 @@ TEST(Recorder, UnknownChannelThrows) {
 
 TEST(Recorder, ChannelEnumeration) {
   TraceRecorder rec(1.0);
-  rec.add_probe("a", [] { return 1.0; });
-  rec.add_probe("b", [] { return 2.0; });
+  rec.set_channels({"a", "b"}, nullptr, &fill_index<2>);
   EXPECT_TRUE(rec.has("a"));
   EXPECT_FALSE(rec.has("c"));
-  EXPECT_EQ(rec.channel_names().size(), 2u);
+  EXPECT_EQ(rec.channel_names(), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(rec.all_series().size(), 2u);
 }
 
 TEST(Recorder, IndexedLookupSurvivesManyProbes) {
   // The name -> index map must keep every channel addressable (and keep
-  // throwing on unknown names) well past the handful a rig registers.
+  // throwing on unknown names) well past the handful a rig declares.
   TraceRecorder rec(1.0);
   constexpr int kProbes = 200;
+  std::vector<std::string> names;
   for (int i = 0; i < kProbes; ++i) {
-    const double value = static_cast<double>(i);
-    rec.add_probe("probe_" + std::to_string(i), [value] { return value; });
+    names.push_back("probe_" + std::to_string(i));
   }
+  rec.set_channels(std::move(names), nullptr, &fill_index<kProbes>);
   rec.sample();
   for (int i = 0; i < kProbes; ++i) {
     const std::string name = "probe_" + std::to_string(i);

@@ -72,11 +72,6 @@ TEST(SprintCon, AccessorsExposeSubsystems) {
   EXPECT_GT(ctrl->server_controller().model().gain_w_per_f(), 0.0);
 }
 
-TEST(SprintCon, NameIdentifiesTheComponent) {
-  scenario::Rig rig(small_rig());
-  EXPECT_EQ(rig.sprintcon()->name(), "sprintcon");
-}
-
 // --- CLI helpers ----------------------------------------------------------------
 
 TEST(Cli, ParsesCsvFlagForms) {
