@@ -61,7 +61,7 @@ double track(double cubic_share, bool adaptive, double* learned_gain) {
   for (int t = 0; t < 600; ++t) {
     rack->step(clock);
     const double target = ((t / 60) % 2 == 0) ? 560.0 : 400.0;
-    if (clock.every(cfg.control_period_s)) {
+    if (clock.every(cfg.mpc.control_period_s)) {
       ctrl.update(rack->total_power_w(), target, clock.now_s());
     }
     if (t % 60 >= 12) {

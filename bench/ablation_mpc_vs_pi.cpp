@@ -79,7 +79,7 @@ Outcome run_mpc(double target_w) {
   int samples = 0;
   for (int t = 0; t < 900; ++t) {
     rack->step(clock);
-    if (clock.every(cfg.control_period_s)) {
+    if (clock.every(cfg.mpc.control_period_s)) {
       ctrl.update(rack->total_power_w(), target_w, clock.now_s());
     }
     // RMSE over the settled window before any job completes (afterwards

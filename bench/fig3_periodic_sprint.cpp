@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   config.sprint.cb_overload_duration_s = 3.0;
   config.sprint.cb_recovery_duration_s = 15.0;
   config.sprint.allocator_period_s = 6.0;
-  config.sprint.control_period_s = 1.0;
   config.sprint.mpc.control_period_s = 1.0;
   config.duration_s = 90.0;
   config.batch_deadline_s = 90.0;

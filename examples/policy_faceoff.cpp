@@ -40,11 +40,17 @@ int main() {
               << metrics::capacity_improvement(ours.avg_freq_interactive,
                                                theirs.avg_freq_interactive) *
                      100.0
-              << "% better, storage demand "
-              << metrics::storage_reduction(ours.ups_discharged_wh,
-                                            theirs.ups_discharged_wh) *
-                     100.0
-              << "% lower\n";
+              << "% better, storage demand ";
+    // A baseline that never discharged (PowerCap) leaves no storage
+    // demand to reduce.
+    if (theirs.ups_discharged_wh > 0.0) {
+      std::cout << metrics::storage_reduction(ours.ups_discharged_wh,
+                                              theirs.ups_discharged_wh) *
+                       100.0
+                << "% lower\n";
+    } else {
+      std::cout << "n/a (no UPS discharge)\n";
+    }
   }
   return 0;
 }

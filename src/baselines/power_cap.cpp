@@ -39,11 +39,11 @@ PowerCapController::PowerCapController(const core::SprintConfig& config,
 void PowerCapController::step(const sim::SimClock& clock) {
   const double p_total = rack_.total_power_w();
 
-  if (clock.every(config_.control_period_s)) {
+  if (clock.every(config_.mpc.control_period_s)) {
     // Classic capping leaves a small guard band below the rating so the
     // breaker never integrates heat.
     const double setpoint = 0.98 * config_.cb_rated_w;
-    freq_ = pi_.step(setpoint, p_total, config_.control_period_s);
+    freq_ = pi_.step(setpoint, p_total, config_.mpc.control_period_s);
     rack_.for_each_core(server::CoreRole::kInteractive,
                         [this](server::CpuCore& c) { c.set_freq(freq_); });
     rack_.for_each_core(server::CoreRole::kBatch, [this](server::CpuCore& c) {

@@ -3,9 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/validation.hpp"
-
 namespace sprintcon::baselines {
+
+namespace {
+// Normalized frequency of non-sprinting cores.
+constexpr double kNormalFreq = 0.5;
+// Cooperative-threshold utilization: cores below it are not sprint
+// candidates (they stay at kNormalFreq).
+constexpr double kSprintThreshold = 0.5;
+}  // namespace
 
 const char* to_string(SgctVariant variant) noexcept {
   switch (variant) {
@@ -18,20 +24,13 @@ const char* to_string(SgctVariant variant) noexcept {
 
 SgctController::SgctController(const core::SprintConfig& config,
                                server::Rack& rack, power::PowerPath& path,
-                               SgctVariant variant, double normal_freq,
-                               double sprint_threshold)
+                               SgctVariant variant)
     : config_(config),
       rack_(rack),
       path_(path),
       variant_(variant),
-      normal_freq_(normal_freq),
-      sprint_threshold_(sprint_threshold),
       oracle_(rack.servers().front().spec()) {
   config.validate();
-  SPRINTCON_EXPECTS(normal_freq > 0.0 && normal_freq <= 1.0,
-                    "normal frequency must be in (0, 1]");
-  SPRINTCON_EXPECTS(sprint_threshold >= 0.0 && sprint_threshold <= 1.0,
-                    "sprint threshold must be in [0, 1]");
 }
 
 double SgctController::cb_target_at(double t_s) const {
@@ -109,8 +108,8 @@ void SgctController::allocate_frequencies(double budget_w) {
     if (core.is_batch() && core.job()->completed()) {
       core.set_freq(core.freq_min());
     } else {
-      core.set_freq(normal_freq_);
-      used += core_power_estimate_w(slot, normal_freq_);
+      core.set_freq(kNormalFreq);
+      used += core_power_estimate_w(slot, kNormalFreq);
     }
   }
 
@@ -119,9 +118,9 @@ void SgctController::allocate_frequencies(double budget_w) {
     if (core.is_batch() && core.job()->completed()) continue;
     // Cooperative threshold: a core whose utilization does not justify the
     // sprinting power stays at the normal frequency.
-    if (slot.utilization < sprint_threshold_) continue;
+    if (slot.utilization < kSprintThreshold) continue;
 
-    const double at_normal = core_power_estimate_w(slot, normal_freq_);
+    const double at_normal = core_power_estimate_w(slot, kNormalFreq);
     const double at_peak = core_power_estimate_w(slot, core.freq_max());
     const double delta = at_peak - at_normal;
     if (used + delta <= budget_w) {
@@ -133,7 +132,7 @@ void SgctController::allocate_frequencies(double budget_w) {
     // (bisection handles the oracle's cubic term).
     const double room = budget_w - used;
     if (room <= 0.0) continue;  // stays at normal frequency
-    double lo = normal_freq_, hi = core.freq_max();
+    double lo = kNormalFreq, hi = core.freq_max();
     for (int it = 0; it < 30; ++it) {
       const double mid = 0.5 * (lo + hi);
       const double dp = core_power_estimate_w(slot, mid) - at_normal;
@@ -158,7 +157,7 @@ void SgctController::step(const sim::SimClock& clock) {
   const double now = clock.now_s();
   const double p_total = rack_.total_power_w();
 
-  if (clock.every(config_.control_period_s)) {
+  if (clock.every(config_.mpc.control_period_s)) {
     // The game re-runs its allocation each control period. If the UPS is
     // exhausted, an honest variant shrinks the budget to what the CB alone
     // can carry.

@@ -45,12 +45,8 @@ class SgctController {
   /// @param rack     controlled rack (outlives the controller)
   /// @param path     power infrastructure (outlives the controller)
   /// @param variant  which baseline
-  /// @param normal_freq  normalized frequency of non-sprinting cores
-  /// @param sprint_threshold  cooperative-threshold utilization: cores
-  ///        below it are not sprint candidates (they stay at normal_freq)
   SgctController(const core::SprintConfig& config, server::Rack& rack,
-                 power::PowerPath& path, SgctVariant variant,
-                 double normal_freq = 0.5, double sprint_threshold = 0.5);
+                 power::PowerPath& path, SgctVariant variant);
 
   void step(const sim::SimClock& clock);
 
@@ -87,8 +83,6 @@ class SgctController {
   server::Rack& rack_;
   power::PowerPath& path_;
   SgctVariant variant_;
-  double normal_freq_;
-  double sprint_threshold_;
   server::MeasurementPowerModel oracle_;
   bool outage_ = false;
 };

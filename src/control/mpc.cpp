@@ -46,23 +46,6 @@ BlockTracking block_tracking(const Vector& reference, double pred_base,
   return t;
 }
 
-/// Tighten the first block's bounds to the DVFS slew limit (the only block
-/// that is actuated). Bounds may cross if the current frequency was set
-/// outside the box (e.g. after the actuated set changed); fall back to the
-/// hard bounds there.
-void apply_slew_limit(const MpcProblem& problem, double max_slew,
-                      Vector& lower, Vector& upper) {
-  if (max_slew <= 0.0) return;
-  for (std::size_t i = 0; i < problem.freq_current.size(); ++i) {
-    lower[i] = std::max(lower[i], problem.freq_current[i] - max_slew);
-    upper[i] = std::min(upper[i], problem.freq_current[i] + max_slew);
-    if (lower[i] > upper[i]) {
-      lower[i] = problem.freq_min[i];
-      upper[i] = problem.freq_max[i];
-    }
-  }
-}
-
 }  // namespace
 
 MpcPowerController::MpcPowerController(const MpcConfig& config)
@@ -72,7 +55,6 @@ MpcPowerController::MpcPowerController(const MpcConfig& config)
                     "prediction horizon must cover the control horizon");
   SPRINTCON_EXPECTS(config.control_period_s > 0.0, "control period > 0");
   SPRINTCON_EXPECTS(config.reference_time_constant_s > 0.0, "tau_r > 0");
-  SPRINTCON_EXPECTS(config.tracking_weight > 0.0, "tracking weight > 0");
 }
 
 double MpcPowerController::build_reference(const MpcProblem& problem) {
@@ -146,21 +128,18 @@ void MpcPowerController::step_structured(const MpcProblem& problem,
   sqp_.lower.resize(dim);
   sqp_.upper.resize(dim);
 
-  const double q = config_.tracking_weight;
   for (std::size_t b = 0; b < lc; ++b) {
     const BlockTracking t = block_tracking(reference_, pred_base, b, lc, lp);
-    sqp_.rank_weight[b] = q * t.steps;
+    sqp_.rank_weight[b] = t.steps;
     const std::size_t off = b * n;
     for (std::size_t i = 0; i < n; ++i) {
       sqp_.gradient[off + i] =
-          -q * problem.gains_w_per_f[i] * t.ref_sum -
+          -problem.gains_w_per_f[i] * t.ref_sum -
           problem.penalty_weights[i] * problem.freq_max[i];
       sqp_.lower[off + i] = problem.freq_min[i];
       sqp_.upper[off + i] = problem.freq_max[i];
     }
   }
-  apply_slew_limit(problem, config_.max_slew_per_period, sqp_.lower,
-                   sqp_.upper);
 
   // Warm start from the previous solution when the shape is unchanged.
   if (warm_start_.size() == dim) {
@@ -190,26 +169,24 @@ Matrix mpc_closed_loop_matrix(const MpcConfig& config,
   SPRINTCON_EXPECTS(model_gains.size() == penalty.size(),
                     "penalty vector size mismatch");
   const std::size_t n = model_gains.size();
-  const double q = config.tracking_weight;
   const double gamma =
       1.0 - std::exp(-config.control_period_s /
                      config.reference_time_constant_s);
 
-  // Unconstrained one-step law: M z = q K^T (r_1 - p_fb + K F) + R F_max
-  // with M = q K^T K + R. Substituting r_1 - p_fb = gamma (P - p_fb) and
+  // Unconstrained one-step law: M z = K^T (r_1 - p_fb + K F) + R F_max
+  // with M = K^T K + R. Substituting r_1 - p_fb = gamma (P - p_fb) and
   // p_fb = K_true F + C gives the homogeneous part
-  //   F(t+1) = M^{-1} q K^T (K - gamma K_true) F(t) + const.
+  //   F(t+1) = M^{-1} K^T (K - gamma K_true) F(t) + const.
   Matrix m(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j)
-      m(i, j) = q * model_gains[i] * model_gains[j];
+      m(i, j) = model_gains[i] * model_gains[j];
     m(i, i) += penalty[i];
   }
   Matrix rhs(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j)
-      rhs(i, j) =
-          q * model_gains[i] * (model_gains[j] - gamma * true_gains[j]);
+      rhs(i, j) = model_gains[i] * (model_gains[j] - gamma * true_gains[j]);
   }
   return inverse(m) * rhs;
 }

@@ -15,9 +15,10 @@
 // into a convex QP, solved through the O(n Lc) structured operator of
 // structured_qp.hpp (the Hessian is diag(R) + c_b k k^T per control block).
 //
-// The control penalty weight R_j per core implements the paper's progress
-// balancing: R_j = remaining-progress / normalized-remaining-time, so jobs
-// that are behind schedule are pulled harder toward peak frequency.
+// The tracking weight Q is uniform and equal to 1, so it drops out of the
+// cost. The control penalty weight R_j per core implements the paper's
+// progress balancing: R_j = remaining-progress / normalized-remaining-time,
+// so jobs that are behind schedule are pulled harder toward peak frequency.
 #pragma once
 
 #include <cstddef>
@@ -35,10 +36,6 @@ struct MpcConfig {
   std::size_t control_horizon = 2;     ///< L_c, >= 1
   double control_period_s = 2.0;       ///< T, seconds between invocations
   double reference_time_constant_s = 4.0;  ///< tau_r of Eq. 7
-  double tracking_weight = 1.0;        ///< Q (uniform across the horizon)
-  /// Optional per-period slew limit on each frequency (normalized units);
-  /// <= 0 disables rate limiting.
-  double max_slew_per_period = 0.0;
   QpOptions qp;
 };
 
@@ -124,7 +121,7 @@ class MpcPowerController {
 /// the paper's Section V-C stability argument: the loop is stable iff all
 /// eigenvalues lie in the unit circle (check with is_schur_stable).
 ///
-/// @param config       controller tuning (uses tau_r, T, Q)
+/// @param config       controller tuning (uses tau_r and T)
 /// @param model_gains  K used inside the controller
 /// @param true_gains   actual plant gains (model_gains * error factor)
 /// @param penalty      per-core penalty weights R

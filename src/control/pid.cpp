@@ -9,7 +9,6 @@ namespace sprintcon::control {
 PiController::PiController(const PidConfig& config) : config_(config) {
   SPRINTCON_EXPECTS(config.output_min <= config.output_max,
                     "PI output bounds crossed");
-  SPRINTCON_EXPECTS(config.anti_windup >= 0.0, "anti-windup must be >= 0");
 }
 
 void PiController::preload_output(double u) noexcept {
@@ -29,8 +28,8 @@ double PiController::step(double setpoint, double measurement, double dt_s) {
 
   // Back-calculation anti-windup: bleed the integrator by the amount the
   // output saturated so the loop recovers promptly when the error reverses.
-  if (config_.ki != 0.0 && config_.anti_windup > 0.0 && raw != clamped) {
-    integral_ += config_.anti_windup * (clamped - raw) / config_.ki;
+  if (config_.ki != 0.0 && raw != clamped) {
+    integral_ += (clamped - raw) / config_.ki;
   }
   return clamped;
 }

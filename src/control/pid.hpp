@@ -13,12 +13,11 @@ struct PidConfig {
   double ki = 0.0;
   double output_min = 0.0;
   double output_max = 1.0;
-  /// Back-calculation anti-windup coefficient (0 disables; 1 fully bleeds
-  /// the integrator when the output saturates).
-  double anti_windup = 1.0;
 };
 
-/// Textbook discrete PI loop: u = clamp(kp * e + ki * integral(e)).
+/// Textbook discrete PI loop: u = clamp(kp * e + ki * integral(e)), with
+/// back-calculation anti-windup that fully bleeds the integrator by the
+/// amount the output saturated.
 class PiController {
  public:
   explicit PiController(const PidConfig& config);

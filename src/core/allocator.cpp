@@ -14,6 +14,12 @@ namespace {
 constexpr double kDeadlineSafety = 0.95;
 // Sentinel "no constraint" CB target for sub-minute bursts.
 constexpr double kUnconstrainedW = 1e12;
+// Quantile of interactive power that sizes its CB headroom: P_batch
+// tracks P_cb - quantile_q(p_inter), the paper's "90% of the time" rule.
+constexpr double kInteractiveQuantile = 0.9;
+// Per-period limit on P_batch moves, as a fraction of CB rated power
+// (keeps the target a slow outer loop relative to the MPC settling).
+constexpr double kPBatchSlewFraction = 0.15;
 }  // namespace
 
 PowerLoadAllocator::PowerLoadAllocator(const SprintConfig& config)
@@ -131,12 +137,12 @@ double PowerLoadAllocator::adapt(double t_since_start_s,
     std::sort(sorted.begin(), sorted.end());
     const auto idx = static_cast<std::size_t>(
         std::min<double>(static_cast<double>(sorted.size()) - 1.0,
-                         std::floor(config_.interactive_quantile *
+                         std::floor(kInteractiveQuantile *
                                     static_cast<double>(sorted.size()))));
     const double target_headroom = sorted[idx];
     // Slow outer loop: limit the move per period so the MPC below always
     // converges before its target shifts again (Section V-C).
-    const double max_step = config_.p_batch_slew_fraction * config_.cb_rated_w;
+    const double max_step = kPBatchSlewFraction * config_.cb_rated_w;
     const double delta = std::clamp(target_headroom - interactive_headroom_w_,
                                     -max_step, max_step);
     interactive_headroom_w_ += delta;

@@ -4,8 +4,13 @@
 
 namespace sprintcon::core {
 
+namespace {
+// Bursts shorter than a minute sprint without a CB target (Section IV-A).
+constexpr double kShortBurstS = 60.0;
+}  // namespace
+
 OverloadPolicy SprintConfig::overload_policy() const noexcept {
-  if (burst_duration_s < short_burst_s) return OverloadPolicy::kUnconstrained;
+  if (burst_duration_s < kShortBurstS) return OverloadPolicy::kUnconstrained;
   if (burst_duration_s < long_burst_s) return OverloadPolicy::kContinuous;
   return OverloadPolicy::kPeriodic;
 }
@@ -16,29 +21,18 @@ void SprintConfig::validate() const {
   SPRINTCON_EXPECTS(cb_overload_duration_s > 0.0, "overload duration > 0");
   SPRINTCON_EXPECTS(cb_recovery_duration_s > 0.0, "recovery duration > 0");
   SPRINTCON_EXPECTS(burst_duration_s > 0.0, "burst duration > 0");
-  SPRINTCON_EXPECTS(short_burst_s > 0.0 && short_burst_s <= long_burst_s,
+  SPRINTCON_EXPECTS(kShortBurstS <= long_burst_s,
                     "burst thresholds must be ordered");
   SPRINTCON_EXPECTS(allocator_period_s > 0.0, "allocator period > 0");
-  SPRINTCON_EXPECTS(interactive_quantile > 0.0 && interactive_quantile <= 1.0,
-                    "interactive quantile must be in (0, 1]");
-  SPRINTCON_EXPECTS(p_batch_slew_fraction > 0.0, "P_batch slew must be > 0");
-  SPRINTCON_EXPECTS(control_period_s > 0.0, "control period > 0");
-  SPRINTCON_EXPECTS(ups_period_s > 0.0, "UPS period > 0");
-  SPRINTCON_EXPECTS(allocator_period_s >= control_period_s,
+  SPRINTCON_EXPECTS(mpc.control_period_s > 0.0, "control period > 0");
+  SPRINTCON_EXPECTS(allocator_period_s >= mpc.control_period_s,
                     "the allocator must be slower than the MPC loop");
-  SPRINTCON_EXPECTS(ups_guard_fraction >= 0.0 && ups_guard_fraction < 0.5,
-                    "UPS guard must be a small fraction");
-  SPRINTCON_EXPECTS(near_trip_margin > 0.0 && near_trip_margin <= 1.0,
-                    "near-trip margin must be in (0, 1]");
   SPRINTCON_EXPECTS(recharge_power_w >= 0.0,
                     "recharge power must be non-negative");
-  SPRINTCON_EXPECTS(ups_reserve_fraction >= 0.0 && ups_reserve_fraction < 1.0,
-                    "UPS reserve must be in [0, 1)");
 }
 
 SprintConfig paper_config() {
   SprintConfig cfg;  // defaults are the paper's numbers
-  cfg.mpc.control_period_s = cfg.control_period_s;
   cfg.validate();
   return cfg;
 }

@@ -1,4 +1,6 @@
-// SprintCon configuration: every knob of the mechanism in one place.
+// SprintCon configuration: every knob of the mechanism that a run turns.
+// Values the paper fixes once are named constants next to the code that
+// reads them.
 #pragma once
 
 #include "control/mpc.hpp"
@@ -25,8 +27,7 @@ struct SprintConfig {
 
   // --- sprint shape -------------------------------------------------------
   double burst_duration_s = 900.0;  ///< T_burst (15 minutes)
-  /// Thresholds picking the overload policy from T_burst.
-  double short_burst_s = 60.0;
+  /// Bursts at least this long overload periodically (overload_policy()).
   double long_burst_s = 900.0;
   /// Phase offset of the periodic overload schedule. Racks sharing a
   /// facility feed can stagger their overload windows so the aggregate
@@ -35,32 +36,16 @@ struct SprintConfig {
 
   // --- allocator ----------------------------------------------------------
   double allocator_period_s = 30.0;  ///< P_batch adaptation period
-  /// Quantile of interactive power used to size its CB headroom: P_batch
-  /// tracks P_cb - quantile_q(p_inter). 0.9 reproduces the paper's "90% of
-  /// the time" rule.
-  double interactive_quantile = 0.9;
-  /// Per-period limit on P_batch moves, as a fraction of CB rated power
-  /// (keeps the target a slow outer loop relative to the MPC settling).
-  double p_batch_slew_fraction = 0.15;
 
   // --- controllers ---------------------------------------------------------
-  double control_period_s = 2.0;  ///< server power controller period
-  double ups_period_s = 1.0;      ///< UPS power controller period
-  control::MpcConfig mpc;         ///< server power controller tuning
-  /// Per-core thermal guard: a batch core above its throttle temperature
-  /// has its frequency ceiling backed off until it cools.
-  bool thermal_guard = true;
-  /// How much the guard lowers a hot core's ceiling per control period
-  /// (normalized frequency).
-  double thermal_backoff_per_period = 0.1;
+  /// Server power controller tuning; mpc.control_period_s is the period of
+  /// the batch loop (MPC, its PI fallback and the baselines' loops alike).
+  control::MpcConfig mpc;
   /// Online gain adaptation: estimate the true dP/df of the plant via
   /// recursive least squares and blend it into the MPC model. Off by
   /// default (the paper's controller uses the fixed linear model and lets
   /// feedback absorb the error).
   bool adaptive_gain = false;
-  /// Safety guard subtracted from P_cb when computing the UPS command, as
-  /// a fraction of P_cb (biases tracking error toward the UPS, not the CB).
-  double ups_guard_fraction = 0.0;
   /// Disable the UPS power controller entirely (ablation: the breaker
   /// must then absorb every interactive fluctuation above P_cb itself —
   /// the failure mode the paper's second controller exists to prevent).
@@ -70,14 +55,6 @@ struct SprintConfig {
   /// periodic daily sprinting (Section VII-D's 10-per-day cadence)
   /// requires it.
   double recharge_power_w = 300.0;
-
-  // --- safety -----------------------------------------------------------
-  /// Thermal-stress fraction at which the safety monitor stops overloading.
-  /// The scheduled 150 s window ends at ~88% stress, so 0.92 is a backstop
-  /// that only fires when something (e.g. UPS saturation) pushes the CB
-  /// beyond its plan.
-  double near_trip_margin = 0.92;
-  double ups_reserve_fraction = 0.1;  ///< SOC to enter conservation mode
 
   /// Pick the overload policy for a burst duration.
   OverloadPolicy overload_policy() const noexcept;

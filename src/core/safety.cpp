@@ -18,10 +18,6 @@ const char* to_string(SprintState state) noexcept {
   return "unknown";
 }
 
-SafetyMonitor::SafetyMonitor(const SprintConfig& config) : config_(config) {
-  config.validate();
-}
-
 void SafetyMonitor::set_obs(obs::ObsSink* sink) {
   obs_ = sink;
   transitions_ =
@@ -36,7 +32,7 @@ SprintState SafetyMonitor::update(const power::CircuitBreaker& breaker,
   // Breaker watch: engage on near-trip (or an actual trip), re-arm only
   // after substantial cooling.
   const bool cb_stressed =
-      breaker.open() || breaker.near_trip(config_.near_trip_margin);
+      breaker.open() || breaker.near_trip(kNearTripMargin);
   if (cb_stressed) {
     cb_protect_ = true;
   } else if (cb_protect_ && breaker.thermal_stress() < kRearmStress) {
@@ -44,7 +40,7 @@ SprintState SafetyMonitor::update(const power::CircuitBreaker& breaker,
   }
 
   // Battery watch: sticky for the rest of the sprint.
-  if (battery.nearly_empty(config_.ups_reserve_fraction)) {
+  if (battery.nearly_empty(kUpsReserveFraction)) {
     ups_conserve_ = true;
   }
 

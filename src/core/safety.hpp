@@ -10,12 +10,19 @@
 //  * both                  -> end the sprint (kEnded, sticky).
 #pragma once
 
-#include "core/config.hpp"
 #include "obs/sink.hpp"
 #include "power/energy_store.hpp"
 #include "power/circuit_breaker.hpp"
 
 namespace sprintcon::core {
+
+/// Thermal-stress fraction at which the monitor stops overloading. The
+/// scheduled 150 s window ends at ~88% stress, so 0.92 is a backstop that
+/// only fires when something (e.g. UPS saturation) pushes the CB beyond
+/// its plan.
+inline constexpr double kNearTripMargin = 0.92;
+/// Battery SOC at which the monitor enters conservation mode.
+inline constexpr double kUpsReserveFraction = 0.1;
 
 /// Operating mode of the sprint.
 enum class SprintState {
@@ -30,8 +37,6 @@ const char* to_string(SprintState state) noexcept;
 /// Watches the breaker and battery; derives the current SprintState.
 class SafetyMonitor {
  public:
-  explicit SafetyMonitor(const SprintConfig& config);
-
   /// Evaluate the monitors; call once per tick. `now_s` only stamps the
   /// emitted transition events (ignored without a sink).
   SprintState update(const power::CircuitBreaker& breaker,
@@ -47,7 +52,6 @@ class SafetyMonitor {
   void set_obs(obs::ObsSink* sink);
 
  private:
-  SprintConfig config_;
   bool cb_protect_ = false;
   bool ups_conserve_ = false;
   SprintState state_ = SprintState::kSprinting;

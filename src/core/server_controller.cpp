@@ -6,6 +6,12 @@
 
 namespace sprintcon::core {
 
+namespace {
+// Thermal guard: how much a hot core's ceiling drops per control period
+// (normalized frequency).
+constexpr double kThermalBackoffPerPeriod = 0.1;
+}  // namespace
+
 ServerPowerController::ServerPowerController(const SprintConfig& config,
                                              server::Rack& rack,
                                              server::LinearPowerModel model)
@@ -89,11 +95,11 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
         core.job()->completed() ? core.freq_min() : core.freq_max();
     // Thermal guard: a core above its throttle point gets its ceiling
     // pulled below the current frequency so it must cool off.
-    if (config_.thermal_guard && core.thermally_throttled()) {
+    if (core.thermally_throttled()) {
       problem.freq_max[i] = std::max(
           core.freq_min(),
           std::min(problem.freq_max[i],
-                   core.freq() - config_.thermal_backoff_per_period));
+                   core.freq() - kThermalBackoffPerPeriod));
     }
     const double weight = core.job()->penalty_weight(now_s);
     problem.penalty_weights[i] =
@@ -167,7 +173,7 @@ void ServerPowerController::update_pid(double p_fb_w,
   }
 
   const double u =
-      pid_.step(p_batch_target_w, p_fb_w, config_.control_period_s);
+      pid_.step(p_batch_target_w, p_fb_w, config_.mpc.control_period_s);
   const double freq = fmin + u * span;
   // Honor the same per-core ceilings the MPC would (completed jobs idle
   // at the floor, thermal guard pulls throttled cores down) — they were

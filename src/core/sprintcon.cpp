@@ -10,6 +10,12 @@
 
 namespace sprintcon::core {
 
+namespace {
+// Period of the UPS power controller: faster than the batch loop, so
+// interactive swings between MPC periods land on the UPS, not the CB.
+constexpr double kUpsPeriodS = 1.0;
+}  // namespace
+
 const char* to_string(ControlMode mode) noexcept {
   switch (mode) {
     case ControlMode::kNormal: return "normal";
@@ -28,9 +34,7 @@ SprintConController::SprintConController(const SprintConfig& config,
       path_(path),
       allocator_(config),
       server_ctrl_(config, rack,
-                   server::LinearPowerModel(rack.servers().front().spec())),
-      ups_ctrl_(config),
-      safety_(config) {
+                   server::LinearPowerModel(rack.servers().front().spec())) {
   config.validate();
 }
 
@@ -180,11 +184,10 @@ void SprintConController::step(const sim::SimClock& clock) {
                               {{"threshold", mark}, {"soc", soc}});
         }
       }
-      const double reserve = config_.ups_reserve_fraction;
-      if (reserve > 0.0 && crossed(reserve)) {
+      if (crossed(kUpsReserveFraction)) {
         obs_->events().emit(now, obs::EventType::kSocThreshold,
                             soc < prev_soc_ ? "reserve-reached" : "recharge",
-                            {{"threshold", reserve}, {"soc", soc}});
+                            {{"threshold", kUpsReserveFraction}, {"soc", soc}});
       }
     }
     prev_soc_ = soc;
@@ -220,7 +223,7 @@ void SprintConController::step(const sim::SimClock& clock) {
   const double recharge_w = recharge_w_;
 
   // --- server power controller ---------------------------------------------
-  if (clock.every(config_.control_period_s) &&
+  if (clock.every(config_.mpc.control_period_s) &&
       mode_ == ControlMode::kQuarantined) {
     // Quarantine: the sprint is over for this rack. Batch pinned at the
     // DVFS floor (re-imposed every period so a wedged actuator cannot
@@ -229,7 +232,7 @@ void SprintConController::step(const sim::SimClock& clock) {
     server_ctrl_.force_batch_frequency(
         server_ctrl_.batch_cores().front()->freq_min());
     p_batch_eff_w_ = 0.0;
-  } else if (clock.every(config_.control_period_s)) {
+  } else if (clock.every(config_.mpc.control_period_s)) {
     double batch_target = std::min(targets.p_batch_w, p_cb_eff_w_);
     // The margin absorbs model error and interactive spikes that the CB
     // must not see when the UPS cannot (or should not) cover them.
@@ -262,7 +265,7 @@ void SprintConController::step(const sim::SimClock& clock) {
   }
 
   // --- UPS power controller -------------------------------------------------
-  if (clock.every(config_.ups_period_s)) {
+  if (clock.every(kUpsPeriodS)) {
     // In the conserve modes the workload caps drive p_total down to P_cb,
     // so this command naturally decays toward zero discharge.
     const double prev_cmd = ups_command_w_;
@@ -270,7 +273,7 @@ void SprintConController::step(const sim::SimClock& clock) {
     // rated, and a faulted discharge path must not keep draining it.
     ups_command_w_ = config_.ups_controller_enabled &&
                              mode_ != ControlMode::kQuarantined
-                         ? ups_ctrl_.command_w(p_meas, p_cb_eff_w_)
+                         ? ups_discharge_command_w(p_meas, p_cb_eff_w_)
                          : 0.0;
     // Report setpoint moves above noise (0.5 W) — per-tick jitter from the
     // power monitor would otherwise flood the log.

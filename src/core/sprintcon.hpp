@@ -110,7 +110,6 @@ class SprintConController {
   power::PowerPath& path_;
   PowerLoadAllocator allocator_;
   ServerPowerController server_ctrl_;
-  UpsPowerController ups_ctrl_;
   SafetyMonitor safety_;
 
   ControlMode mode_ = ControlMode::kNormal;

@@ -6,16 +6,10 @@
 
 namespace sprintcon::core {
 
-UpsPowerController::UpsPowerController(const SprintConfig& config)
-    : config_(config) {
-  config.validate();
-}
-
-double UpsPowerController::command_w(double p_total_w, double p_cb_w) const {
+double ups_discharge_command_w(double p_total_w, double p_cb_w) {
   SPRINTCON_EXPECTS(p_total_w >= 0.0, "total power must be >= 0");
   SPRINTCON_EXPECTS(p_cb_w >= 0.0, "P_cb must be >= 0");
-  const double effective_cap = p_cb_w * (1.0 - config_.ups_guard_fraction);
-  return std::max(0.0, p_total_w - effective_cap);
+  return std::max(0.0, p_total_w - p_cb_w);
 }
 
 }  // namespace sprintcon::core

@@ -1,32 +1,19 @@
 // UPS power controller (Sections IV-A / IV-C of the paper).
 //
 // Controls the power delivered through the circuit breaker to the target
-// P_cb by commanding the UPS discharge: every control period the rack's
-// power monitor reports p_total, and the controller sets the discharge to
+// P_cb by commanding the UPS discharge: every UPS period the rack's power
+// monitor reports p_total, and the controller sets the discharge to
 //
 //     p_ups = max(0, p_total - P_cb)
 //
-// (realized by the duty-cycled discharge circuit). An optional guard
-// fraction biases the inevitable one-period tracking lag toward extra UPS
-// discharge rather than CB overshoot.
+// (realized by the duty-cycled discharge circuit).
 #pragma once
-
-#include "core/config.hpp"
 
 namespace sprintcon::core {
 
-/// Computes the UPS discharge command that caps CB power at P_cb.
-class UpsPowerController {
- public:
-  explicit UpsPowerController(const SprintConfig& config);
-
-  /// Discharge command for the current period.
-  /// @param p_total_w  measured rack power
-  /// @param p_cb_w     current CB power target from the allocator
-  double command_w(double p_total_w, double p_cb_w) const;
-
- private:
-  SprintConfig config_;
-};
+/// Discharge command that caps CB power at P_cb.
+/// @param p_total_w  measured rack power (>= 0)
+/// @param p_cb_w     current CB power target from the allocator (>= 0)
+double ups_discharge_command_w(double p_total_w, double p_cb_w);
 
 }  // namespace sprintcon::core

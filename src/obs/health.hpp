@@ -8,8 +8,9 @@
 // kHealthRecovered. The hysteresis keeps one-sample glitches from paging.
 //
 // The monitor is pull-based and runs at check boundaries (the last step
-// of Rig::step, every health_period_s), never on the per-tick hot path. It only *reads* metrics and
-// *writes* events/health metrics, so enabling it cannot perturb physics —
+// of Rig::step, every 5 s of sim time), never on the per-tick hot path.
+// It only *reads* metrics and *writes* events/health metrics, so enabling
+// it cannot perturb physics —
 // the golden-trace determinism suite stays bit-identical with health on.
 //
 // Detection-latency methodology (see DESIGN.md §8.5): with the fault

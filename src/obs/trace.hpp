@@ -96,6 +96,8 @@ class TraceBuffer {
 /// writers — export after the run has joined its workers.
 class Tracer {
  public:
+  /// @param buffer_capacity events retained per buffer; overflow drops
+  ///        and counts (total_dropped()), never reallocates mid-run
   explicit Tracer(std::size_t buffer_capacity = std::size_t{1} << 14);
 
   /// Create (and own) a new buffer; tids are assigned in registration

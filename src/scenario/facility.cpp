@@ -152,7 +152,7 @@ Facility::Facility(const FacilityConfig& config) : config_(config) {
   // one per worker shard for the runtime spans. All buffers share the
   // tracer's epoch so the merged timeline lines up in Perfetto.
   if (config.tracing) {
-    tracer_ = std::make_unique<obs::Tracer>(config.trace_capacity);
+    tracer_ = std::make_unique<obs::Tracer>();
     for (std::size_t r = 0; r < rigs_.size(); ++r) {
       rigs_[r]->obs()->set_trace(
           &tracer_->register_buffer("rack " + std::to_string(r)));

@@ -85,9 +85,6 @@ struct FacilityConfig {
   /// worker shard (shard_epoch / rig_batch / epoch_barrier spans), merged
   /// by tracer()->write_chrome_trace() into Perfetto-loadable JSON.
   bool tracing = false;
-  /// Events retained per trace buffer; overflow drops and counts
-  /// (Tracer::total_dropped()), never reallocates mid-run.
-  std::size_t trace_capacity = std::size_t{1} << 14;
   /// Forwarded to every rack: enable the per-rig HealthMonitor.
   bool health = false;
   /// Forwarded to every rack: enable the per-rig recovery engine

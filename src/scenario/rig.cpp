@@ -15,6 +15,16 @@ namespace sprintcon::scenario {
 
 namespace {
 
+/// Sprints per day assumed by the battery-lifetime metrics (the paper's
+/// periodic daily sprinting, Section VII-D).
+constexpr double kSprintsPerDay = 10.0;
+/// Sim-time period of the health check and the recovery poll.
+constexpr double kHealthPeriodS = 5.0;
+/// Sliding-window metrics (mpc.step_us.window, sim.tick_us.window,
+/// queue.response_ms.window) rotate every this many seconds of sim time;
+/// quantiles cover the last kWindows such spans.
+constexpr double kMetricsWindowS = 60.0;
+
 /// Adapts the recovery engine's action interface onto one rig: modes are
 /// mapped onto the SprintConController with quarantine > cap > PID
 /// precedence, and each modal action is reference-counted so several
@@ -129,8 +139,6 @@ void RigConfig::validate() const {
                                   : interactive_cores_per_server < cores;
   SPRINTCON_EXPECTS(policy != Policy::kSprintCon || has_batch_core,
                     "SprintCon needs at least one batch core to control");
-  SPRINTCON_EXPECTS(health_period_s > 0.0, "health period must be positive");
-  SPRINTCON_EXPECTS(metrics_window_s > 0.0, "metric window must be positive");
   SPRINTCON_EXPECTS(!recovery || policy == Policy::kSprintCon,
                     "recovery drives the SprintCon controller ladder; "
                     "enable it with Policy::kSprintCon");
@@ -193,12 +201,14 @@ Rig::Rig(const RigConfig& config) : config_(config) {
   }
   rack_ = std::make_unique<server::Rack>(std::move(servers));
   // Server-owned SoA thermal state (one elementwise kernel per tick)
-  // rather than a CoreThermalModel per core; the servers sit at their
+  // rather than a CoreThermalModel per core. The default ThermalSpec keeps
+  // sustained peak below the throttle point, so the controller's thermal
+  // guard only engages with degraded cooling. The servers sit at their
   // final addresses now, so the cores' slot bindings stay valid. The
   // queue pointers are taken here for the same reason: the cores hold
   // their sources by value, so only their final addresses are stable.
   for (server::Server& s : rack_->servers()) {
-    s.attach_thermal(config.thermal);
+    s.attach_thermal(server::ThermalSpec{});
     for (server::CpuCore& c : s.cores()) {
       if (auto* q = std::get_if<workload::RequestQueueSource>(&c.workload())) {
         queues_.push_back(q);
@@ -379,7 +389,7 @@ SPRINTCON_HOT void Rig::step() {
   if (obs_) record_tick_metrics();
   // Every health check is followed by exactly one recovery poll at the
   // same simulated instant.
-  if (health_ && clock.every(config_.health_period_s)) {
+  if (health_ && clock.every(kHealthPeriodS)) {
     health_->check(clock.now_s());
     if (recovery_) recovery_->poll(clock.now_s());
   }
@@ -455,7 +465,7 @@ void Rig::record_tick_metrics() {
     h.divergence->set(std::abs(realized - cmd));
   }
   h.capacity_wh->set(path_->battery().capacity_wh());
-  if (sim_->clock().every(config_.metrics_window_s)) m.rotate_windows();
+  if (sim_->clock().every(kMetricsWindowS)) m.rotate_windows();
 }
 
 metrics::RunSummary Rig::summary() const {
@@ -478,12 +488,12 @@ metrics::RunSummary Rig::summary() const {
   out.depth_of_discharge = out.ups_discharged_wh / battery.capacity_wh();
   out.battery_cycle_life = power::lfp_cycle_life(out.depth_of_discharge);
   out.battery_lifetime_days = power::lfp_lifetime_days(
-      out.depth_of_discharge, config_.sprints_per_day);
+      out.depth_of_discharge, kSprintsPerDay);
 
   out.rainflow_damage =
       power::rainflow_damage(rec.series("battery_component_soc").values());
   out.rainflow_lifetime_days = power::rainflow_lifetime_days(
-      out.rainflow_damage, config_.sprints_per_day);
+      out.rainflow_damage, kSprintsPerDay);
 
   out.cb_trips = path_->breaker().trip_count();
 

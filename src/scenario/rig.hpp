@@ -78,7 +78,6 @@ struct RigConfig {
   /// When > 0, the UPS becomes a HybridStore: the battery serves the
   /// sustained discharge, the supercap the transients.
   double supercap_wh = 0.0;
-  double sprints_per_day = 10.0;       ///< for the battery-lifetime metric
   core::SprintConfig sprint;           ///< paper_config() by default
   workload::InteractiveTraceConfig interactive;
   /// Drive interactive cores with closed-loop request queues instead of
@@ -86,9 +85,6 @@ struct RigConfig {
   /// and measured response times (see workload/request_queue.hpp). The
   /// `interactive` config above shapes the offered load either way.
   bool use_request_queues = false;
-  /// Thermal model attached to every core (guarding is controlled by
-  /// sprint.thermal_guard); defaults keep sustained peak below throttle.
-  server::ThermalSpec thermal;
   std::uint64_t seed = 42;
   /// Scripted fault schedule (empty = no injector built). See
   /// fault/fault.hpp for the plan format and DESIGN.md §9 for the
@@ -104,12 +100,11 @@ struct RigConfig {
   /// branch per emit site when absent.
   bool observability = false;
   /// SLO-grade health monitoring (implies observability): a HealthMonitor
-  /// with the default rule set (DESIGN.md §8.5) runs every
-  /// health_period_s of sim time and emits health_degraded /
+  /// with the default rule set (DESIGN.md §8.5) runs every 5 s of sim
+  /// time (rig.cpp's kHealthPeriodS) and emits health_degraded /
   /// health_recovered events. Reads metrics, writes events — never
   /// touches physics, so recorded traces stay bit-identical.
   bool health = false;
-  double health_period_s = 5.0;
   /// Closed-loop recovery (implies health, requires Policy::kSprintCon):
   /// a RecoveryManager polls right after every health check and drives
   /// the playbook's escalation ladders against the controller — re-issue
@@ -120,10 +115,6 @@ struct RigConfig {
   bool recovery = false;
   /// Remediation playbook; empty selects recovery::Playbook::defaults().
   recovery::Playbook playbook;
-  /// Sliding-window metrics (mpc.step_us.window, sim.tick_us.window,
-  /// queue.response_ms.window) rotate every metrics_window_s of sim time;
-  /// quantiles cover the last kWindows such spans.
-  double metrics_window_s = 60.0;
 
   RigConfig();
   void validate() const;
@@ -146,7 +137,7 @@ class Rig {
   /// One tick, in the paper's fixed stage order (§VI-A): rack, fault
   /// injector, policy controller, the injector's actuator stage, clock
   /// advance, recorder sample, then (with obs on) the tick metrics and,
-  /// every health_period_s, the health check and the recovery poll.
+  /// every kHealthPeriodS (5 s), the health check and the recovery poll.
   /// simulation().step_once() runs it under the tick timer.
   void step();
 

@@ -155,14 +155,16 @@ TEST(Allocator, PBatchNeverExceedsPCb) {
 }
 
 TEST(Allocator, SlewLimitBoundsAdaptationSpeed) {
-  SprintConfig c = cfg();
-  c.p_batch_slew_fraction = 0.01;  // 32 W per period
-  PowerLoadAllocator alloc(c);
+  // The headroom moves at most 0.15 x rated = 480 W per adaptation.
+  // 3000 W observed against the 800 W prior (a quarter of rated) asks
+  // for a 2200 W move, so the bound binds and P_batch drops by exactly
+  // 480 W; an unclamped move would drop it by 2200 W.
+  PowerLoadAllocator alloc(cfg());
   const double before = alloc.targets(10.0).p_batch_w;
   for (int i = 0; i < 30; ++i) alloc.observe_interactive_power(3000.0);
   alloc.adapt(10.0, {});
   const double after = alloc.targets(10.0).p_batch_w;
-  EXPECT_LE(std::abs(after - before), 32.0 + 1e-9);
+  EXPECT_NEAR(before - after, 0.15 * 3200.0, 1e-9);
 }
 
 TEST(Allocator, ObserveRejectsNegativePower) {
@@ -183,9 +185,6 @@ TEST(Config, BadValuesThrow) {
   EXPECT_THROW(c.validate(), InvalidArgumentError);
   c = paper_config();
   c.allocator_period_s = 0.5;  // faster than the MPC loop
-  EXPECT_THROW(c.validate(), InvalidArgumentError);
-  c = paper_config();
-  c.interactive_quantile = 0.0;
   EXPECT_THROW(c.validate(), InvalidArgumentError);
 }
 

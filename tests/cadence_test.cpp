@@ -60,7 +60,7 @@ TEST(Settling, PaperAllocatorPeriodExceedsMpcSettling) {
   const control::Matrix a_cl = control::mpc_closed_loop_matrix(
       cfg.mpc, model_gains, true_gains, penalty);
   const double settle_s =
-      control::settling_time_s(a_cl, cfg.control_period_s, 0.05);
+      control::settling_time_s(a_cl, cfg.mpc.control_period_s, 0.05);
   EXPECT_LT(settle_s, cfg.allocator_period_s);
 }
 

@@ -202,24 +202,14 @@ TEST(ServerController, ForceBatchFrequency) {
 // --- UPS power controller ------------------------------------------------------
 
 TEST(UpsController, CommandIsExcessOverTarget) {
-  UpsPowerController ups(cfg());
-  EXPECT_DOUBLE_EQ(ups.command_w(4100.0, 4000.0), 100.0);
-  EXPECT_DOUBLE_EQ(ups.command_w(3900.0, 4000.0), 0.0);
-  EXPECT_DOUBLE_EQ(ups.command_w(4000.0, 4000.0), 0.0);
-}
-
-TEST(UpsController, GuardFractionBiasesTowardUps) {
-  SprintConfig c = cfg();
-  c.ups_guard_fraction = 0.01;
-  UpsPowerController ups(c);
-  // Cap is 4000 * 0.99 = 3960, so 4000 W demand leaves 40 W on the UPS.
-  EXPECT_NEAR(ups.command_w(4000.0, 4000.0), 40.0, 1e-9);
+  EXPECT_DOUBLE_EQ(ups_discharge_command_w(4100.0, 4000.0), 100.0);
+  EXPECT_DOUBLE_EQ(ups_discharge_command_w(3900.0, 4000.0), 0.0);
+  EXPECT_DOUBLE_EQ(ups_discharge_command_w(4000.0, 4000.0), 0.0);
 }
 
 TEST(UpsController, NegativeInputsThrow) {
-  UpsPowerController ups(cfg());
-  EXPECT_THROW(ups.command_w(-1.0, 100.0), InvalidArgumentError);
-  EXPECT_THROW(ups.command_w(1.0, -100.0), InvalidArgumentError);
+  EXPECT_THROW(ups_discharge_command_w(-1.0, 100.0), InvalidArgumentError);
+  EXPECT_THROW(ups_discharge_command_w(1.0, -100.0), InvalidArgumentError);
 }
 
 }  // namespace

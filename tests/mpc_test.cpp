@@ -108,17 +108,6 @@ TEST(Mpc, ConvergesDespiteGainMismatch) {
   EXPECT_NEAR(power, 25.0, 0.5);
 }
 
-TEST(Mpc, SlewLimitBoundsPerPeriodChange) {
-  MpcConfig cfg = basic_config();
-  cfg.max_slew_per_period = 0.1;
-  MpcPowerController mpc(cfg);
-  MpcProblem p = two_core_problem();
-  p.power_target_w = 45.0;  // wants a big jump
-  const MpcOutput out = mpc.step(p);
-  EXPECT_LE(out.freq_next[0], 0.5 + 0.1 + 1e-9);
-  EXPECT_LE(out.freq_next[1], 0.5 + 0.1 + 1e-9);
-}
-
 TEST(Mpc, InvalidConfigThrows) {
   MpcConfig cfg = basic_config();
   cfg.control_horizon = 0;

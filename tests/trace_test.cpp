@@ -181,7 +181,6 @@ TEST(Tracer, FacilityRunProducesDecisionAndShardSpans) {
   config.num_racks = 2;
   config.run_threads = 2;
   config.tracing = true;
-  config.trace_capacity = 1 << 12;
   config.rack.duration_s = 60.0;
   scenario::Facility facility(config);
   facility.run();
