@@ -152,29 +152,40 @@ int main(int argc, char** argv) {
   bool threads_set = false;
   bool health = false;
   bool recovery = false;
-  for (int i = 1; i < argc; ++i) {
+  // A value-taking flag with no value, or a positional that is not a
+  // number, is a usage error.
+  bool usage_error = false;
+  for (int i = 1; i < argc && !usage_error; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
+    const bool takes_value = arg == "--json" || arg == "--faults" ||
+                             arg == "--scenario" || arg == "--trace" ||
+                             arg == "--threads";
+    if (takes_value && i + 1 >= argc) {
+      usage_error = true;
+    } else if (arg == "--json") {
       json_path = argv[++i];
-    } else if (arg == "--faults" && i + 1 < argc) {
+    } else if (arg == "--faults") {
       faults_path = argv[++i];
-    } else if (arg == "--scenario" && i + 1 < argc) {
+    } else if (arg == "--scenario") {
       scenario_path = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
+    } else if (arg == "--trace") {
       trace_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
+    } else if (arg == "--threads") {
       threads = static_cast<std::size_t>(std::atoi(argv[++i]));
       threads_set = true;
     } else if (arg == "--health") {
       health = true;
     } else if (arg == "--recovery") {
       recovery = true;
+    } else if (arg.empty() ||
+               arg.find_first_not_of("0123456789") != std::string::npos) {
+      usage_error = true;
     } else {
       racks = static_cast<std::size_t>(std::atoi(arg.c_str()));
       racks_set = true;
     }
   }
-  if (scenario_path.empty() && (racks == 0 || racks > 16)) {
+  if (usage_error || (scenario_path.empty() && (racks == 0 || racks > 16))) {
     std::cerr << "usage: facility_dashboard [1..16 racks] [--json FILE]"
                  " [--scenario FILE] [--faults PLAN] [--trace FILE]"
                  " [--threads N] [--health] [--recovery]\n";

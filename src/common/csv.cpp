@@ -47,16 +47,6 @@ void CsvWriter::row(const std::vector<double>& values) {
   out_ << '\n';
 }
 
-void CsvWriter::text_row(const std::vector<std::string>& cells) {
-  SPRINTCON_EXPECTS(header_written_, "header must precede data rows");
-  SPRINTCON_EXPECTS(cells.size() == columns_, "row width must match header");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << csv_escape(cells[i]);
-  }
-  out_ << '\n';
-}
-
 void write_series_csv(std::ostream& out,
                       const std::vector<const TimeSeries*>& series) {
   SPRINTCON_EXPECTS(!series.empty(), "need at least one series");

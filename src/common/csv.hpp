@@ -26,9 +26,6 @@ class CsvWriter {
   /// Emit one data row; the column count must match the header.
   void row(const std::vector<double>& values);
 
-  /// Emit one row of raw (pre-formatted) cells; escapes as needed.
-  void text_row(const std::vector<std::string>& cells);
-
  private:
   std::ostream& out_;
   std::size_t columns_ = 0;

@@ -41,14 +41,4 @@ Rng Rng::split() noexcept {
   return Rng((*this)() ^ 0xa5a5a5a5a5a5a5a5ULL);
 }
 
-std::vector<std::size_t> random_permutation(std::size_t n, Rng& rng) {
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  for (std::size_t i = n; i > 1; --i) {
-    const std::size_t j = static_cast<std::size_t>(rng.uniform_index(i));
-    std::swap(perm[i - 1], perm[j]);
-  }
-  return perm;
-}
-
 }  // namespace sprintcon

@@ -100,7 +100,4 @@ class Rng {
   bool has_spare_normal_ = false;
 };
 
-/// Draw a random permutation of {0, .., n-1} (Fisher-Yates).
-std::vector<std::size_t> random_permutation(std::size_t n, Rng& rng);
-
 }  // namespace sprintcon

@@ -28,13 +28,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_numeric_row(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(format_fixed(v, precision));
-  add_row(std::move(cells));
-}
-
 std::string Table::to_string() const {
   std::vector<std::size_t> widths(columns_.size());
   for (std::size_t c = 0; c < columns_.size(); ++c) widths[c] = columns_[c].size();

@@ -18,9 +18,6 @@ class Table {
   /// Append a row of pre-formatted cells; width must match the header.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: format doubles with the given precision.
-  void add_numeric_row(const std::vector<double>& values, int precision = 3);
-
   /// Render with column alignment, a header rule, and 2-space gutters.
   std::string to_string() const;
 

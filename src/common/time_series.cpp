@@ -67,14 +67,6 @@ double TimeSeries::mean_between(double t0_s, double t1_s) const {
   return acc / static_cast<double>(n);
 }
 
-double TimeSeries::fraction_above(double threshold) const {
-  SPRINTCON_EXPECTS(!values_.empty(), "fraction_above of empty series");
-  const auto n = static_cast<double>(
-      std::count_if(values_.begin(), values_.end(),
-                    [&](double v) { return v > threshold; }));
-  return n / static_cast<double>(values_.size());
-}
-
 double TimeSeries::first_time_above(double threshold) const {
   for (std::size_t i = 0; i < values_.size(); ++i) {
     if (values_[i] > threshold) return time_at(i);

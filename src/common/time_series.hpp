@@ -53,8 +53,6 @@ class TimeSeries {
   double integral() const;
   /// Mean over a [t0, t1) time window (clamped to the series extent).
   double mean_between(double t0_s, double t1_s) const;
-  /// Fraction of samples strictly above a threshold.
-  double fraction_above(double threshold) const;
   /// First time the series meets `pred`-style threshold crossing upward;
   /// returns a negative value if it never crosses.
   double first_time_above(double threshold) const;

@@ -1,8 +1,5 @@
 #include "control/matrix.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/validation.hpp"
 
 namespace sprintcon::control {
@@ -10,48 +7,10 @@ namespace sprintcon::control {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
-  rows_ = rows.size();
-  cols_ = rows_ ? rows.begin()->size() : 0;
-  data_.reserve(rows_ * cols_);
-  for (const auto& row : rows) {
-    SPRINTCON_EXPECTS(row.size() == cols_, "ragged initializer for Matrix");
-    data_.insert(data_.end(), row.begin(), row.end());
-  }
-}
-
 Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
-}
-
-Matrix Matrix::diagonal(const Vector& d) {
-  Matrix m(d.size(), d.size(), 0.0);
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
-  return m;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Matrix Matrix::operator*(const Matrix& rhs) const {
-  SPRINTCON_EXPECTS(cols_ == rhs.rows_, "matrix product dimension mismatch");
-  Matrix out(rows_, rhs.cols_, 0.0);
-  // i-k-j loop order keeps the inner loop streaming over contiguous rows.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < rhs.cols_; ++j)
-        out(i, j) += aik * rhs(k, j);
-    }
-  }
-  return out;
 }
 
 Vector Matrix::operator*(const Vector& v) const {
@@ -65,25 +24,12 @@ Vector Matrix::operator*(const Vector& v) const {
   return out;
 }
 
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  Matrix out = *this;
-  out += rhs;
-  return out;
-}
-
 Matrix Matrix::operator-(const Matrix& rhs) const {
   SPRINTCON_EXPECTS(rows_ == rhs.rows_ && cols_ == rhs.cols_,
                     "matrix difference dimension mismatch");
   Matrix out = *this;
   for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
   return out;
-}
-
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  SPRINTCON_EXPECTS(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-                    "matrix sum dimension mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
 }
 
 Matrix& Matrix::operator*=(double s) {
@@ -97,18 +43,6 @@ Matrix Matrix::operator*(double s) const {
   return out;
 }
 
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
 double dot(const Vector& a, const Vector& b) {
   SPRINTCON_EXPECTS(a.size() == b.size(), "dot dimension mismatch");
   double acc = 0.0;
@@ -116,47 +50,9 @@ double dot(const Vector& a, const Vector& b) {
   return acc;
 }
 
-Vector add(const Vector& a, const Vector& b) {
-  SPRINTCON_EXPECTS(a.size() == b.size(), "add dimension mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vector sub(const Vector& a, const Vector& b) {
-  SPRINTCON_EXPECTS(a.size() == b.size(), "sub dimension mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
 Vector scale(const Vector& a, double s) {
   Vector out(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * s;
-  return out;
-}
-
-Vector axpy(const Vector& a, double s, const Vector& b) {
-  SPRINTCON_EXPECTS(a.size() == b.size(), "axpy dimension mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + s * b[i];
-  return out;
-}
-
-double norm2(const Vector& v) { return std::sqrt(dot(v, v)); }
-
-double norm_inf(const Vector& v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, std::abs(x));
-  return m;
-}
-
-Vector clamp(const Vector& v, const Vector& lo, const Vector& hi) {
-  SPRINTCON_EXPECTS(v.size() == lo.size() && v.size() == hi.size(),
-                    "clamp dimension mismatch");
-  Vector out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i)
-    out[i] = std::clamp(v[i], lo[i], hi[i]);
   return out;
 }
 

@@ -1,13 +1,13 @@
 // Small dense matrix/vector types for the control stack.
 //
-// The MPC and stability analyses operate on problems of at most a few
-// hundred unknowns (cores x control horizon), so a straightforward
-// row-major dense implementation is both sufficient and cache-friendly.
-// No external BLAS dependency; everything the controllers need lives here.
+// The only run-time user is the recursive-least-squares gain estimator
+// (rls.hpp), whose covariance is dim x dim with dim = 1 in practice, so
+// a straightforward row-major dense implementation is sufficient. The
+// dense factorizations, eigenvalues and the reference QP solver the
+// tests compare the controller against live in tests/support/control/.
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <vector>
 
 namespace sprintcon::control {
@@ -19,35 +19,19 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-  /// Construct from nested initializer lists; all rows must be equal length.
-  Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
   static Matrix identity(std::size_t n);
-  static Matrix diagonal(const Vector& d);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
-  bool empty() const noexcept { return data_.empty(); }
 
   double& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   double operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
-  const std::vector<double>& data() const noexcept { return data_; }
-
-  Matrix transposed() const;
-  Matrix operator*(const Matrix& rhs) const;
   Vector operator*(const Vector& v) const;
-  Matrix operator+(const Matrix& rhs) const;
   Matrix operator-(const Matrix& rhs) const;
-  Matrix& operator+=(const Matrix& rhs);
   Matrix& operator*=(double s);
   Matrix operator*(double s) const;
-
-  /// Max absolute entry (infinity-norm style bound used for convergence tests).
-  double max_abs() const;
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
 
  private:
   std::size_t rows_ = 0;
@@ -58,14 +42,6 @@ class Matrix {
 // --- vector helpers -------------------------------------------------------
 
 double dot(const Vector& a, const Vector& b);
-Vector add(const Vector& a, const Vector& b);
-Vector sub(const Vector& a, const Vector& b);
 Vector scale(const Vector& a, double s);
-/// a + s * b
-Vector axpy(const Vector& a, double s, const Vector& b);
-double norm2(const Vector& v);
-double norm_inf(const Vector& v);
-/// Elementwise clamp of v into [lo, hi] (all same length).
-Vector clamp(const Vector& v, const Vector& lo, const Vector& hi);
 
 }  // namespace sprintcon::control

@@ -4,11 +4,13 @@
 #include <cmath>
 
 #include "common/validation.hpp"
-#include "control/linalg.hpp"
 
 namespace sprintcon::control {
 
 namespace {
+
+// Solver budget and stopping residual of every MPC solve.
+constexpr QpOptions kQpOptions{};
 
 void check_problem(const MpcProblem& p) {
   const std::size_t n = p.gains_w_per_f.size();
@@ -72,12 +74,6 @@ double MpcPowerController::build_reference(const MpcProblem& problem) {
   // Constant part of the power prediction: p_fb(t) - K . F(t).
   return problem.power_feedback_w -
          dot(problem.gains_w_per_f, problem.freq_current);
-}
-
-MpcOutput MpcPowerController::step(const MpcProblem& problem) {
-  MpcOutput out;
-  step(problem, out);
-  return out;
 }
 
 void MpcPowerController::set_obs(obs::ObsSink* sink) {
@@ -151,44 +147,13 @@ void MpcPowerController::step_structured(const MpcProblem& problem,
                 x0_.begin() + static_cast<std::ptrdiff_t>(b * n));
   }
 
-  solve_structured_qp(sqp_, x0_, config_.qp, sqp_scratch_, out.qp);
+  solve_structured_qp(sqp_, x0_, kQpOptions, sqp_scratch_, out.qp);
   warm_start_ = out.qp.x;
 
   out.freq_next.assign(out.qp.x.begin(),
                        out.qp.x.begin() + static_cast<std::ptrdiff_t>(n));
   out.predicted_power_w =
       pred_base + dot(problem.gains_w_per_f, out.freq_next);
-}
-
-Matrix mpc_closed_loop_matrix(const MpcConfig& config,
-                              const Vector& model_gains,
-                              const Vector& true_gains,
-                              const Vector& penalty) {
-  SPRINTCON_EXPECTS(model_gains.size() == true_gains.size(),
-                    "gain vector size mismatch");
-  SPRINTCON_EXPECTS(model_gains.size() == penalty.size(),
-                    "penalty vector size mismatch");
-  const std::size_t n = model_gains.size();
-  const double gamma =
-      1.0 - std::exp(-config.control_period_s /
-                     config.reference_time_constant_s);
-
-  // Unconstrained one-step law: M z = K^T (r_1 - p_fb + K F) + R F_max
-  // with M = K^T K + R. Substituting r_1 - p_fb = gamma (P - p_fb) and
-  // p_fb = K_true F + C gives the homogeneous part
-  //   F(t+1) = M^{-1} K^T (K - gamma K_true) F(t) + const.
-  Matrix m(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j)
-      m(i, j) = model_gains[i] * model_gains[j];
-    m(i, i) += penalty[i];
-  }
-  Matrix rhs(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j)
-      rhs(i, j) = model_gains[i] * (model_gains[j] - gamma * true_gains[j]);
-  }
-  return inverse(m) * rhs;
 }
 
 }  // namespace sprintcon::control

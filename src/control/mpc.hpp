@@ -24,7 +24,6 @@
 #include <cstddef>
 
 #include "control/matrix.hpp"
-#include "control/qp.hpp"
 #include "control/structured_qp.hpp"
 #include "obs/sink.hpp"
 
@@ -36,7 +35,6 @@ struct MpcConfig {
   std::size_t control_horizon = 2;     ///< L_c, >= 1
   double control_period_s = 2.0;       ///< T, seconds between invocations
   double reference_time_constant_s = 4.0;  ///< tau_r of Eq. 7
-  QpOptions qp;
 };
 
 /// Per-invocation problem data.
@@ -69,13 +67,10 @@ class MpcPowerController {
 
   const MpcConfig& config() const noexcept { return config_; }
 
-  /// Run one control period: solve the constrained QP and return the
-  /// frequency vector for the next period.
-  MpcOutput step(const MpcProblem& problem);
-
-  /// In-place variant: writes into `out`, reusing its vector capacity. A
-  /// warm-started controller stepping a fixed-size problem performs zero
-  /// steady-state heap allocations.
+  /// Run one control period: solve the constrained QP and write the
+  /// frequency vector for the next period into `out`, reusing its vector
+  /// capacity. A warm-started controller stepping a fixed-size problem
+  /// performs zero steady-state heap allocations.
   void step(const MpcProblem& problem, MpcOutput& out);
 
   /// Reset the warm-start state (e.g. when the actuated core set changes).
@@ -115,19 +110,5 @@ class MpcPowerController {
   obs::ObsSink* obs_ = nullptr;
   ObsHandles met_;
 };
-
-/// Closed-loop state matrix of the *unconstrained* MPC law applied to a
-/// (possibly mismatched) true plant p = K_true . F + C. Used to reproduce
-/// the paper's Section V-C stability argument: the loop is stable iff all
-/// eigenvalues lie in the unit circle (check with is_schur_stable).
-///
-/// @param config       controller tuning (uses tau_r and T)
-/// @param model_gains  K used inside the controller
-/// @param true_gains   actual plant gains (model_gains * error factor)
-/// @param penalty      per-core penalty weights R
-Matrix mpc_closed_loop_matrix(const MpcConfig& config,
-                              const Vector& model_gains,
-                              const Vector& true_gains,
-                              const Vector& penalty);
 
 }  // namespace sprintcon::control

@@ -21,9 +21,26 @@
 
 #include <cstddef>
 
-#include "control/qp.hpp"
+#include "control/matrix.hpp"
 
 namespace sprintcon::control {
+
+/// Solver tuning knobs.
+struct QpOptions {
+  int max_iterations = 500;
+  /// Stop when the projected-gradient residual (infinity norm) is below
+  /// this threshold.
+  double tolerance = 1e-8;
+};
+
+/// Result of a QP solve.
+struct QpResult {
+  Vector x;            ///< solution (always feasible: clamped each iterate)
+  int iterations = 0;  ///< iterations actually performed
+  int restarts = 0;    ///< momentum restarts taken (O'Donoghue-Candes test)
+  bool converged = false;
+  double residual = 0.0;  ///< final projected-gradient residual (inf norm)
+};
 
 /// Box QP whose Hessian is blkdiag_b(diag(penalty) + rank_weight[b] k k^T).
 /// `gradient`, `lower`, `upper` have length gains.size() * rank_weight.size()

@@ -16,16 +16,6 @@ namespace {
 constexpr double kUpsPeriodS = 1.0;
 }  // namespace
 
-const char* to_string(ControlMode mode) noexcept {
-  switch (mode) {
-    case ControlMode::kNormal: return "normal";
-    case ControlMode::kPidFallback: return "pid_fallback";
-    case ControlMode::kConservativeCap: return "conservative_cap";
-    case ControlMode::kQuarantined: return "quarantined";
-  }
-  return "unknown";
-}
-
 SprintConController::SprintConController(const SprintConfig& config,
                                          server::Rack& rack,
                                          power::PowerPath& path)

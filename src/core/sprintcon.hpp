@@ -46,8 +46,6 @@ enum class ControlMode : std::uint8_t {
   kQuarantined,      ///< sprint ended, batch pinned at the floor, UPS idle
 };
 
-const char* to_string(ControlMode mode) noexcept;
-
 /// The complete SprintCon controller for one rack.
 class SprintConController {
  public:

@@ -3,18 +3,12 @@
 // scripts/report_check.py.
 //
 // Doubles are printed with %.17g so a dump/parse cycle is lossless; the
-// round-trip is covered by obs_test. The JSONL parser accepts exactly the
-// restricted format write_events_jsonl produces (one flat object per
-// line) — it is a fixture for tests and tooling, not a general JSON
-// parser.
+// round-trip is covered by obs_test through the event JSONL writer and
+// reader in tests/support/obs/events_jsonl.hpp.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <span>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "metrics/summary.hpp"
@@ -26,25 +20,6 @@ namespace sprintcon::obs {
 /// One event as a single-line JSON object, e.g.
 /// {"t":1.25,"seq":3,"type":"sprint_state","cause":"cb-near-trip","fields":{"from":0,"to":1}}
 std::string event_to_json(const Event& event);
-
-/// One event_to_json() line per event.
-void write_events_jsonl(std::ostream& out, std::span<const Event> events);
-
-/// Event re-read from a JSONL dump (string-typed, heap-backed — the
-/// in-memory Event uses static strings, so parsing yields this instead).
-struct ParsedEvent {
-  double t_s = 0.0;
-  std::uint64_t seq = 0;
-  std::string type;
-  std::string cause;
-  std::vector<std::pair<std::string, double>> fields;
-
-  double field(std::string_view key, double fallback = 0.0) const;
-};
-
-/// Parse a write_events_jsonl() stream; throws InvalidArgumentError on
-/// lines that do not match the emitted format. Blank lines are skipped.
-std::vector<ParsedEvent> parse_events_jsonl(std::istream& in);
 
 /// Metrics snapshot as a JSON object {"counters":{...},"gauges":{...},
 /// "histograms":{name:{count,sum,mean,min,max,p50,p95,p99,buckets}},

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/validation.hpp"
 
@@ -96,14 +95,6 @@ double CircuitBreaker::thermal_stress() const noexcept {
 
 bool CircuitBreaker::near_trip(double margin) const noexcept {
   return thermal_stress() >= margin;
-}
-
-double CircuitBreaker::time_to_trip_s(double power_w) const {
-  const double overload = power_w / rated_power_w_;
-  if (overload <= 1.0) return std::numeric_limits<double>::infinity();
-  const double headroom = effective_threshold() - theta_;
-  if (headroom <= 0.0) return 0.0;
-  return headroom / curve_.heating_rate(overload);
 }
 
 bool CircuitBreaker::ready_to_close() const noexcept {

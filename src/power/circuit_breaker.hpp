@@ -40,10 +40,6 @@ class CircuitBreaker {
   /// "close to tripping" signal SprintCon's safety monitor acts on.
   bool near_trip(double margin = 0.9) const noexcept;
 
-  /// Estimated remaining seconds of delivery at a hypothetical constant
-  /// power before tripping (infinity if at or below rated).
-  double time_to_trip_s(double power_w) const;
-
   /// True when the breaker, if open, has cooled enough to re-close; the
   /// deliver() loop re-closes automatically at that point.
   bool ready_to_close() const noexcept;
@@ -59,9 +55,9 @@ class CircuitBreaker {
 
   // --- fault-injection surface (src/fault) --------------------------------
   /// Derate the trip threshold to `factor` of nominal (aged/drifted
-  /// breaker: trips earlier). thermal_stress(), near_trip() and
-  /// time_to_trip_s() all see the derated threshold, so a safety monitor
-  /// reading the same sensor backs off proportionally.
+  /// breaker: trips earlier). thermal_stress() and near_trip() both see
+  /// the derated threshold, so a safety monitor reading the same sensor
+  /// backs off proportionally.
   void set_trip_derate(double factor);
   double trip_derate() const noexcept { return trip_derate_; }
   /// Utility feed availability. While the feed is down the breaker can

@@ -6,10 +6,6 @@
 // choice. PowerPath and the safety monitor operate on this interface.
 #pragma once
 
-#include <limits>
-
-#include "common/units.hpp"
-
 namespace sprintcon::power {
 
 /// A dischargeable (and rechargeable) energy reservoir.
@@ -45,12 +41,6 @@ class EnergyStore {
   /// True when the remaining charge is at or below `fraction` of capacity.
   bool nearly_empty(double fraction = 0.1) const {
     return state_of_charge() <= fraction;
-  }
-  /// Seconds a constant draw could be sustained.
-  double runtime_s(double power_w) const {
-    if (power_w <= 0.0) return std::numeric_limits<double>::infinity();
-    const double usable = power_w < max_discharge_w() ? power_w : max_discharge_w();
-    return units::wh_to_joules(charge_wh()) / usable;
   }
 };
 

@@ -7,16 +7,17 @@
 
 namespace sprintcon::power {
 
-HybridStore::HybridStore(UpsBattery battery, Supercapacitor supercap,
-                         const HybridConfig& config)
-    : battery_(battery), supercap_(supercap), config_(config) {
-  SPRINTCON_EXPECTS(config.split_tau_s > 0.0, "split tau must be positive");
-  SPRINTCON_EXPECTS(config.trickle_charge_w >= 0.0,
-                    "trickle power must be non-negative");
-  SPRINTCON_EXPECTS(config.trickle_below_soc >= 0.0 &&
-                        config.trickle_below_soc <= 1.0,
-                    "trickle SOC threshold must be in [0, 1]");
-}
+namespace {
+// Split policy: low-pass time constant separating sustained from
+// transient power, the power the battery may additionally spend
+// refilling the supercap, and the supercap SOC below which it does.
+constexpr double kSplitTauS = 20.0;
+constexpr double kTrickleChargeW = 200.0;
+constexpr double kTrickleBelowSoc = 0.9;
+}  // namespace
+
+HybridStore::HybridStore(UpsBattery battery, Supercapacitor supercap)
+    : battery_(battery), supercap_(supercap) {}
 
 double HybridStore::capacity_wh() const noexcept {
   return battery_.capacity_wh() + supercap_.capacity_wh();
@@ -42,7 +43,7 @@ double HybridStore::discharge(double power_w, double dt_s) {
   SPRINTCON_EXPECTS(dt_s > 0.0, "dt must be positive");
 
   // Track the sustained component of the demand.
-  const double alpha = 1.0 - std::exp(-dt_s / config_.split_tau_s);
+  const double alpha = 1.0 - std::exp(-dt_s / kSplitTauS);
   sustained_w_ += alpha * (power_w - sustained_w_);
 
   // The battery discharges at the *sustained* rate regardless of the
@@ -50,8 +51,8 @@ double HybridStore::discharge(double power_w, double dt_s) {
   // its cycle life. A trickle raises the target when the supercap needs
   // refilling.
   double battery_target = sustained_w_;
-  if (supercap_.state_of_charge() < config_.trickle_below_soc) {
-    battery_target += config_.trickle_charge_w;
+  if (supercap_.state_of_charge() < kTrickleBelowSoc) {
+    battery_target += kTrickleChargeW;
   }
   const double battery_out = battery_.discharge(battery_target, dt_s);
 

@@ -17,21 +17,10 @@
 
 namespace sprintcon::power {
 
-/// Split-policy tuning for HybridStore.
-struct HybridConfig {
-  /// Low-pass time constant separating sustained from transient power.
-  double split_tau_s = 20.0;
-  /// Power the battery may additionally spend refilling the supercap.
-  double trickle_charge_w = 200.0;
-  /// Supercap SOC below which trickle-charging engages.
-  double trickle_below_soc = 0.9;
-};
-
 /// Battery + supercapacitor behind one EnergyStore interface.
 class HybridStore final : public EnergyStore {
  public:
-  HybridStore(UpsBattery battery, Supercapacitor supercap,
-              const HybridConfig& config = {});
+  HybridStore(UpsBattery battery, Supercapacitor supercap);
 
   // --- EnergyStore -----------------------------------------------------------
   double capacity_wh() const noexcept override;
@@ -52,7 +41,6 @@ class HybridStore final : public EnergyStore {
  private:
   UpsBattery battery_;
   Supercapacitor supercap_;
-  HybridConfig config_;
   double sustained_w_ = 0.0;
 };
 

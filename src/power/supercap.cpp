@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/units.hpp"
 #include "common/validation.hpp"
 
 namespace sprintcon::power {

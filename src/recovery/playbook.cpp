@@ -4,17 +4,6 @@
 
 namespace sprintcon::recovery {
 
-const char* to_string(ActionKind action) noexcept {
-  switch (action) {
-    case ActionKind::kResetActuator: return "reset_actuator";
-    case ActionKind::kPidFallback: return "pid_fallback";
-    case ActionKind::kConservativeCap: return "conservative_cap";
-    case ActionKind::kRebaseline: return "rebaseline";
-    case ActionKind::kQuarantine: return "quarantine";
-  }
-  return "unknown";
-}
-
 void RecoveryStep::validate() const {
   SPRINTCON_EXPECTS(max_retries >= 1, "recovery step needs >= 1 retry");
   SPRINTCON_EXPECTS(backoff_checks >= 1, "backoff must be >= 1 check");

@@ -29,8 +29,6 @@ enum class ActionKind : std::uint8_t {
   kQuarantine,       ///< L2: end sprint, pin safe freq, shed the load
 };
 
-const char* to_string(ActionKind action) noexcept;
-
 /// One rung of an escalation ladder.
 struct RecoveryStep {
   ActionKind action = ActionKind::kResetActuator;
@@ -67,7 +65,6 @@ struct RecoveryRule {
 struct Playbook {
   std::vector<RecoveryRule> rules;
 
-  bool empty() const noexcept { return rules.empty(); }
   void validate() const;
   const RecoveryRule* find(std::string_view trigger) const noexcept;
 

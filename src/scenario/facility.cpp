@@ -262,6 +262,9 @@ void Facility::run() {
     }
   };
 
+  // Re-route whenever the rigs run a recovery engine, however it was
+  // asked for (facility-wide or per rack).
+  const bool reroutes = rigs_.front()->recovery() != nullptr;
   // Epoch boundary: every shard has reached the same simulated time and
   // every worker is parked, so the callback may inspect any rig. Epoch
   // callback exceptions are attributed to pseudo-worker `num_workers_`.
@@ -269,7 +272,7 @@ void Facility::run() {
   const auto on_epoch = [&]() noexcept {
     const double t_s = std::min(
         config_.epoch_s * static_cast<double>(epoch_index + 1), duration);
-    if (config_.recovery) reroute(t_s);
+    if (reroutes) reroute(t_s);
     if (config_.epoch_callback) {
       try {
         config_.epoch_callback(epoch_index, t_s);
@@ -350,11 +353,6 @@ void Facility::run() {
 }
 
 Rig& Facility::rig(std::size_t i) {
-  SPRINTCON_EXPECTS(i < rigs_.size(), "rack index out of range");
-  return *rigs_[i];
-}
-
-const Rig& Facility::rig(std::size_t i) const {
   SPRINTCON_EXPECTS(i < rigs_.size(), "rack index out of range");
   return *rigs_[i];
 }

@@ -88,9 +88,10 @@ struct FacilityConfig {
   /// Forwarded to every rack: enable the per-rig HealthMonitor.
   bool health = false;
   /// Forwarded to every rack: enable the per-rig recovery engine
-  /// (implies health). The facility additionally re-routes interactive
-  /// request load away from quarantined/failed rigs at every epoch
-  /// boundary, conserving the offered load across the survivors.
+  /// (implies health). Whenever the rigs run one (this flag or
+  /// rack.recovery), the facility also re-routes interactive request
+  /// load away from quarantined/failed rigs at every epoch boundary,
+  /// conserving the offered load across the survivors.
   bool recovery = false;
   /// Supervision policy for shard workers that throw mid-run.
   WorkerFailurePolicy worker_failure = WorkerFailurePolicy::kFailFast;
@@ -113,7 +114,6 @@ class Facility {
   /// Number of worker shards run() will use (resolved at construction).
   std::size_t num_shards() const noexcept { return num_workers_; }
   Rig& rig(std::size_t i);
-  const Rig& rig(std::size_t i) const;
 
   /// Sum of the racks' CB power, sample by sample.
   TimeSeries facility_cb_power() const;

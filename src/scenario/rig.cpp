@@ -145,7 +145,6 @@ void RigConfig::validate() const {
   sprint.validate();
   interactive.validate();
   faults.validate();
-  playbook.validate();
 }
 
 Rig::Rig(const RigConfig& config) : config_(config) {
@@ -339,8 +338,7 @@ Rig::Rig(const RigConfig& config) : config_(config) {
         *sprintcon_, *health_, queues_);
     recovery_ = std::make_unique<recovery::RecoveryManager>(
         obs_.get(), health_.get(), recovery_target_.get(),
-        config.playbook.empty() ? recovery::Playbook::defaults()
-                                : config.playbook);
+        recovery::Playbook::defaults());
   }
 
   // --- recorder ----------------------------------------------------------------

@@ -107,14 +107,13 @@ struct RigConfig {
   bool health = false;
   /// Closed-loop recovery (implies health, requires Policy::kSprintCon):
   /// a RecoveryManager polls right after every health check and drives
-  /// the playbook's escalation ladders against the controller — re-issue
-  /// commands, fall back MPC -> PID -> conservative cap, quarantine the
-  /// rig — with hysteretic de-escalation and MTTR accounting (DESIGN.md
-  /// §10). Like health, it reads metrics and commands the controller at
-  /// check boundaries only, so runs stay deterministic.
+  /// recovery::Playbook::defaults()'s escalation ladders against the
+  /// controller — re-issue commands, fall back MPC -> PID -> conservative
+  /// cap, quarantine the rig — with hysteretic de-escalation and MTTR
+  /// accounting (DESIGN.md §10). Like health, it reads metrics and
+  /// commands the controller at check boundaries only, so runs stay
+  /// deterministic.
   bool recovery = false;
-  /// Remediation playbook; empty selects recovery::Playbook::defaults().
-  recovery::Playbook playbook;
 
   RigConfig();
   void validate() const;

@@ -28,28 +28,9 @@ double Rack::total_power_w() const {
   return sum;
 }
 
-double Rack::interactive_dynamic_w() const {
-  double sum = 0.0;
-  for (const Server& s : servers_) sum += s.interactive_dynamic_w();
-  return sum;
-}
-
-double Rack::batch_dynamic_w() const {
-  double sum = 0.0;
-  for (const Server& s : servers_) sum += s.batch_dynamic_w();
-  return sum;
-}
-
 CpuCore& Rack::core(const BatchCoreRef& ref) {
   SPRINTCON_EXPECTS(ref.server < servers_.size(), "server index out of range");
   auto& cores = servers_[ref.server].cores();
-  SPRINTCON_EXPECTS(ref.core < cores.size(), "core index out of range");
-  return cores[ref.core];
-}
-
-const CpuCore& Rack::core(const BatchCoreRef& ref) const {
-  SPRINTCON_EXPECTS(ref.server < servers_.size(), "server index out of range");
-  const auto& cores = servers_[ref.server].cores();
   SPRINTCON_EXPECTS(ref.core < cores.size(), "core index out of range");
   return cores[ref.core];
 }

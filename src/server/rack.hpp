@@ -41,17 +41,11 @@ class Rack {
   /// power monitor of the paper reads this).
   double total_power_w() const;
 
-  /// Ground-truth dynamic power by class (diagnostics/metrics only; the
-  /// controller must *not* read these — it works from Eq. 6).
-  double interactive_dynamic_w() const;
-  double batch_dynamic_w() const;
-
   /// All batch cores in a stable order.
   const std::vector<BatchCoreRef>& batch_cores() const noexcept {
     return batch_refs_;
   }
   CpuCore& core(const BatchCoreRef& ref);
-  const CpuCore& core(const BatchCoreRef& ref) const;
 
   /// Rack-mean normalized frequency by class (powered-off servers count 0).
   double mean_freq(CoreRole role) const;

@@ -80,19 +80,6 @@ SPRINTCON_HOT void Server::step(double dt_s, double now_s) {
   power_w_ = before_fan + fan_power_w_;
 }
 
-double Server::interactive_utilization() const {
-  if (!powered_) return 0.0;
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const CpuCore& core : cores_) {
-    if (!core.is_batch()) {
-      sum += core.utilization();
-      ++n;
-    }
-  }
-  return n ? sum / static_cast<double>(n) : 0.0;
-}
-
 double Server::mean_freq(CoreRole role) const {
   double sum = 0.0;
   std::size_t n = 0;

@@ -30,9 +30,10 @@ class Server {
   /// Attach one shared thermal model to every core, storing per-core
   /// junction temperatures in a server-owned SoA array that step()
   /// advances as a single elementwise kernel (cache-friendly, one cached
-  /// exp per dt). Bit-identical to stepping one CoreThermalModel per core
-  /// with the core's dynamic power. Must be called once the server has
-  /// reached its final address (cores keep raw pointers into this object).
+  /// exp per dt). Bit-identical to stepping one CoreThermalModel
+  /// (tests/support/server/core_thermal.hpp) per core with the core's
+  /// dynamic power. Must be called once the server has reached its final
+  /// address (cores keep raw pointers into this object).
   /// Without it the cores read ambient and never throttle.
   void attach_thermal(const ThermalSpec& spec);
 
@@ -51,10 +52,6 @@ class Server {
   /// Power the server on/off. Powering off zeroes consumption and halts
   /// all progress; powering on resumes with the previous DVFS settings.
   void set_powered(bool on) noexcept { powered_ = on; }
-
-  /// Mean utilization over the server's interactive cores (the physical
-  /// utilization monitor feeding Eq. 5); 0 if it has none or is off.
-  double interactive_utilization() const;
 
   /// Mean normalized frequency by class, as seen by the frequency metric:
   /// a powered-off server reports 0 (the collapse in Fig. 5(b)).

@@ -22,10 +22,6 @@ double BatchJob::remaining_work_s() const noexcept {
   return std::max(0.0, (1.0 - progress_) * work_total_s_);
 }
 
-double BatchJob::estimated_remaining_time_s(double freq) const {
-  return model_.time_for(remaining_work_s(), freq);
-}
-
 double BatchJob::penalty_weight(double now_s) const {
   if (completed_ && mode_ == CompletionMode::kRunOnce) return 0.0;
   if (completions_ > 0) {
@@ -45,12 +41,6 @@ double BatchJob::penalty_weight(double now_s) const {
   if (window <= 0.0) return 100.0;
   const double normalized_left = left / window;
   return std::min(remaining_progress / std::max(normalized_left, 1e-3), 100.0);
-}
-
-bool BatchJob::deadline_at_risk(double now_s, double freq) const {
-  if (completed_ && mode_ == CompletionMode::kRunOnce) return false;
-  const double left = deadline_s_ - now_s;
-  return estimated_remaining_time_s(freq) > left;
 }
 
 }  // namespace sprintcon::workload

@@ -115,8 +115,6 @@ class BatchJob {
   double completion_time_s() const noexcept { return completion_time_s_; }
   /// Remaining work of the current execution in seconds-at-peak.
   double remaining_work_s() const noexcept;
-  /// Estimated wall seconds to finish at a constant frequency.
-  double estimated_remaining_time_s(double freq) const;
 
   /// The MPC control-penalty weight of Section V-B:
   ///   R = (1 - progress) / (time-left / (elapsed + time-left)).
@@ -131,10 +129,6 @@ class BatchJob {
     if (completed_ && mode_ == CompletionMode::kRunOnce) return 0.0;
     return std::clamp(profile_.utilization * (1.0 + phase_noise_), 0.0, 1.0);
   }
-
-  /// True if, at the given frequency, the job is expected to miss its
-  /// deadline (used by the allocator's P_batch escalation).
-  bool deadline_at_risk(double now_s, double freq) const;
 
  private:
   // Peak clock of the evaluation platform (2.0 GHz); counter synthesis only.

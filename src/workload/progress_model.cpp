@@ -11,15 +11,6 @@ ProgressModel::ProgressModel(double compute_fraction) : mu_(compute_fraction) {
                     "compute fraction must be in [0, 1]");
 }
 
-double ProgressModel::time_for(double work, double freq) const {
-  SPRINTCON_EXPECTS(work >= 0.0, "work must be non-negative");
-  return work / rate(freq);
-}
-
-double ProgressModel::speedup(double freq, double base_freq) const {
-  return rate(freq) / rate(base_freq);
-}
-
 double ProgressModel::frequency_for_deadline(double work, double time_s,
                                              double freq_min,
                                              double freq_max) const {

@@ -17,7 +17,7 @@
 
 namespace sprintcon::workload {
 
-/// Rate/time/speedup math for one job characterized by compute-boundedness.
+/// Rate and deadline math for one job characterized by compute-boundedness.
 class ProgressModel {
  public:
   /// @param compute_fraction mu in [0, 1]; 1 = perfectly CPU-bound.
@@ -32,12 +32,6 @@ class ProgressModel {
     SPRINTCON_EXPECTS(freq > 0.0, "frequency must be positive");
     return 1.0 / (mu_ / freq + (1.0 - mu_));
   }
-
-  /// Wall time to complete `work` work-seconds at constant frequency.
-  double time_for(double work, double freq) const;
-
-  /// Speedup of frequency `freq` relative to `base_freq`.
-  double speedup(double freq, double base_freq) const;
 
   /// Frequency needed to complete `work` work-seconds within `time_s`
   /// seconds; clamped into [freq_min, freq_max]. Returns freq_max when the

@@ -1,6 +1,5 @@
 #include "workload/queueing.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -40,16 +39,6 @@ double LatencyModel::percentile_response_s(double freq,
   if (std::isinf(mean)) return mean;
   // M/M/1 response time ~ Exp(mu - lambda): quantile = mean * -ln(1 - p).
   return mean * -std::log(1.0 - p);
-}
-
-double LatencyModel::max_utilization_for_response(double freq,
-                                                  double target_s) const {
-  SPRINTCON_EXPECTS(freq > 0.0 && freq <= 1.0 + 1e-9,
-                    "normalized frequency must be in (0, 1]");
-  SPRINTCON_EXPECTS(target_s > 0.0, "target response must be positive");
-  // 1 / (mu_peak (f - u)) <= target  =>  u <= f - 1 / (mu_peak * target).
-  const double u = freq - 1.0 / (service_rate_peak_ * target_s);
-  return std::clamp(u, 0.0, 1.0);
 }
 
 }  // namespace sprintcon::workload

@@ -41,10 +41,6 @@ class LatencyModel {
   double percentile_response_s(double freq, double peak_utilization,
                                double p) const;
 
-  /// Highest peak-utilization a core at frequency `freq` can serve while
-  /// keeping the mean response below `target_s`.
-  double max_utilization_for_response(double freq, double target_s) const;
-
  private:
   double service_rate_peak_;
 };

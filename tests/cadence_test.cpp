@@ -4,7 +4,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "control/mpc.hpp"
+#include "control/matrix_ops.hpp"
+#include "control/mpc_analysis.hpp"
 #include "control/settling.hpp"
 #include "core/cadence.hpp"
 #include "core/config.hpp"
@@ -17,7 +18,7 @@ namespace {
 
 TEST(Settling, KnownScalarContraction) {
   // x(t+1) = 0.5 x(t): reaching 5% takes ln(0.05)/ln(0.5) ~ 4.32 periods.
-  const control::Matrix a{{0.5}};
+  const control::Matrix a = control::from_rows({{0.5}});
   EXPECT_NEAR(control::settling_periods(a, 0.05),
               std::log(0.05) / std::log(0.5), 1e-9);
   EXPECT_NEAR(control::settling_time_s(a, 2.0, 0.05),
@@ -25,21 +26,22 @@ TEST(Settling, KnownScalarContraction) {
 }
 
 TEST(Settling, DeadbeatIsInstant) {
-  EXPECT_DOUBLE_EQ(control::settling_periods(control::Matrix{{0.0}}), 0.0);
+  EXPECT_DOUBLE_EQ(control::settling_periods(control::from_rows({{0.0}})), 0.0);
 }
 
 TEST(Settling, UnstableNeverSettles) {
-  EXPECT_TRUE(std::isinf(control::settling_periods(control::Matrix{{1.2}})));
+  EXPECT_TRUE(
+      std::isinf(control::settling_periods(control::from_rows({{1.2}}))));
 }
 
 TEST(Settling, TighterToleranceTakesLonger) {
-  const control::Matrix a{{0.7}};
+  const control::Matrix a = control::from_rows({{0.7}});
   EXPECT_GT(control::settling_periods(a, 0.01),
             control::settling_periods(a, 0.1));
 }
 
 TEST(Settling, InvalidToleranceThrows) {
-  const control::Matrix a{{0.5}};
+  const control::Matrix a = control::from_rows({{0.5}});
   EXPECT_THROW(control::settling_periods(a, 0.0), InvalidArgumentError);
   EXPECT_THROW(control::settling_periods(a, 1.0), InvalidArgumentError);
   EXPECT_THROW(control::settling_time_s(a, 0.0), InvalidArgumentError);

@@ -8,7 +8,7 @@
 
 #include "common/rng.hpp"
 #include "control/eigen.hpp"
-#include "control/matrix.hpp"
+#include "control/matrix_ops.hpp"
 
 namespace sprintcon::control {
 namespace {
@@ -45,14 +45,14 @@ TEST(Hessenberg, PreservesTrace) {
 }
 
 TEST(Eigen, DiagonalMatrix) {
-  const auto re = sorted_real_parts(Matrix::diagonal({3.0, -1.0, 2.0}));
+  const auto re = sorted_real_parts(diagonal({3.0, -1.0, 2.0}));
   EXPECT_NEAR(re[0], -1.0, 1e-9);
   EXPECT_NEAR(re[1], 2.0, 1e-9);
   EXPECT_NEAR(re[2], 3.0, 1e-9);
 }
 
 TEST(Eigen, UpperTriangularReadsDiagonal) {
-  Matrix a{{1.0, 5.0, 9.0}, {0.0, 4.0, 2.0}, {0.0, 0.0, -2.0}};
+  Matrix a = from_rows({{1.0, 5.0, 9.0}, {0.0, 4.0, 2.0}, {0.0, 0.0, -2.0}});
   const auto re = sorted_real_parts(a);
   EXPECT_NEAR(re[0], -2.0, 1e-9);
   EXPECT_NEAR(re[1], 1.0, 1e-9);
@@ -61,7 +61,7 @@ TEST(Eigen, UpperTriangularReadsDiagonal) {
 
 TEST(Eigen, SymmetricKnownSpectrum) {
   // Eigenvalues of [[2,1],[1,2]] are 1 and 3.
-  Matrix a{{2.0, 1.0}, {1.0, 2.0}};
+  Matrix a = from_rows({{2.0, 1.0}, {1.0, 2.0}});
   const auto re = sorted_real_parts(a);
   EXPECT_NEAR(re[0], 1.0, 1e-9);
   EXPECT_NEAR(re[1], 3.0, 1e-9);
@@ -69,7 +69,7 @@ TEST(Eigen, SymmetricKnownSpectrum) {
 
 TEST(Eigen, RotationGivesComplexPair) {
   // 90-degree rotation: eigenvalues +/- i.
-  Matrix a{{0.0, -1.0}, {1.0, 0.0}};
+  Matrix a = from_rows({{0.0, -1.0}, {1.0, 0.0}});
   const auto eig = eigenvalues(a);
   ASSERT_EQ(eig.size(), 2u);
   EXPECT_NEAR(std::abs(eig[0]), 1.0, 1e-9);
@@ -80,7 +80,7 @@ TEST(Eigen, RotationGivesComplexPair) {
 
 TEST(Eigen, CompanionMatrixRoots) {
   // Companion of x^3 - 6x^2 + 11x - 6 = (x-1)(x-2)(x-3).
-  Matrix a{{6.0, -11.0, 6.0}, {1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}};
+  Matrix a = from_rows({{6.0, -11.0, 6.0}, {1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}});
   const auto re = sorted_real_parts(a);
   EXPECT_NEAR(re[0], 1.0, 1e-7);
   EXPECT_NEAR(re[1], 2.0, 1e-7);
@@ -88,19 +88,19 @@ TEST(Eigen, CompanionMatrixRoots) {
 }
 
 TEST(Eigen, SpectralRadius) {
-  Matrix a{{0.5, 0.2}, {0.0, -0.8}};
+  Matrix a = from_rows({{0.5, 0.2}, {0.0, -0.8}});
   EXPECT_NEAR(spectral_radius(a), 0.8, 1e-9);
 }
 
 TEST(Eigen, SchurStability) {
-  EXPECT_TRUE(is_schur_stable(Matrix::diagonal({0.5, -0.9})));
-  EXPECT_FALSE(is_schur_stable(Matrix::diagonal({0.5, 1.1})));
-  EXPECT_FALSE(is_schur_stable(Matrix::diagonal({0.95}), 0.1));
+  EXPECT_TRUE(is_schur_stable(diagonal({0.5, -0.9})));
+  EXPECT_FALSE(is_schur_stable(diagonal({0.5, 1.1})));
+  EXPECT_FALSE(is_schur_stable(diagonal({0.95}), 0.1));
 }
 
 TEST(Eigen, EmptyAndTrivial) {
   EXPECT_TRUE(eigenvalues(Matrix(0, 0)).empty());
-  const auto one = eigenvalues(Matrix{{7.0}});
+  const auto one = eigenvalues(from_rows({{7.0}}));
   ASSERT_EQ(one.size(), 1u);
   EXPECT_DOUBLE_EQ(one[0].real(), 7.0);
 }

@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "obs/event_log.hpp"
 #include "obs/export.hpp"
+#include "obs/events_jsonl.hpp"
 
 namespace sprintcon::obs {
 namespace {

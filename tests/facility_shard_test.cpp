@@ -285,31 +285,26 @@ TEST(FacilityWorkerFailure, SequentialDegradeLosesTheSingleShard) {
 // Recovery + re-route determinism across shard counts
 // ---------------------------------------------------------------------------
 
-TEST(FacilityShard, RecoveryAndRerouteAreBitIdenticalToSequential) {
-  // Aggressive playbook: quarantine on the first degraded poll, release
-  // after one healthy poll — so the 70 s run exercises quarantine, the
-  // epoch-boundary load re-route, and the unwind, in both executors.
-  const auto make_config = [](std::size_t threads) {
-    FacilityConfig cfg = sweep_config(3, threads, false, true);
-    cfg.recovery = true;
-    // The quarantine window in this scenario is roughly t in [40, 60);
-    // boundaries every 10 s make sure the re-route coordinator sees it.
-    cfg.epoch_s = 10.0;
-    cfg.rack.use_request_queues = true;
-    cfg.rack.faults =
-        fault::FaultPlan::parse_string("dvfs_stuck start=10 duration=40");
-    recovery::RecoveryRule rule;
-    rule.trigger = "dvfs-divergence";
-    rule.ladder = {{.action = recovery::ActionKind::kQuarantine,
-                    .max_retries = 1,
-                    .backoff_checks = 1,
-                    .max_backoff_checks = 1}};
-    rule.deescalate_after = 1;
-    cfg.rack.playbook.rules.push_back(rule);
-    return cfg;
-  };
+// A DVFS actuator stuck long enough for the default playbook's
+// dvfs-divergence ladder to climb through reset, PID fallback and the
+// conservative cap to quarantine, then released so the ladder unwinds —
+// the run exercises quarantine, the epoch-boundary load re-route, and
+// the unwind.
+FacilityConfig reroute_config(std::size_t threads) {
+  FacilityConfig cfg = sweep_config(3, threads, false, true);
+  cfg.recovery = true;
+  // Boundaries every 10 s make sure the re-route coordinator sees the
+  // quarantine window.
+  cfg.epoch_s = 10.0;
+  cfg.rack.duration_s = 300.0;
+  cfg.rack.use_request_queues = true;
+  cfg.rack.faults = fault::FaultPlan::parse_string(
+      "dvfs_stuck start=10 duration=200");
+  return cfg;
+}
 
-  Facility reference(make_config(1));
+TEST(FacilityShard, RecoveryAndRerouteAreBitIdenticalToSequential) {
+  Facility reference(reroute_config(1));
   reference.run();
   // The scenario is live: the fault actually drove a quarantine and the
   // facility re-routed load at least once (out, and back after unwind).
@@ -322,7 +317,7 @@ TEST(FacilityShard, RecoveryAndRerouteAreBitIdenticalToSequential) {
   EXPECT_GT(actions, 0u);
 
   for (const std::size_t threads : {2, 3}) {
-    Facility sharded(make_config(threads));
+    Facility sharded(reroute_config(threads));
     sharded.run();
     expect_bit_identical(reference, sharded,
                          "recovery threads=" + std::to_string(threads));
@@ -330,6 +325,22 @@ TEST(FacilityShard, RecoveryAndRerouteAreBitIdenticalToSequential) {
         sharded.obs()->metrics().snapshot().counter("facility.reroutes"),
         reference.obs()->metrics().snapshot().counter("facility.reroutes"));
   }
+}
+
+TEST(FacilityShard, RerouteFollowsTheRigsRecoveryEngine) {
+  // Recovery asked for per rack (rack.recovery) rather than facility-wide
+  // still gives every rig a recovery engine, so quarantined racks must
+  // shed their load exactly as with the facility-wide flag.
+  Facility facility_wide(reroute_config(1));
+  facility_wide.run();
+  FacilityConfig cfg = reroute_config(1);
+  cfg.recovery = false;
+  cfg.rack.recovery = true;
+  Facility per_rack(cfg);
+  per_rack.run();
+  EXPECT_GE(per_rack.obs()->metrics().snapshot().counter("facility.reroutes"),
+            1u);
+  expect_bit_identical(facility_wide, per_rack, "rack.recovery");
 }
 
 }  // namespace

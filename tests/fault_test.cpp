@@ -13,6 +13,7 @@
 #include "common/validation.hpp"
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
+#include "power/hybrid_store.hpp"
 #include "scenario/rig.hpp"
 
 namespace sprintcon::fault {
@@ -294,6 +295,30 @@ TEST(FaultChaos, UpsFade) {
   Rig rig(chaos_rig(42, plan));
   rig.run();
   EXPECT_NEAR(rig.power_path().battery().capacity_wh(), 50.0, 1e-9);
+}
+
+TEST(FaultChaos, UpsFadeAgesBothHybridComponents) {
+  // With a supercapacitor the UPS is a HybridStore, which fades as a
+  // unit: each component keeps the fade fraction of its capacity, and
+  // both SOC channels (store and battery component) stay in [0, 1].
+  RigConfig cfg =
+      chaos_rig(42, "ups_fade start=300 duration=1 magnitude=0.5");
+  cfg.supercap_wh = 20.0;
+  Rig rig(cfg);
+  const auto* hybrid =
+      dynamic_cast<const power::HybridStore*>(&rig.power_path().battery());
+  ASSERT_NE(hybrid, nullptr);
+  const double battery_wh = hybrid->battery().capacity_wh();
+  const double supercap_wh = hybrid->supercap().capacity_wh();
+  rig.run();
+  EXPECT_NEAR(hybrid->battery().capacity_wh(), 0.5 * battery_wh, 1e-9);
+  EXPECT_NEAR(hybrid->supercap().capacity_wh(), 0.5 * supercap_wh, 1e-9);
+  for (const char* channel : {"battery_soc", "battery_component_soc"}) {
+    for (const double soc : rig.recorder().series(channel).values()) {
+      ASSERT_GE(soc, 0.0) << channel;
+      ASSERT_LE(soc, 1.0) << channel;
+    }
+  }
 }
 
 TEST(FaultChaos, DischargeFail) {

@@ -43,11 +43,9 @@ TEST(Supercap, InvalidConfigThrows) {
 
 // --- hybrid store ---------------------------------------------------------
 
-HybridStore make_hybrid(double split_tau = 20.0) {
-  HybridConfig cfg;
-  cfg.split_tau_s = split_tau;
+HybridStore make_hybrid() {
   return HybridStore(UpsBattery(400.0, 4800.0),
-                     Supercapacitor(20.0, 9600.0, 0.0), cfg);
+                     Supercapacitor(20.0, 9600.0, 0.0));
 }
 
 TEST(Hybrid, CapacityAndChargeAreSums) {
@@ -65,7 +63,7 @@ TEST(Hybrid, DeliversRequestedPower) {
 }
 
 TEST(Hybrid, TransientsGoToSupercap) {
-  HybridStore store = make_hybrid(/*split_tau=*/30.0);
+  HybridStore store = make_hybrid();
   // A sudden spike after idling: almost all of the first seconds must come
   // from the supercap (the sustained estimate is still near zero).
   store.discharge(2000.0, 1.0);
@@ -74,7 +72,7 @@ TEST(Hybrid, TransientsGoToSupercap) {
 }
 
 TEST(Hybrid, SustainedLoadShiftsToBattery) {
-  HybridStore store = make_hybrid(/*split_tau=*/10.0);
+  HybridStore store = make_hybrid();
   for (int i = 0; i < 120; ++i) store.discharge(800.0, 1.0);
   // After many time constants the battery carries nearly everything.
   const double battery_share =
@@ -88,11 +86,7 @@ TEST(Hybrid, SustainedLoadShiftsToBattery) {
 TEST(Hybrid, BatterySeesSmootherProfileThanDemand) {
   // Square-wave demand: the battery draw variance must be well below the
   // demand variance — the whole point of the hybrid design.
-  HybridConfig cfg;
-  cfg.split_tau_s = 25.0;
-  cfg.trickle_charge_w = 0.0;  // isolate the split from the refill path
-  HybridStore store(UpsBattery(400.0, 4800.0),
-                    Supercapacitor(20.0, 9600.0, 0.0), cfg);
+  HybridStore store = make_hybrid();
   double prev_batt_wh = 0.0;
   std::vector<double> batt, demand_series;
   for (int t = 0; t < 300; ++t) {
@@ -118,13 +112,11 @@ TEST(Hybrid, BatterySeesSmootherProfileThanDemand) {
 }
 
 TEST(Hybrid, FallsBackToBatteryWhenSupercapDrained) {
-  HybridConfig cfg;
-  cfg.split_tau_s = 1e6;  // sustained estimate stays ~0: all load is
-                          // "transient" and hits the supercap first
-  cfg.trickle_charge_w = 0.0;
+  // A step to 1 kW: the sustained estimate lags it, so the transient
+  // residual drains the 1 Wh supercap within a few seconds; the battery
+  // must then cover the rest.
   HybridStore store(UpsBattery(400.0, 4800.0),
-                    Supercapacitor(1.0, 9600.0, 0.0), cfg);
-  // Drain the 1 Wh supercap, then keep drawing: the battery must cover.
+                    Supercapacitor(1.0, 9600.0, 0.0));
   double delivered = 0.0;
   for (int i = 0; i < 10; ++i) delivered += store.discharge(1000.0, 1.0);
   EXPECT_NEAR(delivered, 10.0 * 1000.0, 1.0);
@@ -133,11 +125,8 @@ TEST(Hybrid, FallsBackToBatteryWhenSupercapDrained) {
 }
 
 TEST(Hybrid, TrickleRefillsSupercapDuringLull) {
-  HybridConfig cfg;
-  cfg.split_tau_s = 5.0;
-  cfg.trickle_charge_w = 500.0;
   HybridStore store(UpsBattery(400.0, 4800.0),
-                    Supercapacitor(5.0, 9600.0, 0.0), cfg);
+                    Supercapacitor(5.0, 9600.0, 0.0));
   // Spike drains the supercap...
   for (int i = 0; i < 10; ++i) store.discharge(2000.0, 1.0);
   const double cap_after_spike = store.supercap().charge_wh();
@@ -153,14 +142,6 @@ TEST(Hybrid, RechargeFillsSupercapFirst) {
   const double cap_before = store.supercap().charge_wh();
   store.recharge(3600.0, 1.0);  // 1 Wh back
   EXPECT_GT(store.supercap().charge_wh(), cap_before);
-}
-
-TEST(Hybrid, InvalidConfigThrows) {
-  HybridConfig cfg;
-  cfg.split_tau_s = 0.0;
-  EXPECT_THROW(HybridStore(UpsBattery(400.0, 4800.0),
-                           Supercapacitor(20.0, 9600.0), cfg),
-               sprintcon::InvalidArgumentError);
 }
 
 }  // namespace

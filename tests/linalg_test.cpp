@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "control/linalg.hpp"
+#include "control/matrix_ops.hpp"
 
 namespace sprintcon::control {
 namespace {
@@ -15,13 +16,13 @@ Matrix random_spd(std::size_t n, Rng& rng) {
   Matrix a(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
-  Matrix spd = a.transposed() * a;
+  Matrix spd = transposed(a) * a;
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
   return spd;
 }
 
 TEST(Cholesky, FactorsKnownMatrix) {
-  Matrix a{{4.0, 2.0}, {2.0, 3.0}};
+  Matrix a = from_rows({{4.0, 2.0}, {2.0, 3.0}});
   const Matrix l = cholesky(a);
   EXPECT_NEAR(l(0, 0), 2.0, 1e-12);
   EXPECT_NEAR(l(1, 0), 1.0, 1e-12);
@@ -30,12 +31,12 @@ TEST(Cholesky, FactorsKnownMatrix) {
 }
 
 TEST(Cholesky, RejectsIndefinite) {
-  Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
+  Matrix a = from_rows({{1.0, 2.0}, {2.0, 1.0}});  // eigenvalues 3, -1
   EXPECT_THROW(cholesky(a), NumericalError);
 }
 
 TEST(Cholesky, SolveMatchesDirectCheck) {
-  Matrix a{{4.0, 2.0}, {2.0, 3.0}};
+  Matrix a = from_rows({{4.0, 2.0}, {2.0, 3.0}});
   const Vector x = cholesky_solve(a, {8.0, 7.0});
   const Vector ax = a * x;
   EXPECT_NEAR(ax[0], 8.0, 1e-10);
@@ -43,7 +44,7 @@ TEST(Cholesky, SolveMatchesDirectCheck) {
 }
 
 TEST(Lu, SolveGeneralSystem) {
-  Matrix a{{0.0, 2.0, 1.0}, {1.0, -2.0, -3.0}, {-1.0, 1.0, 2.0}};
+  Matrix a = from_rows({{0.0, 2.0, 1.0}, {1.0, -2.0, -3.0}, {-1.0, 1.0, 2.0}});
   const Vector b{-8.0, 0.0, 3.0};
   const Vector x = solve(a, b);
   const Vector ax = a * x;
@@ -51,12 +52,12 @@ TEST(Lu, SolveGeneralSystem) {
 }
 
 TEST(Lu, SingularMatrixThrows) {
-  Matrix a{{1.0, 2.0}, {2.0, 4.0}};
+  Matrix a = from_rows({{1.0, 2.0}, {2.0, 4.0}});
   EXPECT_THROW(solve(a, {1.0, 1.0}), NumericalError);
 }
 
 TEST(Lu, InverseTimesOriginalIsIdentity) {
-  Matrix a{{2.0, 1.0}, {5.0, 3.0}};
+  Matrix a = from_rows({{2.0, 1.0}, {5.0, 3.0}});
   const Matrix prod = a * inverse(a);
   EXPECT_NEAR(prod(0, 0), 1.0, 1e-10);
   EXPECT_NEAR(prod(0, 1), 0.0, 1e-10);
@@ -65,7 +66,7 @@ TEST(Lu, InverseTimesOriginalIsIdentity) {
 }
 
 TEST(PowerIteration, DiagonalMatrix) {
-  const Matrix d = Matrix::diagonal({1.0, 5.0, 3.0});
+  const Matrix d = diagonal({1.0, 5.0, 3.0});
   EXPECT_NEAR(power_iteration_max_eig(d), 5.0, 1e-6);
 }
 

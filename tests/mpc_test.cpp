@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "control/eigen.hpp"
 #include "control/mpc.hpp"
+#include "control/mpc_analysis.hpp"
 
 namespace sprintcon::control {
 namespace {
@@ -35,7 +36,8 @@ MpcProblem two_core_problem() {
 TEST(Mpc, RaisesFrequencyTowardHigherTarget) {
   MpcPowerController mpc(basic_config());
   const MpcProblem p = two_core_problem();
-  const MpcOutput out = mpc.step(p);
+  MpcOutput out;
+  mpc.step(p, out);
   EXPECT_GT(out.freq_next[0], 0.5);
   EXPECT_GT(out.freq_next[1], 0.5);
   EXPECT_GT(out.predicted_power_w, p.power_feedback_w);
@@ -46,7 +48,8 @@ TEST(Mpc, LowersFrequencyTowardLowerTarget) {
   MpcPowerController mpc(basic_config());
   MpcProblem p = two_core_problem();
   p.power_target_w = 10.0;
-  const MpcOutput out = mpc.step(p);
+  MpcOutput out;
+  mpc.step(p, out);
   EXPECT_LT(out.freq_next[0], 0.5);
   EXPECT_LT(out.freq_next[1], 0.5);
 }
@@ -55,11 +58,12 @@ TEST(Mpc, RespectsFrequencyBounds) {
   MpcPowerController mpc(basic_config());
   MpcProblem p = two_core_problem();
   p.power_target_w = 1000.0;  // unreachable high
-  MpcOutput out = mpc.step(p);
+  MpcOutput out;
+  mpc.step(p, out);
   EXPECT_LE(out.freq_next[0], 1.0 + 1e-12);
   p.power_target_w = 0.0;  // unreachable low
   mpc.reset();
-  out = mpc.step(p);
+  mpc.step(p, out);
   EXPECT_GE(out.freq_next[0], 0.2 - 1e-12);
 }
 
@@ -70,7 +74,8 @@ TEST(Mpc, HigherPenaltyCoreGetsMoreFrequency) {
   MpcProblem p = two_core_problem();
   p.penalty_weights = {1.0, 8.0};
   p.power_target_w = 28.0;  // not enough for both at peak
-  const MpcOutput out = mpc.step(p);
+  MpcOutput out;
+  mpc.step(p, out);
   EXPECT_GT(out.freq_next[1], out.freq_next[0]);
 }
 
@@ -84,7 +89,8 @@ TEST(Mpc, ConvergesOnSimulatedPlant) {
   p.power_target_w = 40.0;
   for (int step = 0; step < 30; ++step) {
     p.power_feedback_w = power;
-    const MpcOutput out = mpc.step(p);
+    MpcOutput out;
+    mpc.step(p, out);
     p.freq_current = out.freq_next;
     power = constant_w + 20.0 * (p.freq_current[0] + p.freq_current[1]);
   }
@@ -101,7 +107,8 @@ TEST(Mpc, ConvergesDespiteGainMismatch) {
   p.power_target_w = 25.0;
   for (int step = 0; step < 60; ++step) {
     p.power_feedback_w = power;
-    const MpcOutput out = mpc.step(p);
+    MpcOutput out;
+    mpc.step(p, out);
     p.freq_current = out.freq_next;
     power = true_gain * (p.freq_current[0] + p.freq_current[1]);
   }
@@ -123,16 +130,17 @@ TEST(Mpc, InvalidConfigThrows) {
 
 TEST(Mpc, InvalidProblemThrows) {
   MpcPowerController mpc(basic_config());
+  MpcOutput out;
   MpcProblem p = two_core_problem();
   p.freq_min = {0.9, 0.9};
   p.freq_max = {0.2, 0.2};
-  EXPECT_THROW(mpc.step(p), InvalidArgumentError);
+  EXPECT_THROW(mpc.step(p, out), InvalidArgumentError);
   p = two_core_problem();
   p.penalty_weights = {-1.0, 1.0};
-  EXPECT_THROW(mpc.step(p), InvalidArgumentError);
+  EXPECT_THROW(mpc.step(p, out), InvalidArgumentError);
   p = two_core_problem();
   p.gains_w_per_f.pop_back();
-  EXPECT_THROW(mpc.step(p), InvalidArgumentError);
+  EXPECT_THROW(mpc.step(p, out), InvalidArgumentError);
 }
 
 // --- closed-loop stability (Section V-C) -----------------------------------

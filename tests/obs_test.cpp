@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "control/mpc.hpp"
 #include "obs/export.hpp"
+#include "obs/events_jsonl.hpp"
 #include "obs/sink.hpp"
 #include "power/circuit_breaker.hpp"
 #include "power/trip_curve.hpp"

@@ -129,16 +129,6 @@ TEST(CircuitBreaker, OpenBreakerDeliversNothingThenRecloses) {
   EXPECT_DOUBLE_EQ(cb.deliver(3200.0, 1.0), 3200.0);
 }
 
-TEST(CircuitBreaker, TimeToTripEstimate) {
-  CircuitBreaker cb = paper_cb();
-  EXPECT_TRUE(std::isinf(cb.time_to_trip_s(3200.0)));
-  const double t = cb.time_to_trip_s(4000.0);
-  EXPECT_NEAR(t, TripCurve::bulletin_1489a().trip_time_s(1.25), 1e-9);
-  // After some heating the remaining time shrinks.
-  for (int i = 0; i < 60; ++i) cb.deliver(4000.0, 1.0);
-  EXPECT_LT(cb.time_to_trip_s(4000.0), t - 50.0);
-}
-
 // --- battery -------------------------------------------------------------------
 
 TEST(Battery, DischargeConservesEnergy) {
@@ -173,12 +163,6 @@ TEST(Battery, RechargeRefills) {
   // Cannot overfill.
   battery.recharge(1e9, 10.0);
   EXPECT_NEAR(battery.charge_wh(), 10.0, 1e-9);
-}
-
-TEST(Battery, RuntimeEstimate) {
-  UpsBattery battery(400.0, 5000.0);
-  EXPECT_NEAR(battery.runtime_s(4800.0), 300.0, 1e-9);  // paper: 5 minutes
-  EXPECT_TRUE(std::isinf(battery.runtime_s(0.0)));
 }
 
 TEST(Battery, NearlyEmptyThreshold) {

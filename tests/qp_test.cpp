@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "control/matrix_ops.hpp"
 #include "control/qp.hpp"
 
 namespace sprintcon::control {
@@ -13,7 +14,7 @@ namespace {
 TEST(BoxQp, UnconstrainedMinimumInsideBox) {
   // min (x-1)^2 + (y-2)^2, box [-10, 10]^2 -> (1, 2).
   BoxQp qp;
-  qp.hessian = Matrix{{2.0, 0.0}, {0.0, 2.0}};
+  qp.hessian = from_rows({{2.0, 0.0}, {0.0, 2.0}});
   qp.gradient = {-2.0, -4.0};
   qp.lower = {-10.0, -10.0};
   qp.upper = {10.0, 10.0};
@@ -26,7 +27,7 @@ TEST(BoxQp, UnconstrainedMinimumInsideBox) {
 TEST(BoxQp, ActiveBoundClamps) {
   // Same objective, but box caps x at 0.5.
   BoxQp qp;
-  qp.hessian = Matrix{{2.0, 0.0}, {0.0, 2.0}};
+  qp.hessian = from_rows({{2.0, 0.0}, {0.0, 2.0}});
   qp.gradient = {-2.0, -4.0};
   qp.lower = {-1.0, -1.0};
   qp.upper = {0.5, 10.0};
@@ -39,7 +40,7 @@ TEST(BoxQp, ActiveBoundClamps) {
 TEST(BoxQp, CoupledHessian) {
   // min 1/2 x'Hx + g'x with H = [[2,1],[1,2]]: solution solves Hx = -g.
   BoxQp qp;
-  qp.hessian = Matrix{{2.0, 1.0}, {1.0, 2.0}};
+  qp.hessian = from_rows({{2.0, 1.0}, {1.0, 2.0}});
   qp.gradient = {-3.0, -3.0};
   qp.lower = {-10.0, -10.0};
   qp.upper = {10.0, 10.0};
@@ -50,7 +51,7 @@ TEST(BoxQp, CoupledHessian) {
 
 TEST(BoxQp, DegenerateZeroBoxReturnsCorner) {
   BoxQp qp;
-  qp.hessian = Matrix{{2.0}};
+  qp.hessian = from_rows({{2.0}});
   qp.gradient = {-10.0};
   qp.lower = {3.0};
   qp.upper = {3.0};  // point box
@@ -61,7 +62,7 @@ TEST(BoxQp, DegenerateZeroBoxReturnsCorner) {
 
 TEST(BoxQp, WarmStartAgreesWithColdStart) {
   BoxQp qp;
-  qp.hessian = Matrix{{4.0, 1.0}, {1.0, 3.0}};
+  qp.hessian = from_rows({{4.0, 1.0}, {1.0, 3.0}});
   qp.gradient = {1.0, -2.0};
   qp.lower = {0.0, 0.0};
   qp.upper = {1.0, 1.0};
@@ -74,7 +75,7 @@ TEST(BoxQp, WarmStartAgreesWithColdStart) {
 
 TEST(BoxQp, CrossedBoundsThrow) {
   BoxQp qp;
-  qp.hessian = Matrix{{1.0}};
+  qp.hessian = from_rows({{1.0}});
   qp.gradient = {0.0};
   qp.lower = {1.0};
   qp.upper = {0.0};
@@ -83,7 +84,7 @@ TEST(BoxQp, CrossedBoundsThrow) {
 
 TEST(BoxQp, DimensionMismatchThrows) {
   BoxQp qp;
-  qp.hessian = Matrix{{1.0}};
+  qp.hessian = from_rows({{1.0}});
   qp.gradient = {0.0, 1.0};
   qp.lower = {0.0};
   qp.upper = {1.0};
@@ -92,7 +93,7 @@ TEST(BoxQp, DimensionMismatchThrows) {
 
 TEST(BoxQp, ObjectiveAndResidualHelpers) {
   BoxQp qp;
-  qp.hessian = Matrix{{2.0}};
+  qp.hessian = from_rows({{2.0}});
   qp.gradient = {-2.0};
   qp.lower = {-5.0};
   qp.upper = {5.0};
@@ -113,7 +114,7 @@ TEST_P(QpProperty, KktResidualSmallAndObjectiveOptimal) {
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
   BoxQp qp;
-  qp.hessian = a.transposed() * a;
+  qp.hessian = transposed(a) * a;
   for (std::size_t i = 0; i < n; ++i) qp.hessian(i, i) += 0.5;
   qp.gradient.resize(n);
   qp.lower.assign(n, 0.0);

@@ -54,14 +54,6 @@ TEST(Latency, ZeroLoadGivesBareServiceTime) {
   EXPECT_NEAR(model.mean_response_s(0.5, 0.0), 0.002, 1e-12);
 }
 
-TEST(Latency, MaxUtilizationInvertsTheMean) {
-  LatencyModel model(1000.0);
-  const double u = model.max_utilization_for_response(1.0, 0.005);
-  EXPECT_NEAR(model.mean_response_s(1.0, u), 0.005, 1e-9);
-  // Infeasible target at low frequency clamps to zero.
-  EXPECT_DOUBLE_EQ(model.max_utilization_for_response(0.2, 1e-9), 0.0);
-}
-
 TEST(Latency, WhyThePaperPinsInteractiveAtPeak) {
   // The core design claim: at a typical burst utilization, throttling the
   // interactive core from peak to the sprinting-game's normal frequency
@@ -81,8 +73,6 @@ TEST(Latency, InvalidInputsThrow) {
   EXPECT_THROW(model.mean_response_s(1.0, 1.5),
                sprintcon::InvalidArgumentError);
   EXPECT_THROW(model.percentile_response_s(1.0, 0.5, 1.0),
-               sprintcon::InvalidArgumentError);
-  EXPECT_THROW(model.max_utilization_for_response(1.0, 0.0),
                sprintcon::InvalidArgumentError);
 }
 

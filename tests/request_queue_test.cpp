@@ -1,9 +1,7 @@
-// Tests for the closed-loop request-queue interactive source and the
-// chip-level frequency-quota divider.
+// Tests for the closed-loop request-queue interactive source.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "core/chip_allocator.hpp"
 #include "scenario/rig.hpp"
 #include "workload/request_queue.hpp"
 
@@ -139,64 +137,6 @@ TEST(RequestQueue, RigWithoutQueuesHasNoQueueChannels) {
   scenario::Rig rig(cfg);
   EXPECT_TRUE(rig.request_queues().empty());
   EXPECT_FALSE(rig.recorder().has("queue_backlog_mean"));
-}
-
-// --- chip-level quota division ----------------------------------------------
-
-TEST(ChipQuota, EqualWeightsSplitEvenly) {
-  const std::vector<core::CoreShare> cores(4, {1.0, 0.2, 1.0});
-  const auto freqs = core::divide_frequency_quota(2.4, cores);
-  for (double f : freqs) EXPECT_NEAR(f, 0.6, 1e-9);
-}
-
-TEST(ChipQuota, WeightsBiasTheSplit) {
-  const std::vector<core::CoreShare> cores{{3.0, 0.2, 1.0}, {1.0, 0.2, 1.0}};
-  const auto freqs = core::divide_frequency_quota(1.2, cores);
-  // Extra quota 0.8 split 3:1 -> 0.6 and 0.2 above the 0.2 floors.
-  EXPECT_NEAR(freqs[0], 0.8, 1e-9);
-  EXPECT_NEAR(freqs[1], 0.4, 1e-9);
-}
-
-TEST(ChipQuota, CapsRedistributeSurplus) {
-  const std::vector<core::CoreShare> cores{{10.0, 0.2, 0.5}, {1.0, 0.2, 1.0}};
-  const auto freqs = core::divide_frequency_quota(1.3, cores);
-  EXPECT_NEAR(freqs[0], 0.5, 1e-9);  // capped
-  EXPECT_NEAR(freqs[1], 0.8, 1e-9);  // got the surplus
-}
-
-TEST(ChipQuota, QuotaBelowFloorClampsToMinimum) {
-  const std::vector<core::CoreShare> cores(3, {1.0, 0.2, 1.0});
-  const auto freqs = core::divide_frequency_quota(0.1, cores);
-  for (double f : freqs) EXPECT_DOUBLE_EQ(f, 0.2);
-}
-
-TEST(ChipQuota, QuotaAboveCeilingClampsToMaximum) {
-  const std::vector<core::CoreShare> cores(3, {1.0, 0.2, 1.0});
-  const auto freqs = core::divide_frequency_quota(100.0, cores);
-  for (double f : freqs) EXPECT_NEAR(f, 1.0, 1e-9);
-}
-
-TEST(ChipQuota, ConservesQuotaWhenFeasible) {
-  const std::vector<core::CoreShare> cores{
-      {2.0, 0.2, 1.0}, {1.0, 0.3, 0.9}, {0.5, 0.2, 0.7}};
-  const double quota = 1.8;
-  const auto freqs = core::divide_frequency_quota(quota, cores);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    EXPECT_GE(freqs[i], cores[i].freq_min - 1e-9);
-    EXPECT_LE(freqs[i], cores[i].freq_max + 1e-9);
-    sum += freqs[i];
-  }
-  EXPECT_NEAR(sum, quota, 1e-6);
-}
-
-TEST(ChipQuota, InvalidInputsThrow) {
-  EXPECT_THROW(core::divide_frequency_quota(-1.0, {}), InvalidArgumentError);
-  EXPECT_THROW(
-      core::divide_frequency_quota(1.0, {{1.0, 0.8, 0.2}}),  // crossed bounds
-      InvalidArgumentError);
-  EXPECT_THROW(core::divide_frequency_quota(1.0, {{-1.0, 0.2, 1.0}}),
-               InvalidArgumentError);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "control/linalg.hpp"
 #include "control/mpc.hpp"
+#include "control/qp.hpp"
 #include "control/structured_qp.hpp"
 
 namespace sprintcon::control {
@@ -237,7 +238,7 @@ class DenseMpcReference {
         x0.insert(x0.end(), p.freq_current.begin(), p.freq_current.end());
     }
     MpcOutput out;
-    out.qp = solve_box_qp(qp, x0, cfg_.qp);
+    out.qp = solve_box_qp(qp, x0, QpOptions{5000, 1e-11});
     warm_start_ = out.qp.x;
     out.freq_next.assign(out.qp.x.begin(),
                          out.qp.x.begin() + static_cast<std::ptrdiff_t>(n));
@@ -256,8 +257,6 @@ TEST(StructuredMpc, MatchesDenseControllerAcrossRandomProblems) {
     MpcConfig cfg;
     cfg.prediction_horizon = 4 + static_cast<std::size_t>(trial % 5);
     cfg.control_horizon = 1 + static_cast<std::size_t>(trial % 3);
-    cfg.qp.tolerance = 1e-11;
-    cfg.qp.max_iterations = 5000;
     MpcPowerController structured(cfg);
     DenseMpcReference dense(cfg);
     const std::size_t n = 1 + static_cast<std::size_t>(trial % 7);
@@ -265,7 +264,8 @@ TEST(StructuredMpc, MatchesDenseControllerAcrossRandomProblems) {
     // track each other step by step, not just on a cold solve.
     MpcProblem p = random_mpc_problem(rng, n);
     for (int step = 0; step < 4; ++step) {
-      const MpcOutput a = structured.step(p);
+      MpcOutput a;
+      structured.step(p, a);
       const MpcOutput b = dense.step(p);
       ASSERT_EQ(a.freq_next.size(), b.freq_next.size());
       for (std::size_t i = 0; i < n; ++i)

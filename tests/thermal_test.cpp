@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "core/server_controller.hpp"
+#include "server/core_thermal.hpp"
 #include "server/thermal.hpp"
 #include "sim/clock.hpp"
 #include "workload/batch_profile.hpp"

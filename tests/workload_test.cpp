@@ -44,25 +44,11 @@ TEST(ProgressModel, RateMonotoneInFrequency) {
   }
 }
 
-TEST(ProgressModel, TimeForWork) {
-  ProgressModel m(0.8);
-  // T(f) = W (mu/f + 1-mu): at f=0.5, T = 100*(1.6+0.2) = 180.
-  EXPECT_NEAR(m.time_for(100.0, 0.5), 180.0, 1e-9);
-  EXPECT_NEAR(m.time_for(100.0, 1.0), 100.0, 1e-9);
-}
-
-TEST(ProgressModel, SpeedupDiminishesWithMemoryBoundedness) {
-  // Speedup from 0.5 to 1.0 is larger for more compute-bound jobs.
-  const double s_compute = ProgressModel(0.95).speedup(1.0, 0.5);
-  const double s_memory = ProgressModel(0.55).speedup(1.0, 0.5);
-  EXPECT_GT(s_compute, s_memory);
-  EXPECT_GT(s_memory, 1.0);
-}
-
 TEST(ProgressModel, FrequencyForDeadlineInverts) {
   ProgressModel m(0.8);
   const double f = m.frequency_for_deadline(100.0, 150.0, 0.2, 1.0);
-  EXPECT_NEAR(m.time_for(100.0, f), 150.0, 1e-6);
+  // T(f) = W / rate(f) meets the deadline exactly.
+  EXPECT_NEAR(100.0 / m.rate(f), 150.0, 1e-6);
 }
 
 TEST(ProgressModel, FrequencyForDeadlineClamps) {
@@ -210,20 +196,6 @@ TEST(BatchJob, PenaltyWeightZeroAfterCompletion) {
     now += 1.0;
   }
   EXPECT_DOUBLE_EQ(job.penalty_weight(now), 0.0);
-}
-
-TEST(BatchJob, DeadlineAtRiskDetection) {
-  BatchJob job = make_job(/*work_s=*/100.0, /*deadline_s=*/120.0);
-  // At the DVFS floor the job cannot make it; at peak it can.
-  EXPECT_TRUE(job.deadline_at_risk(0.0, 0.2));
-  EXPECT_FALSE(job.deadline_at_risk(0.0, 1.0));
-}
-
-TEST(BatchJob, EstimatedRemainingTime) {
-  BatchJob job = make_job(100.0);
-  EXPECT_NEAR(job.estimated_remaining_time_s(1.0), 100.0, 1e-9);
-  job.advance(10.0, 1.0, 0.0);
-  EXPECT_NEAR(job.estimated_remaining_time_s(1.0), 90.0, 1e-6);
 }
 
 TEST(BatchJob, InvalidArgumentsThrow) {
