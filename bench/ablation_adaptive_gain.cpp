@@ -62,7 +62,8 @@ double track(double cubic_share, bool adaptive, double* learned_gain) {
     rack->step(clock);
     const double target = ((t / 60) % 2 == 0) ? 560.0 : 400.0;
     if (clock.every(cfg.mpc.control_period_s)) {
-      ctrl.update(rack->total_power_w(), target, clock.now_s());
+      ctrl.update(rack->total_power_w(), ctrl.estimate_interactive_power_w(),
+                  target, clock.now_s());
     }
     if (t % 60 >= 12) {
       const double e = ctrl.last_p_fb_w() - target;

@@ -62,7 +62,8 @@ TrackingResult track_square_wave(const core::SprintConfig& cfg) {
     // Square wave between two batch budgets, 60 s half-period.
     const double target = ((t / 60) % 2 == 0) ? 550.0 : 380.0;
     if (clock.every(cfg.mpc.control_period_s)) {
-      ctrl.update(rack->total_power_w(), target, clock.now_s());
+      ctrl.update(rack->total_power_w(), ctrl.estimate_interactive_power_w(),
+                  target, clock.now_s());
     }
     // Measure after a settling allowance of 10 s into each half-period.
     if (t % 60 >= 10) {

@@ -80,7 +80,8 @@ Outcome run_mpc(double target_w) {
   for (int t = 0; t < 900; ++t) {
     rack->step(clock);
     if (clock.every(cfg.mpc.control_period_s)) {
-      ctrl.update(rack->total_power_w(), target_w, clock.now_s());
+      ctrl.update(rack->total_power_w(), ctrl.estimate_interactive_power_w(),
+                  target_w, clock.now_s());
     }
     // RMSE over the settled window before any job completes (afterwards
     // the target may be unreachable and the error means nothing).

@@ -152,8 +152,11 @@ int main(int argc, char** argv) {
   bool threads_set = false;
   bool health = false;
   bool recovery = false;
-  // A value-taking flag with no value, or a positional that is not a
-  // number, is a usage error.
+  // A value-taking flag with no value, or a positional or thread count
+  // that is not a number, is a usage error.
+  const auto is_number = [](const std::string& s) {
+    return !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
+  };
   bool usage_error = false;
   for (int i = 1; i < argc && !usage_error; ++i) {
     const std::string arg = argv[i];
@@ -171,14 +174,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = argv[++i];
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
+      const std::string value = argv[++i];
+      usage_error = !is_number(value);
+      threads = static_cast<std::size_t>(std::atoi(value.c_str()));
       threads_set = true;
     } else if (arg == "--health") {
       health = true;
     } else if (arg == "--recovery") {
       recovery = true;
-    } else if (arg.empty() ||
-               arg.find_first_not_of("0123456789") != std::string::npos) {
+    } else if (!is_number(arg)) {
       usage_error = true;
     } else {
       racks = static_cast<std::size_t>(std::atoi(arg.c_str()));
@@ -266,13 +270,17 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < reports.size(); ++r) {
     const obs::MetricsSnapshot& m = reports[r].metrics;
     const std::uint64_t solves = m.counter("mpc.solves.structured");
-    const std::uint64_t iters = m.counter("mpc.qp.iterations");
+    const auto per_solve = [solves](std::uint64_t count) {
+      return format_fixed(solves > 0 ? static_cast<double>(count) /
+                                           static_cast<double>(solves)
+                                     : 0.0,
+                          1);
+    };
     const auto it = m.histograms.find("mpc.step_us");
     std::cout << "  rack " << r << ": " << solves << " solves, "
-              << format_fixed(solves > 0 ? static_cast<double>(iters) /
-                                               static_cast<double>(solves)
-                                         : 0.0,
-                              1)
+              << per_solve(m.counter("mpc.qp.direct_passes"))
+              << " direct passes/solve, "
+              << per_solve(m.counter("mpc.qp.iterations"))
               << " iters/solve, " << m.counter("mpc.qp.restarts")
               << " restarts";
     if (it != m.histograms.end() && it->second.count > 0) {

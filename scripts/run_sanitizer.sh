@@ -13,7 +13,8 @@
 #           `threads`: the parallel facility and the span tracer under
 #           the sharded runtime — trace_test's
 #           facility-with-tracing case drives per-worker TraceBuffers and
-#           the concurrent metric emitters from every shard)
+#           the concurrent metric emitters from every shard — and the
+#           swell's per-thread sin memo driven from two threads)
 #   ubsan   UndefinedBehaviorSanitizer over the FULL suite — including the
 #           `fault` chaos sweeps, the export fuzz harness, and the
 #           scenario spec fuzzer + golden scenario replays, whose whole
@@ -45,7 +46,8 @@ case "$FLAVOR" in
     ;;
   tsan)
     CMAKE_FLAG=SPRINTCON_TSAN
-    TARGETS=(facility_test facility_shard_test obs_test trace_test)
+    TARGETS=(facility_test facility_shard_test obs_test trace_test
+      sin_memo_test)
     CTEST_LABEL=threads
     CTEST_PARALLEL=0
     ;;

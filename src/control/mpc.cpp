@@ -57,14 +57,15 @@ MpcPowerController::MpcPowerController(const MpcConfig& config)
                     "prediction horizon must cover the control horizon");
   SPRINTCON_EXPECTS(config.control_period_s > 0.0, "control period > 0");
   SPRINTCON_EXPECTS(config.reference_time_constant_s > 0.0, "tau_r > 0");
+  reference_decay_ =
+      std::exp(-config_.control_period_s / config_.reference_time_constant_s);
 }
 
 double MpcPowerController::build_reference(const MpcProblem& problem) {
   // Reference trajectory (Eq. 7), evaluated at x = 1..Lp.
   // r(x) = P - e^{-(T/tau) x} (P - p_fb)
   const std::size_t lp = config_.prediction_horizon;
-  const double decay =
-      std::exp(-config_.control_period_s / config_.reference_time_constant_s);
+  const double decay = reference_decay_;
   reference_.resize(lp);
   double e = problem.power_target_w - problem.power_feedback_w;
   for (std::size_t s = 0; s < lp; ++s) {
@@ -83,6 +84,7 @@ void MpcPowerController::set_obs(obs::ObsSink* sink) {
   auto& m = sink->metrics();
   met_.solves_structured = &m.counter("mpc.solves.structured");
   met_.qp_iterations = &m.counter("mpc.qp.iterations");
+  met_.qp_direct_passes = &m.counter("mpc.qp.direct_passes");
   met_.qp_restarts = &m.counter("mpc.qp.restarts");
   met_.qp_not_converged = &m.counter("mpc.qp.not_converged");
   met_.exit_residual = &m.histogram("mpc.qp.exit_residual");
@@ -101,6 +103,8 @@ void MpcPowerController::step(const MpcProblem& problem, MpcOutput& out) {
   if (obs_ != nullptr) {
     met_.solves_structured->add();
     met_.qp_iterations->add(static_cast<std::uint64_t>(out.qp.iterations));
+    met_.qp_direct_passes->add(
+        static_cast<std::uint64_t>(out.qp.direct_passes));
     met_.qp_restarts->add(static_cast<std::uint64_t>(out.qp.restarts));
     if (!out.qp.converged) met_.qp_not_converged->add();
     met_.exit_residual->record(out.qp.residual);

@@ -89,6 +89,8 @@ class MpcPowerController {
   double build_reference(const MpcProblem& problem);
 
   MpcConfig config_;
+  /// e^{-T/tau_r} of Eq. 7; the config is fixed, so computed once.
+  double reference_decay_ = 0.0;
   Vector warm_start_;
   // Controller-owned solver scratch; sized on first use
   // and reused verbatim while the problem shape is unchanged.
@@ -101,6 +103,7 @@ class MpcPowerController {
   struct ObsHandles {
     obs::Counter* solves_structured = nullptr;
     obs::Counter* qp_iterations = nullptr;
+    obs::Counter* qp_direct_passes = nullptr;
     obs::Counter* qp_restarts = nullptr;
     obs::Counter* qp_not_converged = nullptr;
     obs::Histogram* exit_residual = nullptr;

@@ -217,6 +217,7 @@ SPRINTCON_HOT void solve_structured_qp(const StructuredBlockQp& qp,
   // 42 polished 63% of solves on paper-racks, 6% on small-rig-fleet and
   // 69% on surge-brownout, mostly with a single FISTA step, while no
   // penalty was ever zero.
+  result.direct_passes = 0;
   bool direct_ok = true;
   for (const double r : qp.penalty) {
     if (!(r > 0.0)) {
@@ -232,6 +233,7 @@ SPRINTCON_HOT void solve_structured_qp(const StructuredBlockQp& qp,
       direct_iterations +=
           solve_block_direct(qp, b, options.tolerance, x0, xd);
     }
+    result.direct_passes = direct_iterations;
     const double res = structured_residual(qp, xd);
     if (res < options.tolerance) {
       result.iterations = direct_iterations;

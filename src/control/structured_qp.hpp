@@ -37,6 +37,10 @@ struct QpOptions {
 struct QpResult {
   Vector x;            ///< solution (always feasible: clamped each iterate)
   int iterations = 0;  ///< iterations actually performed
+  /// Newton/bisection passes of the direct per-block solve (summed over
+  /// blocks; 0 when it was not attempted). `iterations` reports the FISTA
+  /// count instead whenever the direct answer had to be polished.
+  int direct_passes = 0;
   int restarts = 0;    ///< momentum restarts taken (O'Donoghue-Candes test)
   bool converged = false;
   double residual = 0.0;  ///< final projected-gradient residual (inf norm)

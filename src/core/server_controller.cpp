@@ -27,6 +27,14 @@ ServerPowerController::ServerPowerController(const SprintConfig& config,
   for (const server::BatchCoreRef& ref : rack.batch_cores()) {
     batch_cores_.push_back(&rack.core(ref));
   }
+  std::size_t num_cores = 0;
+  for (const server::Server& s : rack.servers()) num_cores += s.cores().size();
+  interactive_cores_.reserve(num_cores - batch_cores_.size());
+  for (server::Server& s : rack.servers()) {
+    for (server::CpuCore& core : s.cores()) {
+      if (!core.is_batch()) interactive_cores_.push_back({&s, &core});
+    }
+  }
 }
 
 double ServerPowerController::effective_gain_w_per_f() const {
@@ -41,20 +49,16 @@ double ServerPowerController::estimate_interactive_power_w() const {
   // peak power would under-attribute the batch class and make the MPC
   // push batch frequencies up against the cap.
   double p = 0.0;
-  for (const server::Server& s : rack_.servers()) {
-    for (const server::CpuCore& core : s.cores()) {
-      if (!core.is_batch()) {
-        const double u = s.powered() ? core.utilization() : 0.0;
-        p += model_.constant_w() +
-             model_.interactive_gain_w_per_util() * u * core.freq();
-      }
-    }
+  for (const InteractiveCoreRef& ref : interactive_cores_) {
+    const double u = ref.server->powered() ? ref.core->utilization() : 0.0;
+    p += model_.constant_w() +
+         model_.interactive_gain_w_per_util() * u * ref.core->freq();
   }
   return p;
 }
 
-void ServerPowerController::update(double p_total_w, double p_batch_target_w,
-                                   double now_s) {
+void ServerPowerController::update(double p_total_w, double p_inter_w,
+                                   double p_batch_target_w, double now_s) {
   SPRINTCON_EXPECTS(p_total_w >= 0.0, "measured power must be >= 0");
   SPRINTCON_EXPECTS(p_batch_target_w >= 0.0, "P_batch must be >= 0");
 
@@ -62,7 +66,7 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
 
   // Eq. 6: the batch power cannot be metered directly on colocated
   // servers, so subtract the modeled interactive power from the rack meter.
-  const double p_fb = std::max(0.0, p_total_w - estimate_interactive_power_w());
+  const double p_fb = std::max(0.0, p_total_w - p_inter_w);
 
   // Adaptive gain: learn dP/df from (applied frequency move, observed
   // power change) pairs across control periods.
@@ -197,10 +201,15 @@ void ServerPowerController::reissue_last_command() {
   record_commanded_freq();
 }
 
-void ServerPowerController::pin_interactive_at_peak() {
-  rack_.for_each_core(server::CoreRole::kInteractive, [](server::CpuCore& c) {
-    c.set_freq(c.freq_max());
-  });
+bool ServerPowerController::cap_interactive(double ratio) {
+  bool moved = false;
+  for (const InteractiveCoreRef& ref : interactive_cores_) {
+    server::CpuCore& c = *ref.core;
+    const double before = c.freq();
+    c.set_freq(std::max(c.freq_min(), c.freq_max() * ratio));
+    if (c.freq() != before) moved = true;
+  }
+  return moved;
 }
 
 void ServerPowerController::force_batch_frequency(double freq) {

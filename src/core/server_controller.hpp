@@ -36,12 +36,21 @@ class ServerPowerController {
 
   /// Run one control period.
   /// @param p_total_w       measured rack power (physical monitor)
+  /// @param p_inter_w       estimate_interactive_power_w() at the rack's
+  ///                        current state (the caller already has it)
   /// @param p_batch_target  P_batch from the allocator
   /// @param now_s           current simulation time (for R weights)
-  void update(double p_total_w, double p_batch_target_w, double now_s);
+  void update(double p_total_w, double p_inter_w, double p_batch_target_w,
+              double now_s);
+
+  /// Cap every interactive core at max(freq_min, ratio * freq_max) (the
+  /// bidding modes' interactive cap). Returns true when that moved at
+  /// least one core's frequency.
+  bool cap_interactive(double ratio);
 
   /// Pin every interactive core at peak frequency (start of sprint).
-  void pin_interactive_at_peak();
+  /// Returns true when that moved at least one core's frequency.
+  bool pin_interactive_at_peak() { return cap_interactive(1.0); }
 
   /// Force every batch core to a fixed frequency (sprint end / fallback).
   void force_batch_frequency(double freq);
@@ -78,6 +87,10 @@ class ServerPowerController {
   const std::vector<server::CpuCore*>& batch_cores() const noexcept {
     return batch_cores_;
   }
+  /// Number of interactive cores in the rack.
+  std::size_t num_interactive_cores() const noexcept {
+    return interactive_cores_.size();
+  }
 
   /// Attach an observability sink (forwarded to the MPC profiling hooks;
   /// also enables the dvfs_actuate span and the commanded-frequency gauge
@@ -92,6 +105,16 @@ class ServerPowerController {
   SprintConfig config_;
   server::Rack& rack_;
   std::vector<server::CpuCore*> batch_cores_;
+  /// One interactive core and the server it sits on (Eq. 5 reads the
+  /// server's power state).
+  struct InteractiveCoreRef {
+    const server::Server* server;
+    server::CpuCore* core;
+  };
+  /// The rack's interactive cores in rack order (server by server, core by
+  /// core), resolved once at construction like batch_cores_; the Eq. 5
+  /// estimate sums in this order.
+  std::vector<InteractiveCoreRef> interactive_cores_;
   server::LinearPowerModel model_;
   control::MpcPowerController mpc_;
   control::GainEstimator gain_estimator_;

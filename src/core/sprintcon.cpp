@@ -48,7 +48,8 @@ void SprintConController::set_obs(obs::ObsSink* sink) {
 
 double SprintConController::bid_batch_budget_w(double budget_w,
                                                double p_inter_w,
-                                               double now_s) {
+                                               double now_s,
+                                               bool& interactive_moved) {
   const obs::ScopedSpan span(obs_ != nullptr ? obs_->trace() : nullptr,
                              "bid_collect", "decision", "budget_w", budget_w);
   const auto& model = server_ctrl_.model();
@@ -70,11 +71,11 @@ double SprintConController::bid_batch_budget_w(double budget_w,
   }
   if (active_jobs > 0) batch_urgency /= static_cast<double>(active_jobs);
 
+  // Summed core by core: n * constant_w would round differently.
   double inter_idle_w = 0.0;
-  rack_.for_each_core(server::CoreRole::kInteractive,
-                      [&](server::CpuCore&) {
-                        inter_idle_w += model.constant_w();
-                      });
+  for (std::size_t i = 0; i < server_ctrl_.num_interactive_cores(); ++i) {
+    inter_idle_w += model.constant_w();
+  }
   const double inter_dyn_w = std::max(0.0, p_inter_w - inter_idle_w);
   const double dyn_budget_w =
       std::max(0.0, budget_w - batch_idle_w - inter_idle_w);
@@ -94,13 +95,9 @@ double SprintConController::bid_batch_budget_w(double budget_w,
   // cap conservative); the next period's feedback refines the cap.
   if (alloc[0] + 1e-9 < inter_dyn_w && inter_dyn_w > 0.0) {
     const double ratio = std::clamp(alloc[0] / inter_dyn_w, 0.0, 1.0);
-    rack_.for_each_core(server::CoreRole::kInteractive,
-                        [ratio](server::CpuCore& c) {
-                          c.set_freq(std::max(c.freq_min(),
-                                              c.freq_max() * ratio));
-                        });
+    interactive_moved = server_ctrl_.cap_interactive(ratio);
   } else {
-    server_ctrl_.pin_interactive_at_peak();
+    interactive_moved = server_ctrl_.pin_interactive_at_peak();
   }
   // The batch target is expressed in the controller's attribution (idle
   // share included), matching the p_fb feedback of Eq. 6.
@@ -237,21 +234,29 @@ void SprintConController::step(const sim::SimClock& clock) {
     const bool ups_shortfall =
         safety_.cb_protect() &&
         path_.last().cb_w > config_.cb_rated_w * 1.02;
+    bool interactive_moved = false;
     if (state == SprintState::kUpsConserve || state == SprintState::kEnded ||
         ups_shortfall || mode_ == ControlMode::kConservativeCap) {
       // Battery low: P_cb caps ALL workloads; classes bid for power.
-      batch_target =
-          bid_batch_budget_w(p_cb_eff_w_ * (1.0 - kCapMargin), p_inter, now);
+      batch_target = bid_batch_budget_w(p_cb_eff_w_ * (1.0 - kCapMargin),
+                                        p_inter, now, interactive_moved);
     } else if (post_burst) {
       // Normal operation: everything under rated minus the charger draw.
       const double budget =
           std::max(0.0, (p_cb_eff_w_ - recharge_w) * (1.0 - kCapMargin));
-      batch_target = bid_batch_budget_w(budget, p_inter, now);
+      batch_target =
+          bid_batch_budget_w(budget, p_inter, now, interactive_moved);
     } else {
-      server_ctrl_.pin_interactive_at_peak();
+      interactive_moved = server_ctrl_.pin_interactive_at_peak();
     }
     p_batch_eff_w_ = batch_target;
-    server_ctrl_.update(p_meas, batch_target, now);
+    // Eq. 6 subtracts the interactive power at the frequencies just
+    // written: the tick's estimate still holds unless a pin or a bid cap
+    // moved one of them.
+    const double p_inter_now = interactive_moved
+                                   ? server_ctrl_.estimate_interactive_power_w()
+                                   : p_inter;
+    server_ctrl_.update(p_meas, p_inter_now, batch_target, now);
   }
 
   // --- UPS power controller -------------------------------------------------

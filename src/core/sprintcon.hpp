@@ -100,8 +100,11 @@ class SprintConController {
   /// outage. The one piece of step() that runs even on dropped ticks.
   void resolve_flows(double p_total_w, double now_s, double dt_s);
 
-  /// Budget split in the bidding (degraded) modes.
-  double bid_batch_budget_w(double budget_w, double p_inter_w, double now_s);
+  /// Budget split in the bidding (degraded) modes. Sets
+  /// `interactive_moved` when the cap (or the pin at peak) moved an
+  /// interactive core's frequency.
+  double bid_batch_budget_w(double budget_w, double p_inter_w, double now_s,
+                            bool& interactive_moved);
 
   SprintConfig config_;
   server::Rack& rack_;

@@ -35,7 +35,7 @@ double CircuitBreaker::deliver(double power_w, double dt_s) {
 
   if (open_) {
     // Cooling while open; re-close when recovered.
-    theta_ *= std::exp(-dt_s / curve_.cooling_tau_s());
+    theta_ *= cooling_factor(dt_s);
     if (ready_to_close()) {
       open_ = false;
       if (obs_ != nullptr) {
@@ -62,7 +62,7 @@ double CircuitBreaker::deliver(double power_w, double dt_s) {
       }
     }
   } else {
-    theta_ *= std::exp(-dt_s / curve_.cooling_tau_s());
+    theta_ *= cooling_factor(dt_s);
     if (overloaded_) {
       overloaded_ = false;
       if (obs_ != nullptr) {
@@ -87,6 +87,14 @@ double CircuitBreaker::deliver(double power_w, double dt_s) {
     return 0.0;  // trips during this interval; conservatively deliver none
   }
   return power_w;
+}
+
+double CircuitBreaker::cooling_factor(double dt_s) noexcept {
+  if (dt_s != cached_dt_s_) {
+    cooling_factor_ = std::exp(-dt_s / curve_.cooling_tau_s());
+    cached_dt_s_ = dt_s;
+  }
+  return cooling_factor_;
 }
 
 double CircuitBreaker::thermal_stress() const noexcept {

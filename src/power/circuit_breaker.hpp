@@ -71,6 +71,8 @@ class CircuitBreaker {
  private:
   /// Trip threshold after derating.
   double effective_threshold() const noexcept;
+  /// exp(-dt / cooling tau): the per-tick decay of the thermal state.
+  double cooling_factor(double dt_s) noexcept;
 
   double rated_power_w_;
   TripCurve curve_;
@@ -82,6 +84,11 @@ class CircuitBreaker {
   double trip_derate_ = 1.0;
   bool supply_available_ = true;
   obs::ObsSink* obs_ = nullptr;
+  // The cooling factor depends only on (curve, dt) and dt is fixed for a
+  // whole simulation: cache it keyed on the last dt seen, computed by the
+  // same expression, so cached runs are bit-identical to uncached ones.
+  double cached_dt_s_ = -1.0;
+  double cooling_factor_ = 0.0;
 };
 
 }  // namespace sprintcon::power

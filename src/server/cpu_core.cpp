@@ -1,7 +1,5 @@
 #include "server/cpu_core.hpp"
 
-#include <algorithm>
-
 #include "common/validation.hpp"
 
 namespace sprintcon::server {
@@ -18,10 +16,6 @@ void CpuCore::check_bounds() const {
   SPRINTCON_EXPECTS(
       freq_min_ > 0.0 && freq_min_ <= freq_max_ && freq_max_ <= 1.0,
       "core frequency bounds must satisfy 0 < min <= max <= 1");
-}
-
-void CpuCore::set_freq(double freq) noexcept {
-  freq_ = std::clamp(freq, freq_min_, freq_max_);
 }
 
 }  // namespace sprintcon::server

@@ -8,6 +8,7 @@
 // actuator ("writing system files" in the paper's controller loop, step 3).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <type_traits>
 #include <utility>
@@ -67,8 +68,11 @@ class CpuCore {
   double freq_min() const noexcept { return freq_min_; }
   double freq_max() const noexcept { return freq_max_; }
 
-  /// DVFS actuator: clamps into the platform range.
-  void set_freq(double freq) noexcept;
+  /// DVFS actuator: clamps into the platform range. Inline: controllers
+  /// write every core each control period.
+  void set_freq(double freq) noexcept {
+    freq_ = std::clamp(freq, freq_min_, freq_max_);
+  }
 
   /// Utilization over the last completed interval.
   double utilization() const noexcept { return utilization_; }

@@ -1,7 +1,6 @@
 #include "server/rack.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/validation.hpp"
 #include "workload/queueing.hpp"
@@ -52,11 +51,12 @@ RackTelemetry Rack::telemetry() const {
   // the rig's historical p95-latency probe, so the fused scan records
   // bit-identical samples.
   const workload::LatencyModel latency;
-  // Exactly the -ln(1 - p) factor percentile_response_s(p = 0.95) applies
-  // to the mean; hoisted so the scan pays one log per program, not one
-  // per core per tick. A dark or saturated core counts as the 1-second
-  // clamp — requests are effectively not being served.
-  static const double kP95Factor = -std::log(1.0 - 0.95);
+  // The factor percentile_response_s(p = 0.95) applies to the mean,
+  // hoisted so the scan pays one log per program, not one per core per
+  // tick. A dark or saturated core counts as the 1-second clamp — requests
+  // are effectively not being served.
+  static const double kP95Factor =
+      workload::LatencyModel::quantile_factor(0.95);
   constexpr double kClampS = 1.0;
 
   RackTelemetry out;

@@ -19,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "common/validation.hpp"
+#include "workload/sin_memo.hpp"
 
 namespace sprintcon::workload {
 
@@ -87,10 +88,11 @@ class InteractiveTraceGenerator {
       base = config_.idle_utilization + (mean - config_.idle_utilization) * x;
     }
 
-    // Slow swell (minutes scale).
+    // Slow swell (minutes scale). Its sin argument repeats across cores
+    // and racks, so it goes through the per-thread memo.
     const double swell =
         config_.swell_amplitude *
-        std::sin(2.0 * std::numbers::pi * (now_s_ + phase_s_) /
+        memo_sin(2.0 * std::numbers::pi * (now_s_ + phase_s_) /
                  config_.swell_period_s);
 
     // AR(1) noise discretized to stay stationary for any dt, and the spike

@@ -19,6 +19,11 @@
 // giving closed forms for the mean and any percentile.
 #pragma once
 
+#include <cmath>
+#include <limits>
+
+#include "common/validation.hpp"
+
 namespace sprintcon::workload {
 
 /// Latency analysis for one interactive core.
@@ -30,16 +35,36 @@ class LatencyModel {
   double service_rate_peak() const noexcept { return service_rate_peak_; }
 
   /// Effective load rho at frequency `freq` given the utilization measured
-  /// at peak frequency. Can exceed 1 (saturation).
-  double effective_load(double freq, double peak_utilization) const;
+  /// at peak frequency. Can exceed 1 (saturation). Inline, like
+  /// mean_response_s: Rack::telemetry calls both per interactive core per
+  /// tick.
+  double effective_load(double freq, double peak_utilization) const {
+    SPRINTCON_EXPECTS(freq > 0.0 && freq <= 1.0 + 1e-9,
+                      "normalized frequency must be in (0, 1]");
+    SPRINTCON_EXPECTS(
+        peak_utilization >= 0.0 && peak_utilization <= 1.0 + 1e-9,
+        "utilization must be in [0, 1]");
+    return peak_utilization / freq;
+  }
 
   /// Mean response time in seconds; +infinity when saturated (rho >= 1).
-  double mean_response_s(double freq, double peak_utilization) const;
+  double mean_response_s(double freq, double peak_utilization) const {
+    const double rho = effective_load(freq, peak_utilization);
+    if (rho >= 1.0) return std::numeric_limits<double>::infinity();
+    const double mu = service_rate_peak_ * freq;
+    const double lambda = peak_utilization * service_rate_peak_;
+    return 1.0 / (mu - lambda);
+  }
 
   /// p-quantile of the response time (e.g. p = 0.95); +infinity when
   /// saturated.
   double percentile_response_s(double freq, double peak_utilization,
                                double p) const;
+
+  /// The p-quantile of the response time as a multiple of its mean: the
+  /// M/M/1 response time is Exp(mu - lambda), so the factor is -ln(1 - p).
+  /// The one definition percentile_response_s and Rack::telemetry share.
+  static double quantile_factor(double p) { return -std::log(1.0 - p); }
 
  private:
   double service_rate_peak_;

@@ -74,7 +74,8 @@ TEST(ServerController, DrivesBatchPowerTowardTarget) {
   for (int i = 0; i < 120; ++i) {
     rack->step(clock);
     if (clock.tick() % 2 == 0) {
-      ctrl.update(rack->total_power_w(), target, clock.now_s());
+      ctrl.update(rack->total_power_w(), ctrl.estimate_interactive_power_w(),
+                  target, clock.now_s());
     }
     clock.advance();
   }
@@ -93,7 +94,8 @@ TEST(ServerController, SaturatesAtPeakForHugeTarget) {
   sim::SimClock clock(1.0);
   for (int i = 0; i < 60; ++i) {
     rack->step(clock);
-    ctrl.update(rack->total_power_w(), 5000.0, clock.now_s());
+    ctrl.update(rack->total_power_w(), ctrl.estimate_interactive_power_w(),
+                5000.0, clock.now_s());
     clock.advance();
   }
   EXPECT_NEAR(rack->mean_freq(CoreRole::kBatch), 1.0, 1e-6);
@@ -106,7 +108,8 @@ TEST(ServerController, IdlesAtFloorForZeroTarget) {
   sim::SimClock clock(1.0);
   for (int i = 0; i < 60; ++i) {
     rack->step(clock);
-    ctrl.update(rack->total_power_w(), 0.0, clock.now_s());
+    ctrl.update(rack->total_power_w(), ctrl.estimate_interactive_power_w(),
+                0.0, clock.now_s());
     clock.advance();
   }
   EXPECT_NEAR(rack->mean_freq(CoreRole::kBatch), 0.2, 1e-6);
@@ -136,7 +139,8 @@ TEST(ServerController, UrgentJobGetsMoreFrequency) {
   double f0 = 0.0, f1 = 0.0;
   for (int i = 0; i < 60; ++i) {
     rack->step(clock);
-    ctrl.update(rack->total_power_w(), 260.0, clock.now_s());
+    ctrl.update(rack->total_power_w(), ctrl.estimate_interactive_power_w(),
+                260.0, clock.now_s());
     clock.advance();
   }
   std::size_t n0 = 0, n1 = 0;
@@ -171,7 +175,8 @@ TEST(ServerController, CompletedJobsIdleTheirCores) {
     ASSERT_TRUE(rack->core(ref).job()->completed());
   }
   // Even with a huge budget, completed cores must idle at the floor.
-  ctrl.update(rack->total_power_w(), 5000.0, clock.now_s());
+  ctrl.update(rack->total_power_w(), ctrl.estimate_interactive_power_w(),
+              5000.0, clock.now_s());
   for (const auto& ref : rack->batch_cores()) {
     EXPECT_DOUBLE_EQ(rack->core(ref).freq(), 0.2);
   }

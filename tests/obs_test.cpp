@@ -315,6 +315,9 @@ TEST(MpcObs, StepCountsSolvesAndIterations) {
   const MetricsSnapshot snap = sink.metrics().snapshot();
   EXPECT_EQ(snap.counter("mpc.solves.structured"), 5u);
   EXPECT_GE(snap.counter("mpc.qp.iterations"), 5u);
+  // Every solve runs the direct solve (all penalties positive), at least
+  // one pass per control block.
+  EXPECT_GE(snap.counter("mpc.qp.direct_passes"), cfg.control_horizon * 5u);
   EXPECT_EQ(snap.histograms.at("mpc.step_us").count, 5u);
   EXPECT_EQ(snap.histograms.at("mpc.qp.exit_residual").count, 5u);
   EXPECT_EQ(snap.counter("mpc.qp.not_converged"), 0u);

@@ -2,6 +2,9 @@
 // fans, cores, servers, rack aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <type_traits>
 #include <variant>
@@ -11,6 +14,7 @@
 #include "server/rack.hpp"
 #include "sim/clock.hpp"
 #include "workload/batch_profile.hpp"
+#include "workload/queueing.hpp"
 #include "workload/request_queue.hpp"
 #include "workload/trace_io.hpp"
 
@@ -412,6 +416,44 @@ TEST(Rack, PowerOffAll) {
   sim::SimClock clock(1.0);
   rack.step(clock);
   EXPECT_DOUBLE_EQ(rack.total_power_w(), 0.0);
+}
+
+TEST(Rack, TelemetryP95IsTheMeanOfClampedPercentiles) {
+  Rack rack = make_rack(3);
+  sim::SimClock clock(1.0);
+  // Past the 20 s onset ramp, with two interactive cores of server 0
+  // throttled into saturation and two slowed short of it; server 2 is dark.
+  for (std::size_t c = 0; c < 4; ++c) {
+    rack.servers()[0].cores()[c].set_freq(c < 2 ? 0.3 : 0.95);
+  }
+  rack.servers()[2].set_powered(false);
+  for (int t = 0; t < 30; ++t) {
+    rack.step(clock);
+    clock.advance();
+  }
+
+  // A dark or saturated core counts as the 1 s clamp.
+  const workload::LatencyModel latency;
+  double sum = 0.0;
+  std::size_t n = 0, powered_clamped = 0;
+  for (const Server& s : rack.servers()) {
+    for (const CpuCore& c : s.cores()) {
+      if (c.is_batch()) continue;
+      double t = 1.0;
+      if (s.powered()) {
+        t = std::min(
+            latency.percentile_response_s(c.freq(), c.utilization(), 0.95),
+            1.0);
+        if (t == 1.0) ++powered_clamped;
+      }
+      sum += t;
+      ++n;
+    }
+  }
+  const double expected = sum / static_cast<double>(n) * 1000.0;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rack.telemetry().p95_latency_ms),
+            std::bit_cast<std::uint64_t>(expected));
+  EXPECT_EQ(powered_clamped, 2u);
 }
 
 TEST(Rack, InvalidRefThrows) {

@@ -2,6 +2,7 @@
 // helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -70,6 +71,53 @@ TEST(SprintCon, AccessorsExposeSubsystems) {
   // Allocator and server controller are reachable for advanced tuning.
   EXPECT_GT(ctrl->allocator().targets(0.0).p_cb_w, 0.0);
   EXPECT_GT(ctrl->server_controller().model().gain_w_per_f(), 0.0);
+}
+
+// --- interactive-power pass-through ------------------------------------------
+
+// Step `rig` to `until_s`. In every control period, Eq. 6's feedback must
+// equal the meter reading minus the interactive power estimated afresh at
+// the frequencies the period left behind (a bid cap or a pin at peak may
+// have moved them after the tick's own estimate). Returns the number of
+// periods whose mean interactive frequency differed from the previous
+// period's, i.e. in which the cap or the pin moved a frequency.
+int check_feedback_until(scenario::Rig& rig, double until_s) {
+  core::SprintConController& ctrl = *rig.sprintcon();
+  const double period_s = ctrl.config().mpc.control_period_s;
+  double prev_freq = -1.0;
+  int moved_periods = 0;
+  while (rig.simulation().clock().now_s() < until_s) {
+    const bool control_tick = rig.simulation().clock().every(period_s);
+    rig.step();
+    if (!control_tick) continue;
+    EXPECT_FALSE(ctrl.outage());
+    const double expected = std::max(
+        0.0, rig.rack().total_power_w() -
+                 ctrl.server_controller().estimate_interactive_power_w());
+    EXPECT_EQ(ctrl.server_controller().last_p_fb_w(), expected)
+        << "t = " << rig.simulation().clock().now_s();
+    const double freq = rig.rack().mean_freq(server::CoreRole::kInteractive);
+    if (prev_freq >= 0.0 && freq != prev_freq) ++moved_periods;
+    prev_freq = freq;
+  }
+  return moved_periods;
+}
+
+TEST(SprintCon, UpsConserveBiddingFeedsBackTheCappedInteractivePower) {
+  scenario::RigConfig cfg = small_rig();
+  cfg.ups_capacity_wh = 2.0;  // runs low by ~240 s: UPS-conserve bidding
+  scenario::Rig rig(cfg);
+  const int moved = check_feedback_until(rig, 400.0);
+  EXPECT_EQ(rig.sprintcon()->state(), core::SprintState::kUpsConserve);
+  EXPECT_GT(moved, 0);
+}
+
+TEST(SprintCon, ConservativeCapFeedsBackTheCappedInteractivePower) {
+  scenario::Rig rig(small_rig());
+  rig.run_until(60.0);
+  rig.sprintcon()->set_control_mode(core::ControlMode::kConservativeCap);
+  const int moved = check_feedback_until(rig, 300.0);
+  EXPECT_GT(moved, 0);
 }
 
 // --- CLI helpers ----------------------------------------------------------------

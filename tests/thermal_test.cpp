@@ -162,7 +162,8 @@ TEST(ThermalGuard, BacksOffHotCores) {
     rack->step(clock);
     if (clock.every(cfg.mpc.control_period_s)) {
       // A huge budget: without the guard every core would pin at peak.
-      ctrl.update(rack->total_power_w(), 5000.0, clock.now_s());
+      ctrl.update(rack->total_power_w(), ctrl.estimate_interactive_power_w(),
+                  5000.0, clock.now_s());
     }
     for (const auto& ref : rack->batch_cores()) {
       max_temp = std::max(max_temp, rack->core(ref).temperature_c());
