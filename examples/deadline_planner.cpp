@@ -3,6 +3,7 @@
 // to make a given deadline, and what does that cost in UPS wear?"
 //
 //   ./build/examples/deadline_planner [deadline_minutes]
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -17,8 +18,15 @@
 int main(int argc, char** argv) {
   using namespace sprintcon;
 
-  const double deadline_min = argc > 1 ? std::atof(argv[1]) : 12.0;
-  if (deadline_min <= 0.0) {
+  // The whole argument must be a finite positive number: "12x" is an
+  // error, not 12 minutes.
+  double deadline_min = 12.0;
+  if (argc > 1) {
+    char* end = nullptr;
+    deadline_min = std::strtod(argv[1], &end);
+    if (end == argv[1] || *end != '\0') deadline_min = 0.0;
+  }
+  if (argc > 2 || !(deadline_min > 0.0) || !std::isfinite(deadline_min)) {
     std::cerr << "usage: deadline_planner [deadline_minutes > 0]\n";
     return 1;
   }

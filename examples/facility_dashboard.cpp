@@ -5,28 +5,20 @@
 // number below comes out of the racks' obs::RunReport, and `--json FILE`
 // dumps the same data for scripts/report_check.py.
 //
-//   ./build/examples/facility_dashboard [num_racks] [--json FILE]
-//                                       [--scenario FILE] [--faults PLAN]
-//                                       [--trace FILE] [--health]
-//                                       [--recovery]
+//   ./build/examples/facility_dashboard --scenario FILE [--json FILE]
+//                                       [--trace FILE] [--threads N]
 //
-// `--scenario FILE` loads a declarative scenario (src/scenario/spec.hpp;
-// see examples/scenarios/ for the named library) and runs exactly the
-// facility it describes — fleet size, rack shape, workload mix, surges,
-// grid events and embedded faults all come from the file, so a positional
-// rack count or `--faults` plan cannot be combined with it. `--threads`,
-// `--health` and `--recovery` still apply on top.
-//
-// `--faults PLAN` loads a fault plan (see src/fault/fault.hpp for the
-// format) and injects it into every rack — the dashboard then shows how
-// the floor degrades (and recovers) under meter, actuator, UPS, breaker
-// or utility faults.
-//
-// `--health` turns on the per-rack HealthMonitor (DESIGN.md §8.5) and
-// prints an active-alert summary; `--recovery` (implies --health) closes
-// the loop with the recovery engine (DESIGN.md §10) and reports the
-// remediation actions, incidents resolved, MTTR and any rack the ladder
-// had to quarantine. Both views also land in the `--json` export.
+// `--scenario FILE` (required) loads a declarative scenario
+// (src/scenario/spec.hpp; see examples/scenarios/ for the named library)
+// and runs exactly the facility it describes: fleet size, rack shape,
+// policy, workload mix, surges, grid events, embedded faults, and whether
+// the racks run the HealthMonitor (`fleet health=true`, DESIGN.md §8.5)
+// and the recovery engine (`fleet recovery=true`, DESIGN.md §10). With
+// either, the dashboard also prints each rack's active alerts, and with
+// recovery the remediation actions, incidents resolved, MTTR and any rack
+// the ladder had to quarantine; both views also land in the `--json`
+// export. `--threads N` sets the worker count (0 = one per hardware
+// thread), an execution resource that does not change the results.
 //
 // `--trace FILE` records the decision-path and shard-runtime spans and
 // writes them as Chrome trace-event JSON: open FILE in
@@ -40,7 +32,6 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "fault/fault.hpp"
 #include "obs/export.hpp"
 #include "obs/health.hpp"
 #include "recovery/recovery.hpp"
@@ -88,9 +79,9 @@ std::string recovery_json(const sprintcon::recovery::RecoveryManager& rec) {
 
 /// {"context":{...},"facility":{"metrics":...},"racks":[<report>,...]}.
 /// The context block records build provenance (git commit, build type)
-/// and run shape so an archived report is self-describing. With --health
-/// or --recovery each rack report is wrapped with the matching summary
-/// block ({"report":...,"health":...,"recovery":...}).
+/// and run shape so an archived report is self-describing. When the racks
+/// run a health monitor or the recovery engine, "health" and "recovery"
+/// list one summary block per rack next to "racks".
 std::string facility_json(sprintcon::scenario::Facility& facility,
                           const std::vector<sprintcon::obs::RunReport>& racks) {
   std::string out = "{\"context\":{\"git_commit\":\"" SPRINTCON_GIT_COMMIT
@@ -142,108 +133,63 @@ std::string facility_json(sprintcon::scenario::Facility& facility,
 int main(int argc, char** argv) {
   using namespace sprintcon;
 
-  std::size_t racks = 4;
-  bool racks_set = false;
   std::string json_path;
-  std::string faults_path;
   std::string scenario_path;
   std::string trace_path;
   std::size_t threads = 0;  // 0 = one worker per hardware thread
   bool threads_set = false;
-  bool health = false;
-  bool recovery = false;
-  // A value-taking flag with no value, or a positional or thread count
-  // that is not a number, is a usage error.
+  // A flag without its value, a thread count that is not a number, any
+  // other argument, or no scenario at all is a usage error.
   const auto is_number = [](const std::string& s) {
     return !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
   };
   bool usage_error = false;
   for (int i = 1; i < argc && !usage_error; ++i) {
     const std::string arg = argv[i];
-    const bool takes_value = arg == "--json" || arg == "--faults" ||
-                             arg == "--scenario" || arg == "--trace" ||
-                             arg == "--threads";
-    if (takes_value && i + 1 >= argc) {
+    const bool takes_value = arg == "--json" || arg == "--scenario" ||
+                             arg == "--trace" || arg == "--threads";
+    if (!takes_value || i + 1 >= argc) {
       usage_error = true;
     } else if (arg == "--json") {
       json_path = argv[++i];
-    } else if (arg == "--faults") {
-      faults_path = argv[++i];
     } else if (arg == "--scenario") {
       scenario_path = argv[++i];
     } else if (arg == "--trace") {
       trace_path = argv[++i];
-    } else if (arg == "--threads") {
+    } else {
       const std::string value = argv[++i];
       usage_error = !is_number(value);
-      threads = static_cast<std::size_t>(std::atoi(value.c_str()));
+      // Saturates on overflow; the facility caps workers at its racks.
+      threads = std::strtoull(value.c_str(), nullptr, 10);
       threads_set = true;
-    } else if (arg == "--health") {
-      health = true;
-    } else if (arg == "--recovery") {
-      recovery = true;
-    } else if (!is_number(arg)) {
-      usage_error = true;
-    } else {
-      racks = static_cast<std::size_t>(std::atoi(arg.c_str()));
-      racks_set = true;
     }
   }
-  if (usage_error || (scenario_path.empty() && (racks == 0 || racks > 16))) {
-    std::cerr << "usage: facility_dashboard [1..16 racks] [--json FILE]"
-                 " [--scenario FILE] [--faults PLAN] [--trace FILE]"
-                 " [--threads N] [--health] [--recovery]\n";
-    return 1;
-  }
-  if (!scenario_path.empty() && (!faults_path.empty() || racks_set)) {
-    std::cerr << "--scenario describes the whole facility; it cannot be"
-                 " combined with --faults or a rack count\n";
+  if (usage_error || scenario_path.empty()) {
+    std::cerr << "usage: facility_dashboard --scenario FILE [--json FILE]"
+                 " [--trace FILE] [--threads N]\n";
     return 1;
   }
 
   scenario::FacilityConfig config;
-  if (!scenario_path.empty()) {
-    try {
-      const scenario::ScenarioSpec spec =
-          scenario::load_scenario(scenario_path);
-      config = scenario::compile(spec);
-      std::cout << "scenario '" << spec.name << "' from " << scenario_path
-                << ": " << config.num_racks << " racks, "
-                << spec.duration_s << " s, " << spec.surges.size()
-                << " surge(s), " << spec.grid_events.size()
-                << " grid event(s), " << spec.faults.faults.size()
-                << " scripted fault(s)\n";
-    } catch (const std::exception& e) {
-      std::cerr << "bad scenario: " << e.what() << "\n";
-      return 1;
-    }
-    racks = config.num_racks;
-    if (threads_set) config.run_threads = threads;
-    if (health) config.rack.health = true;
-    if (recovery) config.recovery = true;
-  } else {
-    config.num_racks = racks;
-    config.staggered = true;
-    config.run_threads = threads;
-    config.rack.health = health;
-    config.recovery = recovery;
-    if (!faults_path.empty()) {
-      try {
-        config.rack.faults = fault::FaultPlan::load(faults_path);
-      } catch (const std::exception& e) {
-        std::cerr << "bad fault plan " << faults_path << ": " << e.what()
-                  << "\n";
-        return 1;
-      }
-      std::cout << "injecting " << config.rack.faults.faults.size()
-                << " scripted fault(s) from " << faults_path
-                << " into every rack\n";
-    }
+  try {
+    const scenario::ScenarioSpec spec = scenario::load_scenario(scenario_path);
+    config = scenario::compile(spec);
+    std::cout << "scenario '" << spec.name << "' from " << scenario_path
+              << ": " << config.num_racks << " racks, " << spec.duration_s
+              << " s, " << spec.surges.size() << " surge(s), "
+              << spec.grid_events.size() << " grid event(s), "
+              << spec.faults.faults.size() << " scripted fault(s)\n";
+  } catch (const std::exception& e) {
+    std::cerr << "bad scenario: " << e.what() << "\n";
+    return 1;
   }
+  if (threads_set) config.run_threads = threads;
   config.observability = true;
   config.tracing = !trace_path.empty();
-  std::cout << "running " << racks
-            << " SprintCon racks with staggered overload windows...\n\n";
+  std::cout << "running " << config.num_racks << " "
+            << scenario::to_string(config.rack.policy) << " racks with "
+            << (config.staggered ? "staggered" : "synchronized")
+            << " overload windows...\n\n";
   scenario::Facility facility(config);
   facility.run();
 
@@ -290,7 +236,7 @@ int main(int argc, char** argv) {
   }
 
   // Fault timeline: which scripted fault fired when, per rack (covers both
-  // --faults plans and scenario-embedded faults / grid events).
+  // the scenario's `fault` lines and its lowered grid events).
   if (!config.rack.faults.empty()) {
     std::cout << "\nfault timeline:\n";
     for (std::size_t r = 0; r < reports.size(); ++r) {
@@ -307,7 +253,7 @@ int main(int argc, char** argv) {
   }
 
   // Active alerts (health monitor) and remediation (recovery engine).
-  if (health || recovery) {
+  if (facility.rig(0).health() != nullptr) {
     std::cout << "\nhealth (active alerts at run end):\n";
     for (std::size_t r = 0; r < facility.num_racks(); ++r) {
       const obs::HealthMonitor* mon = facility.rig(r).health();
@@ -319,7 +265,7 @@ int main(int argc, char** argv) {
       std::cout << "\n";
     }
   }
-  if (recovery) {
+  if (facility.rig(0).recovery() != nullptr) {
     std::cout << "\nrecovery (engine actions over the run):\n";
     for (std::size_t r = 0; r < facility.num_racks(); ++r) {
       const recovery::RecoveryManager* rec = facility.rig(r).recovery();
@@ -357,10 +303,15 @@ int main(int argc, char** argv) {
             << format_fixed(facility.cb_peak_to_mean(), 3) << ")\n"
             << "  total:     mean " << format_fixed(total.mean() / 1000.0, 2)
             << " kW, peak " << format_fixed(total.max() / 1000.0, 2)
-            << " kW\n"
-            << "\nstaggering keeps the facility feed nearly flat; re-run\n"
-               "with config.staggered = false to see the synchronized\n"
-               "square wave (or see bench/ablation_stagger).\n";
+            << " kW\n\n"
+            << (config.staggered
+                    ? "staggering keeps the facility feed nearly flat; re-run\n"
+                      "with `fleet staggered=false` in the scenario to see the\n"
+                      "synchronized square wave"
+                    : "synchronized windows add up to a square wave; re-run\n"
+                      "with `fleet staggered=true` in the scenario to flatten\n"
+                      "the feed")
+            << " (or see bench/ablation_stagger).\n";
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);

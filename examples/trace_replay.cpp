@@ -6,113 +6,46 @@
 // the trace_io reader, and runs a SprintCon-controlled rack whose
 // interactive cores replay it. Usage:
 //
-//   ./build/examples/trace_replay [trace.csv] [--faults PLAN]
-//                                 [--scenario FILE]
+//   ./build/examples/trace_replay [trace.csv]
 //
 // With a csv argument, the file is loaded instead of the synthesized
-// trace (one value column, or time_s,value rows). `--faults PLAN` loads
-// a fault plan (src/fault/fault.hpp) and replays the trace under it —
-// handy for reproducing a production incident against a recorded load.
-//
-// `--scenario FILE` replays one rack of a declarative scenario
-// (src/scenario/spec.hpp, examples/scenarios/): the rack shape, workload,
-// surges, grid events and faults all come from the file, so it cannot be
-// combined with a csv trace or `--faults`. Useful for debugging a single
-// rack of a scenario without spinning up the whole facility_dashboard.
+// trace (one value column, or time_s,value rows); an unreadable or
+// malformed file is a usage error. To replay a whole described facility,
+// faults included, run `facility_dashboard --scenario FILE`.
+#include <exception>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/sprintcon.hpp"
-#include "fault/injector.hpp"
-#include "scenario/loader.hpp"
-#include "scenario/rig.hpp"
 #include "sim/clock.hpp"
 #include "workload/batch_profile.hpp"
 #include "workload/trace_io.hpp"
 
-namespace {
-
-/// One-rack replay of a scenario file: compile, run rack 0, summarize.
-int replay_scenario(const std::string& path) {
-  using namespace sprintcon;
-  scenario::FacilityConfig config;
-  try {
-    const scenario::ScenarioSpec spec = scenario::load_scenario(path);
-    config = scenario::compile(spec);
-    std::cout << "replaying rack 0 of scenario '" << spec.name << "' ("
-              << spec.duration_s << " s, " << spec.faults.faults.size()
-              << " fault(s), " << spec.grid_events.size()
-              << " grid event(s))\n";
-  } catch (const std::exception& e) {
-    std::cerr << "bad scenario: " << e.what() << "\n";
-    return 1;
-  }
-  scenario::Rig rig(config.rack);
-  rig.run();
-  const metrics::RunSummary s = rig.summary();
-  std::cout << "\nafter the scenario on one rack:\n"
-            << "  breaker trips:        " << s.cb_trips
-            << "\n  UPS energy used:      " << s.ups_discharged_wh << " Wh"
-            << "\n  depth of discharge:   " << s.depth_of_discharge
-            << "\n  mean interactive f:   " << s.avg_freq_interactive
-            << "\n  mean batch f:         " << s.avg_freq_batch
-            << "\n  deadlines:            "
-            << (s.all_deadlines_met ? "met" : "MISSED") << "\n";
-  if (rig.fault_injector() != nullptr) {
-    std::cout << "  fault activations:    "
-              << rig.fault_injector()->activations() << "\n";
-  }
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace sprintcon;
 
-  std::string csv_path;
-  std::string faults_path;
-  std::string scenario_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--faults" && i + 1 < argc) {
-      faults_path = argv[++i];
-    } else if (arg == "--scenario" && i + 1 < argc) {
-      scenario_path = argv[++i];
-    } else {
-      csv_path = arg;
-    }
-  }
-  if (!scenario_path.empty()) {
-    if (!faults_path.empty() || !csv_path.empty()) {
-      std::cerr << "--scenario describes the whole run; it cannot be"
-                   " combined with --faults or a csv trace\n";
-      return 1;
-    }
-    return replay_scenario(scenario_path);
-  }
-
-  fault::FaultPlan plan;
-  if (!faults_path.empty()) {
-    try {
-      plan = fault::FaultPlan::load(faults_path);
-    } catch (const std::exception& e) {
-      std::cerr << "bad fault plan " << faults_path << ": " << e.what()
-                << "\n";
-      return 1;
-    }
-    std::cout << "replaying under " << plan.faults.size()
-              << " scripted fault(s) from " << faults_path << "\n";
-  }
+  // A flag, more than one argument, or a csv that cannot be read as a
+  // trace is a usage error.
+  const auto usage = [](const std::string& why) {
+    if (!why.empty()) std::cerr << why << "\n";
+    std::cerr << "usage: trace_replay [trace.csv]\n";
+    return 1;
+  };
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) return usage("");
 
   // --- obtain a trace ---------------------------------------------------------
   workload::RecordedTrace trace;
-  if (!csv_path.empty()) {
-    trace = workload::read_trace_csv_file(csv_path.c_str());
+  if (argc == 2) {
+    const std::string csv_path = argv[1];
+    try {
+      trace = workload::read_trace_csv_file(csv_path);
+    } catch (const std::exception& e) {
+      return usage(e.what());
+    }
     std::cout << "loaded " << trace.samples.size() << " samples (dt="
               << trace.dt_s << " s) from " << csv_path << "\n";
   } else {
@@ -169,21 +102,11 @@ int main(int argc, char** argv) {
       power::DischargeCircuit(2400.0, 200, 0.95));
   core::SprintConController sprintcon(sprint, rack, path);
 
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!plan.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(plan, /*seed=*/1729,
-                                                      rack, path);
-    sprintcon.set_fault(injector.get());
-  }
-  // The rig's stage order, by hand: the injector sees this tick's true
-  // power before the controller reads the meter, and its actuator stage
-  // overwrites the controller's frequency writes.
+  // scenario::Rig::step's stage order, by hand, for a rig without faults.
   sim::SimClock clock(1.0);
   while (clock.now_s() < 900.0) {
     rack.step(clock);
-    if (injector) injector->step(clock);
     sprintcon.step(clock);
-    if (injector) injector->post_tick(clock);
     clock.advance();
   }
 
@@ -205,8 +128,5 @@ int main(int argc, char** argv) {
                }()
             << "\n  sprint state:         " << core::to_string(sprintcon.state())
             << "\n";
-  if (injector) {
-    std::cout << "  fault activations:    " << injector->activations() << "\n";
-  }
   return 0;
 }

@@ -15,7 +15,8 @@ Two modes:
         validate an existing export.
     scripts/check_trace.py --dashboard build/examples/facility_dashboard \
         [--racks 3] [--threads 2]
-        self-run the dashboard with --trace into a temp file, validate it,
+        self-run the dashboard on a temporary `fleet racks=N` scenario
+        with --trace into a temp file, validate it,
         and additionally require the decision-path and shard spans
         (mpc_solve, power_outcome, shard_epoch) that a facility run must
         produce. This is the `trace` ctest.
@@ -120,22 +121,23 @@ def main() -> int:
     if args.dashboard is not None:
         if not args.dashboard.exists():
             fail(f"dashboard binary not found at {args.dashboard}")
-        with tempfile.NamedTemporaryFile(suffix=".json",
-                                         delete=False) as tmp:
-            trace_path = pathlib.Path(tmp.name)
-        try:
-            subprocess.run(
-                [str(args.dashboard), str(args.racks),
-                 "--threads", str(args.threads),
-                 "--trace", str(trace_path)],
-                check=True, capture_output=True, text=True)
-            doc = json.loads(trace_path.read_text())
-        except subprocess.CalledProcessError as exc:
-            fail(f"dashboard exited {exc.returncode}: {exc.stderr.strip()}")
-        except json.JSONDecodeError as exc:
-            fail(f"trace is not valid JSON: {exc}")
-        finally:
-            trace_path.unlink(missing_ok=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            scn_path = pathlib.Path(tmp) / "run.scn"
+            trace_path = pathlib.Path(tmp) / "trace.json"
+            scn_path.write_text("scenario name=check-trace\n"
+                                f"fleet racks={args.racks}\n")
+            try:
+                subprocess.run(
+                    [str(args.dashboard), "--scenario", str(scn_path),
+                     "--threads", str(args.threads),
+                     "--trace", str(trace_path)],
+                    check=True, capture_output=True, text=True)
+                doc = json.loads(trace_path.read_text())
+            except subprocess.CalledProcessError as exc:
+                fail(f"dashboard exited {exc.returncode}: "
+                     f"{exc.stderr.strip()}")
+            except json.JSONDecodeError as exc:
+                fail(f"trace is not valid JSON: {exc}")
         require_spans = ("mpc_solve", "power_outcome", "shard_epoch")
     else:
         try:

@@ -15,10 +15,10 @@ not edited. It then runs the *run set*:
   - the `figures` and `examples` ctest labels;
   - every scenario file (examples/scenarios/, perfbench/workloads/)
     through `facility_dashboard --scenario FILE --json OUT`, and one
-    faulted, recovering dashboard run with `--json` and `--trace`;
+    faulted, recovering facility (rolling-brownout's racks and faults
+    with `recovery=true`) on two threads with `--json` and `--trace`;
   - every figure and ablation harness with `--csv DIR`;
-  - `trace_replay` plain, on the trace CSV that run writes, and with
-    `--faults examples/plans/brownout_drill.plan`;
+  - `trace_replay` plain and on the trace CSV that run writes;
   - the perfbench binary on each workload, with and without `--trace`.
 
 and takes a gcov snapshot (`gcov --json-format`, GCC 12, nothing
@@ -100,13 +100,19 @@ def run_set(main, bench, scratch):
     run(["ctest", "--test-dir", main, "-L", HARNESS_LABELS,
          "--output-on-failure"], **quiet)
     dashboard = main / "examples" / "facility_dashboard"
-    plan = ROOT / "examples" / "plans" / "brownout_drill.plan"
     scenarios = sorted(glob.glob(str(ROOT / "examples/scenarios/*.scn"))
                        + glob.glob(str(ROOT / "perfbench/workloads/*.scn")))
     for scn in scenarios:
         run([dashboard, "--scenario", scn,
              "--json", scratch / (Path(scn).stem + ".json")], **quiet)
-    run([dashboard, "4", "--faults", plan, "--recovery", "--threads", "2",
+    brownout = (ROOT / "examples/scenarios/rolling-brownout.scn").read_text()
+    if "health=true" not in brownout:
+        raise CoverageError("rolling-brownout.scn: no `health=true` to "
+                            "extend with `recovery=true`")
+    recovering = scratch / "recovery.scn"
+    recovering.write_text(
+        brownout.replace("health=true", "health=true recovery=true"))
+    run([dashboard, "--scenario", recovering, "--threads", "2",
          "--json", scratch / "recovery.json",
          "--trace", scratch / "recovery.trace.json"], **quiet)
     for cpp in sorted((ROOT / "bench").glob("*.cpp")):
@@ -116,7 +122,6 @@ def run_set(main, bench, scratch):
     replay = main / "examples" / "trace_replay"
     run([replay], cwd=scratch, **quiet)  # writes replay_trace.csv
     run([replay, "replay_trace.csv"], cwd=scratch, **quiet)
-    run([replay, "--faults", plan], cwd=scratch, **quiet)
     exe = bench / "perfbench"
     for scn in sorted((ROOT / "perfbench" / "workloads").glob("*.scn")):
         cmd = [exe, "--spec", scn, "--seconds", "1"]

@@ -36,10 +36,9 @@ clang-tidy profiles cannot express:
   raw-unit    No `double` parameter whose name is a bare unit noun
               (seconds, watts, joules, watt_hours, wh) in a public
               header. Such a parameter names the unit but not the role
-              and silently accepts any double; use the units.hpp strong
-              types (units::Seconds, units::Watts, ...) or a
-              role-suffixed name (dt_s, budget_w). src/common/units.hpp
-              is the one legal raw-double conversion boundary and is
+              and silently accepts any double; use a role-suffixed name
+              (dt_s, budget_w, capacity_wh). src/common/units.hpp is
+              the one legal raw-double conversion boundary and is
               exempt.
 
   tick-dispatch
@@ -303,9 +302,8 @@ def lint_file(path: str, rel_path: str, text: str) -> list[Violation]:
             and effective not in RAW_UNIT_EXEMPT):
         for m in RAW_UNIT_PATTERN.finditer(stripped):
             add("raw-unit", m.start(),
-                f"raw `double {m.group(1)}` parameter; use the units.hpp "
-                "strong types (units::Seconds, units::Watts, ...) or a "
-                "role-suffixed name like dt_s / budget_w")
+                f"raw `double {m.group(1)}` parameter; use a role-suffixed "
+                "name like dt_s / budget_w / capacity_wh")
 
     return violations
 

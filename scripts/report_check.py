@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Smoke-check the structured run report exported by facility_dashboard.
 
-Runs build/examples/facility_dashboard with --json, parses the export and
+Writes a temporary scenario (`fleet racks=N`), runs
+build/examples/facility_dashboard on it with --json, parses the export and
 validates that the observability layer actually captured what the
 acceptance criteria demand: per-rack reports with summary/metrics/events,
 MPC solver counters that moved, and allocator + UPS events in the
-timeline. A second pass re-runs the dashboard with --recovery and a
-scripted fault plan and validates the health/recovery summary blocks
-(active alerts, remediation actions, incidents resolved, MTTR). Exits
-non-zero (with a reason) on the first violation.
+timeline. A second pass runs a scenario with `recovery=true` and two
+`fault` lines and validates the health/recovery summary blocks (active
+alerts, remediation actions, incidents resolved, MTTR). Exits non-zero
+(with a reason) on the first violation.
 
 Usage:
     scripts/report_check.py [--dashboard build/examples/facility_dashboard]
@@ -66,37 +67,44 @@ def check_rack(i: int, rack: dict) -> None:
         fail(f"rack {i}: event sequence numbers not monotone")
 
 
-FAULT_PLAN = """\
-dvfs_stuck start=120 duration=300
-meter_dropout start=200 duration=250
-"""
+def scenario(racks: int, recovery: bool) -> str:
+    """The facility a pass runs: `racks` default racks, or the same racks
+    with the recovery engine on and two scripted faults to recover from."""
+    if not recovery:
+        return f"scenario name=report-check\nfleet racks={racks}\n"
+    return ("scenario name=report-check-recovery\n"
+            f"fleet racks={racks} recovery=true\n"
+            "fault dvfs_stuck start=120 duration=300\n"
+            "fault meter_dropout start=200 duration=250\n")
 
 
-def run_dashboard(dashboard: pathlib.Path, racks: int,
-                  extra: list, keep: pathlib.Path = None) -> dict:
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        out_path = pathlib.Path(tmp.name)
-    try:
-        subprocess.run(
-            [str(dashboard), str(racks), "--json", str(out_path)] + extra,
-            check=True, capture_output=True, text=True)
-        return json.loads(out_path.read_text())
-    except subprocess.CalledProcessError as exc:
-        fail(f"dashboard exited {exc.returncode}: {exc.stderr.strip()}")
-    except json.JSONDecodeError as exc:
-        fail(f"export is not valid JSON: {exc}")
-    finally:
-        if keep is not None:
-            keep.write_bytes(out_path.read_bytes())
-        out_path.unlink(missing_ok=True)
+def run_dashboard(dashboard: pathlib.Path, scenario: str,
+                  keep: pathlib.Path = None) -> dict:
+    """Run the dashboard on the scenario text; return its --json export."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scn_path = pathlib.Path(tmp) / "run.scn"
+        out_path = pathlib.Path(tmp) / "run.json"
+        scn_path.write_text(scenario)
+        try:
+            subprocess.run(
+                [str(dashboard), "--scenario", str(scn_path),
+                 "--json", str(out_path)],
+                check=True, capture_output=True, text=True)
+            if keep is not None:
+                keep.write_bytes(out_path.read_bytes())
+            return json.loads(out_path.read_text())
+        except subprocess.CalledProcessError as exc:
+            fail(f"dashboard exited {exc.returncode}: {exc.stderr.strip()}")
+        except json.JSONDecodeError as exc:
+            fail(f"export is not valid JSON: {exc}")
 
 
 def check_recovery_export(doc: dict, racks: int) -> None:
-    """Validate the --recovery health/recovery summary blocks."""
+    """Validate the recovery pass's health/recovery summary blocks."""
     for key in ("health", "recovery"):
         block = doc.get(key)
         if not isinstance(block, list) or len(block) != racks:
-            fail(f"--recovery export: '{key}' must list all {racks} racks")
+            fail(f"recovery export: '{key}' must list all {racks} racks")
     for i, h in enumerate(doc["health"]):
         if not isinstance(h.get("active_alerts"), int) or h["active_alerts"] < 0:
             fail(f"rack {i}: health.active_alerts must be a non-negative int")
@@ -121,7 +129,7 @@ def check_recovery_export(doc: dict, racks: int) -> None:
         fail("recovery engine resolved no incidents")
     quarantined = doc.get("facility", {}).get("quarantined_racks")
     if not isinstance(quarantined, list):
-        fail("--recovery export: facility.quarantined_racks missing")
+        fail("recovery export: facility.quarantined_racks missing")
     # Each rack's own metric registry must agree with its summary block.
     for i, (rack, rec) in enumerate(zip(doc.get("racks", []),
                                         doc["recovery"])):
@@ -139,14 +147,15 @@ def main() -> int:
     parser.add_argument("--keep", type=pathlib.Path, default=None,
                         help="also write the raw JSON export here")
     parser.add_argument("--skip-recovery", action="store_true",
-                        help="skip the --recovery fault-plan pass")
+                        help="skip the recovery=true pass")
     args = parser.parse_args()
 
     if not args.dashboard.exists():
         fail(f"dashboard binary not found at {args.dashboard} "
              "(build with -DSPRINTCON_BUILD_EXAMPLES=ON)")
 
-    doc = run_dashboard(args.dashboard, args.racks, [], keep=args.keep)
+    doc = run_dashboard(args.dashboard, scenario(args.racks, False),
+                        keep=args.keep)
 
     context = doc.get("context")
     if not isinstance(context, dict):
@@ -182,16 +191,7 @@ def main() -> int:
           "structured MPC solves")
 
     if not args.skip_recovery:
-        with tempfile.NamedTemporaryFile(mode="w", suffix=".plan",
-                                         delete=False) as tmp:
-            tmp.write(FAULT_PLAN)
-            plan_path = pathlib.Path(tmp.name)
-        try:
-            rec_doc = run_dashboard(
-                args.dashboard, args.racks,
-                ["--recovery", "--faults", str(plan_path)])
-        finally:
-            plan_path.unlink(missing_ok=True)
+        rec_doc = run_dashboard(args.dashboard, scenario(args.racks, True))
         check_recovery_export(rec_doc, args.racks)
         total = sum(r["actions"] for r in rec_doc["recovery"])
         resolved = sum(r["incidents_resolved"] for r in rec_doc["recovery"])

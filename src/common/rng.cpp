@@ -1,7 +1,5 @@
 #include "common/rng.hpp"
 
-#include <cmath>
-
 namespace sprintcon {
 
 namespace {
@@ -30,11 +28,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
     const std::uint64_t r = (*this)();
     if (r >= threshold) return r % n;
   }
-}
-
-double Rng::exponential(double rate) noexcept {
-  // Inverse-CDF; uniform() < 1 so the log argument is strictly positive.
-  return -std::log(1.0 - uniform()) / rate;
 }
 
 Rng Rng::split() noexcept {

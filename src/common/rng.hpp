@@ -80,9 +80,6 @@ class Rng {
     return mean + stddev * normal();
   }
 
-  /// Exponential with the given rate (lambda > 0).
-  double exponential(double rate) noexcept;
-
   /// Bernoulli draw with probability p of returning true.
   bool bernoulli(double p) noexcept { return uniform() < p; }
 

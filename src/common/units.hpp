@@ -11,110 +11,21 @@
 // The controller mathematics are unit-agnostic; these helpers keep the
 // boundaries honest.
 //
-// For public APIs, prefer the strong types below (Seconds, Watts, Joules,
-// WattHours) or a role-suffixed double (`dt_s`, `budget_w`). A bare
-// `double seconds` / `double watts` parameter names the unit but not the
-// role, and silently accepts any double — scripts/lint_invariants.py
+// For public APIs, use a role-suffixed double (`dt_s`, `budget_w`). A
+// bare `double seconds` / `double watts` parameter names the unit but not
+// the role, and silently accepts any double — scripts/lint_invariants.py
 // (rule `raw-unit`) rejects such parameters everywhere outside this
 // header, which is the one legal raw-double conversion boundary.
 #pragma once
 
-#include <compare>
-
 namespace sprintcon::units {
 
-/// Zero-cost strong unit wrapper: explicit construction from double,
-/// explicit .value() out, same-unit additive arithmetic and scalar
-/// scaling. Cross-unit operations must go through a named conversion
-/// (to_joules, energy, ...), so a Seconds can never silently feed a
-/// watts parameter.
-template <typename Tag>
-class Quantity {
- public:
-  constexpr Quantity() noexcept = default;
-  constexpr explicit Quantity(double value) noexcept : value_(value) {}
-
-  constexpr double value() const noexcept { return value_; }
-
-  constexpr Quantity operator+(Quantity o) const noexcept {
-    return Quantity{value_ + o.value_};
-  }
-  constexpr Quantity operator-(Quantity o) const noexcept {
-    return Quantity{value_ - o.value_};
-  }
-  constexpr Quantity operator*(double k) const noexcept {
-    return Quantity{value_ * k};
-  }
-  constexpr Quantity operator/(double k) const noexcept {
-    return Quantity{value_ / k};
-  }
-  /// Same-unit ratio is dimensionless.
-  constexpr double operator/(Quantity o) const noexcept {
-    return value_ / o.value_;
-  }
-  constexpr auto operator<=>(const Quantity&) const noexcept = default;
-
- private:
-  double value_ = 0.0;
-};
-
-using Seconds = Quantity<struct SecondsTag>;
-using Watts = Quantity<struct WattsTag>;
-using Joules = Quantity<struct JoulesTag>;
-using WattHours = Quantity<struct WattHoursTag>;
-
 inline constexpr double kSecondsPerHour = 3600.0;
-inline constexpr double kSecondsPerMinute = 60.0;
 
 /// Convert watt-hours to joules (1 Wh = 3600 J).
 constexpr double wh_to_joules(double wh) noexcept { return wh * kSecondsPerHour; }
 
 /// Convert joules to watt-hours.
 constexpr double joules_to_wh(double j) noexcept { return j / kSecondsPerHour; }
-
-/// Convert minutes to seconds.
-constexpr double minutes_to_seconds(double min) noexcept { return min * kSecondsPerMinute; }
-
-/// Convert seconds to minutes.
-constexpr double seconds_to_minutes(double s) noexcept { return s / kSecondsPerMinute; }
-
-/// Energy delivered by a constant power over a duration.
-constexpr Joules energy(Watts power, Seconds duration) noexcept {
-  return Joules{power.value() * duration.value()};
-}
-
-/// Strong-typed twins of the raw conversions above.
-constexpr Joules to_joules(WattHours wh_v) noexcept {
-  return Joules{wh_to_joules(wh_v.value())};
-}
-constexpr WattHours to_watt_hours(Joules j) noexcept {
-  return WattHours{joules_to_wh(j.value())};
-}
-
-/// Kilowatts to watts.
-constexpr double kw_to_w(double kw) noexcept { return kw * 1000.0; }
-
-/// Watts to kilowatts.
-constexpr double w_to_kw(double w) noexcept { return w / 1000.0; }
-
-/// Gigahertz to normalized frequency given a peak clock in GHz.
-constexpr double ghz_to_norm(double ghz, double peak_ghz) noexcept {
-  return ghz / peak_ghz;
-}
-
-namespace literals {
-
-constexpr double operator""_kW(long double v) { return static_cast<double>(v) * 1000.0; }
-constexpr double operator""_kW(unsigned long long v) { return static_cast<double>(v) * 1000.0; }
-constexpr double operator""_W(long double v) { return static_cast<double>(v); }
-constexpr double operator""_W(unsigned long long v) { return static_cast<double>(v); }
-constexpr double operator""_Wh(long double v) { return static_cast<double>(v); }
-constexpr double operator""_Wh(unsigned long long v) { return static_cast<double>(v); }
-constexpr double operator""_min(long double v) { return static_cast<double>(v) * 60.0; }
-constexpr double operator""_min(unsigned long long v) { return static_cast<double>(v) * 60.0; }
-constexpr double operator""_s(long double v) { return static_cast<double>(v); }
-constexpr double operator""_s(unsigned long long v) { return static_cast<double>(v); }
-
-}  // namespace literals
 
 }  // namespace sprintcon::units

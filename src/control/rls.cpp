@@ -40,11 +40,6 @@ void RecursiveLeastSquares::update(const Vector& x, double y) {
   ++observations_;
 }
 
-double RecursiveLeastSquares::predict(const Vector& x) const {
-  SPRINTCON_EXPECTS(x.size() == theta_.size(), "RLS regressor size mismatch");
-  return dot(theta_, x);
-}
-
 GainEstimator::GainEstimator(double prior_gain, double min_ratio,
                              double max_ratio, double forgetting)
     : prior_(prior_gain),

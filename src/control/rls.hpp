@@ -28,9 +28,6 @@ class RecursiveLeastSquares {
   /// Number of updates absorbed so far.
   std::size_t observations() const noexcept { return observations_; }
 
-  /// Prediction y_hat = theta^T x.
-  double predict(const Vector& x) const;
-
  private:
   double forgetting_;
   Vector theta_;

@@ -40,26 +40,6 @@ void structured_matvec(const StructuredBlockQp& qp, const Vector& x,
   }
 }
 
-double structured_objective(const StructuredBlockQp& qp, const Vector& x) {
-  const std::size_t n = qp.block_size();
-  const std::size_t blocks = qp.num_blocks();
-  double obj = 0.0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t off = b * n;
-    double kx = 0.0;
-    double quad = 0.0;
-    double lin = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double xi = x[off + i];
-      kx += qp.gains[i] * xi;
-      quad += qp.penalty[i] * xi * xi;
-      lin += qp.gradient[off + i] * xi;
-    }
-    obj += 0.5 * (quad + qp.rank_weight[b] * kx * kx) + lin;
-  }
-  return obj;
-}
-
 double structured_residual(const StructuredBlockQp& qp, const Vector& x) {
   const std::size_t n = qp.block_size();
   const std::size_t blocks = qp.num_blocks();

@@ -78,10 +78,6 @@ struct StructuredQpScratch {
 void structured_matvec(const StructuredBlockQp& qp, const Vector& x,
                        Vector& out);
 
-/// Objective 1/2 x'Hx + g'x, evaluated blockwise in O(n Lc) without
-/// materializing H x.
-double structured_objective(const StructuredBlockQp& qp, const Vector& x);
-
 /// Projected-gradient residual ||x - clamp(x - (Hx + g))||_inf, evaluated
 /// in O(n Lc) with no temporaries; zero exactly at a KKT point.
 double structured_residual(const StructuredBlockQp& qp, const Vector& x);

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <istream>
 #include <sstream>
 
 #include "common/validation.hpp"
@@ -144,46 +142,6 @@ void FaultSpec::validate() const {
 
 void FaultPlan::validate() const {
   for (const FaultSpec& spec : faults) spec.validate();
-}
-
-std::string FaultPlan::to_text() const {
-  std::string out;
-  for (const FaultSpec& spec : faults) {
-    out += spec.to_line();
-    out += '\n';
-  }
-  return out;
-}
-
-FaultPlan FaultPlan::parse(std::istream& in) {
-  FaultPlan plan;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Strip comments and surrounding whitespace.
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      plan.faults.push_back(FaultSpec::parse_line(line));
-    } catch (const InvalidArgumentError& e) {
-      throw InvalidArgumentError("fault plan line " + std::to_string(line_no) +
-                                 ": " + e.what());
-    }
-  }
-  return plan;
-}
-
-FaultPlan FaultPlan::parse_string(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  return parse(in);
-}
-
-FaultPlan FaultPlan::load(const std::string& path) {
-  std::ifstream in(path);
-  SPRINTCON_EXPECTS(static_cast<bool>(in), "cannot open fault plan: " + path);
-  return parse(in);
 }
 
 }  // namespace sprintcon::fault

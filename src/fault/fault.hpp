@@ -3,14 +3,13 @@
 //
 // A FaultSpec is one timed fault: a kind, an activation window
 // [start_s, start_s + duration_s), and kind-specific parameters. A
-// FaultPlan is an ordered list of specs, parseable from a small
-// line-oriented text format so that plans can be checked into tests and
-// passed to the example binaries via `--faults <plan>`:
+// FaultPlan is an ordered list of specs. A scenario file describes one
+// spec per `fault` line (src/scenario/spec.hpp), in the grammar of
+// FaultSpec::parse_line:
 //
-//     # lines starting with '#' are comments
-//     meter_noise    start=100 duration=200 magnitude=0.05
-//     utility_outage start=400 duration=60
-//     ups_fade       start=0   magnitude=0.25
+//     fault meter_noise    start=100 duration=200 magnitude=0.05
+//     fault utility_outage start=400 duration=60
+//     fault ups_fade       start=0   magnitude=0.25
 //
 // Determinism contract: a FaultPlan never reads wall-clock time or global
 // RNG state. All randomness used by the injectors derives from the
@@ -19,7 +18,6 @@
 // tests/fault_test.cpp asserts.
 #pragma once
 
-#include <iosfwd>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -49,7 +47,7 @@ enum class FaultKind {
   kUtilityOutage, ///< primary feed lost for the window (inline UPS carries)
 };
 
-/// Stable identifier used by the plan format and the obs event `cause`
+/// Stable identifier used by the `fault` line and the obs event `cause`
 /// (a static string, safe to store in an Event).
 const char* to_string(FaultKind kind) noexcept;
 
@@ -57,7 +55,7 @@ const char* to_string(FaultKind kind) noexcept;
 FaultKind parse_fault_kind(std::string_view name);
 
 /// Shortest round-trippable decimal form ("%.17g", "inf"/"-inf") used by
-/// the plan and scenario text formats so parse(serialize(x)) == x bitwise.
+/// the scenario text format so parse(serialize(x)) == x bitwise.
 std::string format_plan_double(double v);
 
 /// One scheduled fault.
@@ -78,12 +76,13 @@ struct FaultSpec {
     return now_s >= start_s && now_s < end_s();
   }
 
-  /// One plan-format line (no newline); parse() round-trips it.
+  /// One `fault` line's body (no keyword, no newline); parse_line()
+  /// round-trips it.
   std::string to_line() const;
-  /// Parse one plan-format line ("<kind> key=value ..."; no comment
+  /// Parse one `fault` line's body ("<kind> key=value ..."; no comment
   /// handling) and validate it. Throws InvalidArgumentError without any
-  /// line-number context — callers that track position (FaultPlan::parse,
-  /// the scenario loader) wrap the message with their own file:line.
+  /// line-number context; the scenario loader wraps the message with its
+  /// own file:line.
   static FaultSpec parse_line(std::string_view line);
   /// Validate ranges for the kind; throws InvalidArgumentError.
   void validate() const;
@@ -99,16 +98,6 @@ struct FaultPlan {
   void validate() const;
 
   bool operator==(const FaultPlan&) const = default;
-
-  /// Serialize to the text format (one to_line() per spec).
-  std::string to_text() const;
-
-  /// Parse the text format; throws InvalidArgumentError on malformed
-  /// lines, unknown kinds or out-of-range parameters.
-  static FaultPlan parse(std::istream& in);
-  static FaultPlan parse_string(std::string_view text);
-  /// Load from a file; throws InvalidArgumentError if unreadable.
-  static FaultPlan load(const std::string& path);
 };
 
 }  // namespace sprintcon::fault

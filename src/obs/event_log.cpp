@@ -91,9 +91,4 @@ std::vector<Event> EventLog::snapshot() const {
   return out;
 }
 
-void EventLog::clear() noexcept {
-  next_ = 0;
-  field_overflow_ = 0;
-}
-
 }  // namespace sprintcon::obs

@@ -50,8 +50,6 @@ class EventLog {
   /// Retained events, oldest first.
   std::vector<Event> snapshot() const;
 
-  void clear() noexcept;
-
  private:
   std::vector<Event> ring_;
   std::uint64_t next_ = 0;  ///< total emitted; next slot = next_ % capacity

@@ -87,7 +87,7 @@ struct RigConfig {
   bool use_request_queues = false;
   std::uint64_t seed = 42;
   /// Scripted fault schedule (empty = no injector built). See
-  /// fault/fault.hpp for the plan format and DESIGN.md §9 for the
+  /// fault/fault.hpp for the `fault` line grammar and DESIGN.md §9 for the
   /// taxonomy. Faults perturb the rig; the safety invariants must hold
   /// regardless (tests/fault_test.cpp).
   fault::FaultPlan faults;

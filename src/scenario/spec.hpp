@@ -1,12 +1,11 @@
 // The scenario description language (DESIGN.md §12): one declarative text
 // file describes a whole facility experiment — fleet composition, rack
 // shape, workload mix, timed traffic surges, grid/utility events, an
-// embedded fault plan, the controller policy, and run duration/seed —
-// subsuming the example binaries' flag soup behind a single
-// `--scenario FILE` entry point.
+// embedded fault plan, the controller policy, and run duration/seed. It is
+// the only way to describe a facility run: `facility_dashboard --scenario
+// FILE` takes nothing else that shapes the experiment.
 //
-// The format extends the fault-plan idiom (src/fault/fault.hpp): one
-// section keyword per line followed by key=value pairs, '#' comments,
+// One section keyword per line followed by key=value pairs, '#' comments,
 // blank lines ignored:
 //
 //     scenario name=black-friday-surge seed=42 duration=900
@@ -18,9 +17,9 @@
 //     fault    meter_noise start=0 duration=900 magnitude=0.05
 //
 // `scenario` appears exactly once (first); `fleet`/`rack`/`workload` at
-// most once; `surge`/`grid`/`fault` repeat. Every `fault` line is exactly
-// one fault-plan line (FaultSpec grammar), so an existing `--faults` plan
-// migrates by prefixing each line with `fault `.
+// most once; `surge`/`grid`/`fault` repeat. The body of every `fault`
+// line is one FaultSpec in the grammar of FaultSpec::parse_line
+// (src/fault/fault.hpp).
 //
 // ScenarioSpec is a value type: parse -> to_text -> parse is the identity
 // (tests/scenario_test.cpp pins the round-trip for every shipped scenario
@@ -140,7 +139,7 @@ struct ScenarioSpec {
   FacilityConfig facility;
   std::vector<SurgeSpec> surges;
   std::vector<GridEventSpec> grid_events;
-  /// Embedded fault plan (one `fault <plan-line>` per spec).
+  /// Embedded fault plan (one `fault <FaultSpec::to_line()>` per spec).
   fault::FaultPlan faults;
 
   /// Validate the header, `facility` (its own validate()), every surge,

@@ -122,9 +122,10 @@ TEST(Degraded, InjectedFadeAndDriftEndTheSprint) {
   // the sprint ends (Section IV-C), and ending must be safe.
   cfg.sprint.cb_overload_duration_s = 200.0;
   cfg.sprint.cb_recovery_duration_s = 250.0;
-  cfg.faults = fault::FaultPlan::parse_string(
-      "cb_drift start=0 magnitude=0.9\n"
-      "ups_fade start=150 duration=1 magnitude=0.02\n");
+  cfg.faults.faults = {
+      fault::FaultSpec::parse_line("cb_drift start=0 magnitude=0.9"),
+      fault::FaultSpec::parse_line(
+          "ups_fade start=150 duration=1 magnitude=0.02")};
   Rig rig(cfg);
   rig.run();
   EXPECT_EQ(rig.sprintcon()->state(), core::SprintState::kEnded);
@@ -144,8 +145,8 @@ TEST(Degraded, InjectedUpsExhaustionForcesBiddingFallback) {
   // Fade the store to 1 Wh mid-sprint: the next discharge empties it,
   // conservation engages, and the classes must bid for the rated budget —
   // visibly throttling interactive cores below peak.
-  cfg.faults = fault::FaultPlan::parse_string(
-      "ups_fade start=100 duration=1 magnitude=0.01");
+  cfg.faults.faults = {fault::FaultSpec::parse_line(
+      "ups_fade start=100 duration=1 magnitude=0.01")};
   Rig rig(cfg);
   rig.run();
   EXPECT_TRUE(rig.sprintcon()->state() == core::SprintState::kUpsConserve ||
@@ -169,8 +170,8 @@ TEST(Degraded, DischargeFaultFallsBackToWorkloadDefense) {
   // fallback must bid ALL workloads under P_cb to save the breaker.
   cfg.sprint.cb_overload_duration_s = 200.0;
   cfg.sprint.cb_recovery_duration_s = 250.0;
-  cfg.faults = fault::FaultPlan::parse_string(
-      "discharge_fail start=0 duration=900 magnitude=0");
+  cfg.faults.faults = {fault::FaultSpec::parse_line(
+      "discharge_fail start=0 duration=900 magnitude=0")};
   Rig rig(cfg);
   rig.run();
   EXPECT_EQ(rig.summary().cb_trips, 0);

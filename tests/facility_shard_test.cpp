@@ -41,9 +41,11 @@ FacilityConfig sweep_config(std::size_t racks, std::size_t threads,
     // One sensing fault and one actuation fault, both windows inside the
     // run; the injector draws from its own per-rig RNG every tick the
     // noise is active, so any cross-shard leakage would show up here.
-    cfg.rack.faults = fault::FaultPlan::parse_string(
-        "meter_noise start=10 duration=30 magnitude=0.05\n"
-        "dvfs_lag start=20 duration=25 magnitude=3\n");
+    cfg.rack.faults.faults = {
+        fault::FaultSpec::parse_line(
+            "meter_noise start=10 duration=30 magnitude=0.05"),
+        fault::FaultSpec::parse_line(
+            "dvfs_lag start=20 duration=25 magnitude=3")};
   }
   return cfg;
 }
@@ -298,8 +300,8 @@ FacilityConfig reroute_config(std::size_t threads) {
   cfg.epoch_s = 10.0;
   cfg.rack.duration_s = 300.0;
   cfg.rack.use_request_queues = true;
-  cfg.rack.faults = fault::FaultPlan::parse_string(
-      "dvfs_stuck start=10 duration=200");
+  cfg.rack.faults.faults = {
+      fault::FaultSpec::parse_line("dvfs_stuck start=10 duration=200")};
   return cfg;
 }
 

@@ -1,4 +1,4 @@
-// Fault-injection subsystem tests: plan parsing, determinism, and the
+// Fault-injection subsystem tests: `fault` line parsing, determinism, and the
 // chaos sweeps — every fault family, across seeds, must (a) actually
 // perturb the uninjected run and (b) leave SprintCon's safety invariants
 // standing: no breaker trip, no brownout, bounded unserved power, legal
@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/validation.hpp"
@@ -23,24 +25,32 @@ using scenario::Rig;
 using scenario::RigConfig;
 
 // ---------------------------------------------------------------------------
-// FaultPlan text format
+// The `fault` line grammar
 // ---------------------------------------------------------------------------
 
+/// A plan from `fault` line bodies, one FaultSpec::parse_line per line.
+FaultPlan plan_of(std::initializer_list<std::string_view> lines) {
+  FaultPlan plan;
+  for (const std::string_view line : lines) {
+    plan.faults.push_back(FaultSpec::parse_line(line));
+  }
+  return plan;
+}
+
 TEST(FaultPlan, ParsesEveryKindAndRoundTrips) {
-  const std::string text =
-      "# a comment line\n"
-      "meter_noise    start=100 duration=200 magnitude=0.05\n"
-      "meter_spike    start=50 duration=100 magnitude=0.3 period=20\n"
-      "meter_dropout  start=10 duration=30\n"
-      "meter_delay    start=0 duration=500 magnitude=10\n"
-      "dvfs_stuck     start=200 duration=40\n"
-      "dvfs_lag       start=0 magnitude=20   # trailing comment\n"
-      "control_drop   start=0 duration=900 magnitude=0.25\n"
-      "ups_fade       start=300 magnitude=0.5\n"
-      "discharge_fail start=100 duration=200 magnitude=0.2\n"
-      "cb_drift       start=0 magnitude=0.9\n"
-      "utility_outage start=600 duration=60\n";
-  const FaultPlan plan = FaultPlan::parse_string(text);
+  const FaultPlan plan = plan_of({
+      "meter_noise    start=100 duration=200 magnitude=0.05",
+      "meter_spike    start=50 duration=100 magnitude=0.3 period=20",
+      "meter_dropout  start=10 duration=30",
+      "meter_delay    start=0 duration=500 magnitude=10",
+      "dvfs_stuck     start=200 duration=40",
+      "dvfs_lag       start=0 magnitude=20",
+      "control_drop   start=0 duration=900 magnitude=0.25",
+      "ups_fade       start=300 magnitude=0.5",
+      "discharge_fail start=100 duration=200 magnitude=0.2",
+      "cb_drift       start=0 magnitude=0.9",
+      "utility_outage start=600 duration=60",
+  });
   ASSERT_EQ(plan.faults.size(), 11u);
   EXPECT_EQ(plan.faults[0].kind, FaultKind::kMeterNoise);
   EXPECT_DOUBLE_EQ(plan.faults[0].start_s, 100.0);
@@ -51,17 +61,9 @@ TEST(FaultPlan, ParsesEveryKindAndRoundTrips) {
   EXPECT_TRUE(std::isinf(plan.faults[5].duration_s));
   EXPECT_EQ(plan.faults[10].kind, FaultKind::kUtilityOutage);
 
-  // to_text() -> parse_string() must reproduce the plan exactly.
-  const FaultPlan again = FaultPlan::parse_string(plan.to_text());
-  ASSERT_EQ(again.faults.size(), plan.faults.size());
-  for (std::size_t i = 0; i < plan.faults.size(); ++i) {
-    EXPECT_EQ(again.faults[i].kind, plan.faults[i].kind) << i;
-    EXPECT_DOUBLE_EQ(again.faults[i].start_s, plan.faults[i].start_s) << i;
-    EXPECT_DOUBLE_EQ(again.faults[i].duration_s, plan.faults[i].duration_s)
-        << i;
-    EXPECT_DOUBLE_EQ(again.faults[i].magnitude, plan.faults[i].magnitude)
-        << i;
-    EXPECT_DOUBLE_EQ(again.faults[i].period_s, plan.faults[i].period_s) << i;
+  // to_line() -> parse_line() must reproduce every spec exactly.
+  for (const FaultSpec& spec : plan.faults) {
+    EXPECT_EQ(FaultSpec::parse_line(spec.to_line()), spec) << spec.to_line();
   }
 }
 
@@ -79,33 +81,33 @@ TEST(FaultPlan, KindNamesRoundTrip) {
 
 TEST(FaultPlan, RejectsMalformedInput) {
   // Unknown kind.
-  EXPECT_THROW(FaultPlan::parse_string("bit_flip start=0"),
+  EXPECT_THROW(FaultSpec::parse_line("bit_flip start=0"),
                InvalidArgumentError);
   // Missing '=' in a parameter.
-  EXPECT_THROW(FaultPlan::parse_string("meter_dropout start 0"),
+  EXPECT_THROW(FaultSpec::parse_line("meter_dropout start 0"),
                InvalidArgumentError);
   // Malformed numbers must not be silently accepted.
-  EXPECT_THROW(FaultPlan::parse_string("meter_noise start=abc magnitude=0.1"),
+  EXPECT_THROW(FaultSpec::parse_line("meter_noise start=abc magnitude=0.1"),
                InvalidArgumentError);
   EXPECT_THROW(
-      FaultPlan::parse_string("meter_noise start=1.2.3 magnitude=0.1"),
+      FaultSpec::parse_line("meter_noise start=1.2.3 magnitude=0.1"),
       InvalidArgumentError);
   // Unknown key.
-  EXPECT_THROW(FaultPlan::parse_string("meter_dropout begin=0"),
+  EXPECT_THROW(FaultSpec::parse_line("meter_dropout begin=0"),
                InvalidArgumentError);
   // Out-of-range parameters for the kind.
-  EXPECT_THROW(FaultPlan::parse_string("control_drop start=0 magnitude=1.5"),
+  EXPECT_THROW(FaultSpec::parse_line("control_drop start=0 magnitude=1.5"),
                InvalidArgumentError);
-  EXPECT_THROW(FaultPlan::parse_string("ups_fade start=0 magnitude=0"),
+  EXPECT_THROW(FaultSpec::parse_line("ups_fade start=0 magnitude=0"),
                InvalidArgumentError);
-  EXPECT_THROW(FaultPlan::parse_string("cb_drift start=0 magnitude=-0.5"),
+  EXPECT_THROW(FaultSpec::parse_line("cb_drift start=0 magnitude=-0.5"),
                InvalidArgumentError);
-  EXPECT_THROW(FaultPlan::parse_string("meter_spike start=0 magnitude=0.3"),
+  EXPECT_THROW(FaultSpec::parse_line("meter_spike start=0 magnitude=0.3"),
                InvalidArgumentError);  // spike without a period
-  EXPECT_THROW(FaultPlan::parse_string("meter_noise start=-5 magnitude=0.1"),
+  EXPECT_THROW(FaultSpec::parse_line("meter_noise start=-5 magnitude=0.1"),
                InvalidArgumentError);
   EXPECT_THROW(
-      FaultPlan::parse_string("meter_noise start=0 duration=0 magnitude=0.1"),
+      FaultSpec::parse_line("meter_noise start=0 duration=0 magnitude=0.1"),
       InvalidArgumentError);
 }
 
@@ -116,7 +118,7 @@ TEST(FaultPlan, RejectsMalformedInput) {
 // The degraded-mode rig: 4 servers behind an 800 W breaker and a 100 Wh
 // UPS. Small enough for a seed sweep, rich enough that every fault family
 // has something real to break.
-RigConfig chaos_rig(std::uint64_t seed, const std::string& plan_text) {
+RigConfig chaos_rig(std::uint64_t seed, const FaultPlan& plan) {
   RigConfig cfg;
   cfg.num_servers = 4;
   cfg.sprint.cb_rated_w = 4.0 * 300.0 * (2.0 / 3.0);  // 800 W
@@ -124,7 +126,7 @@ RigConfig chaos_rig(std::uint64_t seed, const std::string& plan_text) {
   cfg.completion = workload::CompletionMode::kRepeat;
   cfg.seed = seed;
   cfg.fault_seed = seed * 977 + 13;
-  cfg.faults = FaultPlan::parse_string(plan_text);
+  cfg.faults = plan;
   return cfg;
 }
 
@@ -173,10 +175,10 @@ void expect_recovery(Rig& rig, const std::string& label) {
 }
 
 // One chaos case: run the plan across seeds, assert invariants + recovery.
-void chaos_sweep(const std::string& plan_text, const std::string& label,
+void chaos_sweep(const FaultPlan& plan, const std::string& label,
                  bool check_recovery = true) {
   for (const std::uint64_t seed : {11u, 42u, 97u}) {
-    Rig rig(chaos_rig(seed, plan_text));
+    Rig rig(chaos_rig(seed, plan));
     const std::string tag = label + " seed=" + std::to_string(seed);
     run_checked(rig);
     ASSERT_NE(rig.fault_injector(), nullptr);
@@ -202,10 +204,10 @@ std::vector<double> baseline_channel(std::uint64_t seed, const char* name) {
 
 // Proof that the fault family is not a no-op: some recorded channel must
 // deviate from the uninjected run with the same workload seed.
-void expect_perturbs(const std::string& plan_text, const char* channel,
+void expect_perturbs(const FaultPlan& plan, const char* channel,
                      const std::string& label) {
   constexpr std::uint64_t kSeed = 42;
-  Rig rig(chaos_rig(kSeed, plan_text));
+  Rig rig(chaos_rig(kSeed, plan));
   rig.run();
   const std::vector<double> faulted =
       rig.recorder().series(channel).values();
@@ -222,26 +224,28 @@ void expect_perturbs(const std::string& plan_text, const char* channel,
 // --- sensing faults --------------------------------------------------------
 
 TEST(FaultChaos, MeterNoise) {
-  const std::string plan = "meter_noise start=100 duration=400 magnitude=0.05";
+  const FaultPlan plan =
+      plan_of({"meter_noise start=100 duration=400 magnitude=0.05"});
   chaos_sweep(plan, "meter_noise");
   expect_perturbs(plan, "freq_batch", "meter_noise");
 }
 
 TEST(FaultChaos, MeterSpike) {
-  const std::string plan =
-      "meter_spike start=100 duration=400 magnitude=0.3 period=20";
+  const FaultPlan plan =
+      plan_of({"meter_spike start=100 duration=400 magnitude=0.3 period=20"});
   chaos_sweep(plan, "meter_spike");
   expect_perturbs(plan, "freq_batch", "meter_spike");
 }
 
 TEST(FaultChaos, MeterDropout) {
-  const std::string plan = "meter_dropout start=200 duration=120";
+  const FaultPlan plan = plan_of({"meter_dropout start=200 duration=120"});
   chaos_sweep(plan, "meter_dropout");
   expect_perturbs(plan, "freq_batch", "meter_dropout");
 }
 
 TEST(FaultChaos, MeterDelay) {
-  const std::string plan = "meter_delay start=100 duration=400 magnitude=10";
+  const FaultPlan plan =
+      plan_of({"meter_delay start=100 duration=400 magnitude=10"});
   chaos_sweep(plan, "meter_delay");
   expect_perturbs(plan, "freq_batch", "meter_delay");
 }
@@ -251,19 +255,20 @@ TEST(FaultChaos, MeterDelay) {
 TEST(FaultChaos, DvfsStuck) {
   // A short latch: the UPS absorbs the power the controller can no longer
   // shed, and the safety envelope holds.
-  const std::string plan = "dvfs_stuck start=150 duration=40";
+  const FaultPlan plan = plan_of({"dvfs_stuck start=150 duration=40"});
   chaos_sweep(plan, "dvfs_stuck");
   expect_perturbs(plan, "freq_batch", "dvfs_stuck");
 }
 
 TEST(FaultChaos, DvfsLag) {
-  const std::string plan = "dvfs_lag start=0 duration=800 magnitude=15";
+  const FaultPlan plan =
+      plan_of({"dvfs_lag start=0 duration=800 magnitude=15"});
   chaos_sweep(plan, "dvfs_lag");
   expect_perturbs(plan, "freq_batch", "dvfs_lag");
 }
 
 TEST(FaultChaos, DvfsStuckFreezesFrequencies) {
-  Rig rig(chaos_rig(42, "dvfs_stuck start=150 duration=40"));
+  Rig rig(chaos_rig(42, plan_of({"dvfs_stuck start=150 duration=40"})));
   rig.run();
   const auto& fb = rig.recorder().series("freq_batch");
   const auto& fi = rig.recorder().series("freq_interactive");
@@ -278,7 +283,8 @@ TEST(FaultChaos, DvfsStuckFreezesFrequencies) {
 // --- control-plane faults --------------------------------------------------
 
 TEST(FaultChaos, ControlDrop) {
-  const std::string plan = "control_drop start=100 duration=400 magnitude=0.3";
+  const FaultPlan plan =
+      plan_of({"control_drop start=100 duration=400 magnitude=0.3"});
   chaos_sweep(plan, "control_drop");
   expect_perturbs(plan, "freq_batch", "control_drop");
 }
@@ -288,7 +294,8 @@ TEST(FaultChaos, ControlDrop) {
 TEST(FaultChaos, UpsFade) {
   // Half the store vanishes mid-sprint. Capacity fade is permanent, so no
   // recovery check — but the run must stay safe.
-  const std::string plan = "ups_fade start=300 duration=1 magnitude=0.5";
+  const FaultPlan plan =
+      plan_of({"ups_fade start=300 duration=1 magnitude=0.5"});
   chaos_sweep(plan, "ups_fade", /*check_recovery=*/false);
   expect_perturbs(plan, "battery_soc", "ups_fade");
 
@@ -302,7 +309,7 @@ TEST(FaultChaos, UpsFadeAgesBothHybridComponents) {
   // unit: each component keeps the fade fraction of its capacity, and
   // both SOC channels (store and battery component) stay in [0, 1].
   RigConfig cfg =
-      chaos_rig(42, "ups_fade start=300 duration=1 magnitude=0.5");
+      chaos_rig(42, plan_of({"ups_fade start=300 duration=1 magnitude=0.5"}));
   cfg.supercap_wh = 20.0;
   Rig rig(cfg);
   const auto* hybrid =
@@ -322,14 +329,15 @@ TEST(FaultChaos, UpsFadeAgesBothHybridComponents) {
 }
 
 TEST(FaultChaos, DischargeFail) {
-  const std::string plan =
-      "discharge_fail start=100 duration=300 magnitude=0.2";
+  const FaultPlan plan =
+      plan_of({"discharge_fail start=100 duration=300 magnitude=0.2"});
   chaos_sweep(plan, "discharge_fail");
   expect_perturbs(plan, "ups_power_w", "discharge_fail");
 }
 
 TEST(FaultChaos, DischargeFailTotalKillsUpsDelivery) {
-  Rig rig(chaos_rig(42, "discharge_fail start=100 duration=300 magnitude=0"));
+  Rig rig(chaos_rig(
+      42, plan_of({"discharge_fail start=100 duration=300 magnitude=0"})));
   rig.run();
   const auto& ups = rig.recorder().series("ups_power_w");
   for (std::size_t i = 101; i < 399; ++i) {
@@ -342,7 +350,8 @@ TEST(FaultChaos, DischargeFailTotalKillsUpsDelivery) {
 TEST(FaultChaos, CbDrift) {
   // An aged breaker trips 10% early; the safety monitor must still keep a
   // margin below the (derated) threshold.
-  const std::string plan = "cb_drift start=0 duration=800 magnitude=0.9";
+  const FaultPlan plan =
+      plan_of({"cb_drift start=0 duration=800 magnitude=0.9"});
   chaos_sweep(plan, "cb_drift");
   expect_perturbs(plan, "cb_thermal_stress", "cb_drift");
   Rig rig(chaos_rig(42, plan));
@@ -351,7 +360,7 @@ TEST(FaultChaos, CbDrift) {
 }
 
 TEST(FaultChaos, UtilityOutage) {
-  const std::string plan = "utility_outage start=600 duration=60";
+  const FaultPlan plan = plan_of({"utility_outage start=600 duration=60"});
   chaos_sweep(plan, "utility_outage");
   expect_perturbs(plan, "cb_power_w", "utility_outage");
 
@@ -370,13 +379,14 @@ TEST(FaultChaos, UtilityOutage) {
 
 TEST(FaultChaos, CombinedPlanAcrossSeeds) {
   // Everything at once (windows staggered so the rig also recovers):
-  const std::string plan =
-      "meter_noise    start=100 duration=200 magnitude=0.03\n"
-      "meter_delay    start=150 duration=100 magnitude=6\n"
-      "control_drop   start=200 duration=150 magnitude=0.2\n"
-      "dvfs_lag       start=300 duration=100 magnitude=10\n"
-      "discharge_fail start=400 duration=100 magnitude=0.5\n"
-      "utility_outage start=650 duration=30\n";
+  const FaultPlan plan = plan_of({
+      "meter_noise    start=100 duration=200 magnitude=0.03",
+      "meter_delay    start=150 duration=100 magnitude=6",
+      "control_drop   start=200 duration=150 magnitude=0.2",
+      "dvfs_lag       start=300 duration=100 magnitude=10",
+      "discharge_fail start=400 duration=100 magnitude=0.5",
+      "utility_outage start=650 duration=30",
+  });
   chaos_sweep(plan, "combined");
 }
 
@@ -387,10 +397,11 @@ TEST(FaultChaos, CombinedPlanAcrossSeeds) {
 // Identical (plan, seed, config) must reproduce bit-identical runs, even
 // for the stochastic fault families (noise draws, drop coins).
 TEST(FaultDeterminism, IdenticalPlanAndSeedIsBitIdentical) {
-  const std::string plan =
-      "meter_noise  start=50 duration=500 magnitude=0.05\n"
-      "control_drop start=100 duration=400 magnitude=0.3\n"
-      "meter_spike  start=200 duration=300 magnitude=0.2 period=15\n";
+  const FaultPlan plan = plan_of({
+      "meter_noise  start=50 duration=500 magnitude=0.05",
+      "control_drop start=100 duration=400 magnitude=0.3",
+      "meter_spike  start=200 duration=300 magnitude=0.2 period=15",
+  });
   Rig a(chaos_rig(42, plan));
   Rig b(chaos_rig(42, plan));
   a.run();
@@ -413,7 +424,8 @@ TEST(FaultDeterminism, IdenticalPlanAndSeedIsBitIdentical) {
 TEST(FaultDeterminism, DifferentFaultSeedDiverges) {
   // The stochastic families must actually consume the injector seed: a
   // different fault_seed (same workload seed) changes the trajectory.
-  const std::string plan = "meter_noise start=50 duration=700 magnitude=0.08";
+  const FaultPlan plan =
+      plan_of({"meter_noise start=50 duration=700 magnitude=0.08"});
   RigConfig ca = chaos_rig(42, plan);
   RigConfig cb = chaos_rig(42, plan);
   cb.fault_seed = ca.fault_seed + 1;
@@ -435,7 +447,8 @@ TEST(FaultDeterminism, DifferentFaultSeedDiverges) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultObs, InjectionAndClearEventsAreEmitted) {
-  RigConfig cfg = chaos_rig(42, "utility_outage start=600 duration=60");
+  RigConfig cfg =
+      chaos_rig(42, plan_of({"utility_outage start=600 duration=60"}));
   cfg.observability = true;
   Rig rig(cfg);
   rig.run();

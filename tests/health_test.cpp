@@ -185,12 +185,12 @@ TEST(HealthRig, FaultFreeRunRaisesNoAlarms) {
 }
 
 struct MttdCase {
-  const char* plan;           ///< fault-plan line injected into the rig
+  const char* plan;           ///< `fault` line body injected into the rig
   double start_s;             ///< must match the plan's start
   std::vector<std::string> causes;  ///< acceptable detecting rules
 };
 
-// Print the plan line, so the test's listed name is the same on every
+// Print the fault line, so the test's listed name is the same on every
 // run (gtest's default prints the raw bytes, i.e. the plan's address).
 void PrintTo(const MttdCase& c, std::ostream* os) { *os << c.plan; }
 
@@ -199,7 +199,7 @@ class HealthMttd : public ::testing::TestWithParam<MttdCase> {};
 TEST_P(HealthMttd, DetectsInjectedFaultWithBoundedDelay) {
   const MttdCase& c = GetParam();
   scenario::RigConfig config = health_config();
-  config.faults = fault::FaultPlan::parse_string(c.plan);
+  config.faults.faults = {fault::FaultSpec::parse_line(c.plan)};
   scenario::Rig rig(config);
   rig.run();
 

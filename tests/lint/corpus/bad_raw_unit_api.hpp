@@ -1,6 +1,6 @@
 // Known-bad: public API taking bare-unit doubles. `double watts` names
-// the unit but not the role and accepts any double; the strong types
-// (units::Watts, units::Seconds) or a role-suffixed name are required.
+// the unit but not the role and accepts any double; a role-suffixed
+// name (budget_w, window_s) is required.
 // lint:treat-as(src/core/bad_budget.hpp)
 // lint:expect(raw-unit)
 #pragma once

@@ -76,15 +76,6 @@ TEST(EventLog, FieldOverflowClampsAndCounts) {
   EXPECT_DOUBLE_EQ(events[0].field("f7", -1.0), -1.0);  // dropped
 }
 
-TEST(EventLog, ClearResets) {
-  EventLog log(4);
-  log.emit(0.0, EventType::kCustom, "e", {});
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.total_emitted(), 0u);
-  EXPECT_TRUE(log.snapshot().empty());
-}
-
 TEST(EventLog, TypeNames) {
   EXPECT_STREQ(to_string(EventType::kSprintStateChange), "sprint_state");
   EXPECT_STREQ(to_string(EventType::kAllocatorDecision), "allocator_decision");

@@ -347,12 +347,12 @@ TEST(RecoveryRig, EngineNeverPerturbsAHealthyRun) {
 }
 
 struct MttrCase {
-  const char* plan;      ///< fault-plan line injected into the rig
+  const char* plan;      ///< `fault` line body injected into the rig
   double start_s;        ///< must match the plan's start
   double resolve_by_s;   ///< incident must fully close by this sim time
 };
 
-// Print the plan line, so the test's listed name is the same on every
+// Print the fault line, so the test's listed name is the same on every
 // run (gtest's default prints the raw bytes, i.e. the plan's address).
 void PrintTo(const MttrCase& c, std::ostream* os) { *os << c.plan; }
 
@@ -361,7 +361,7 @@ class RecoveryMttr : public ::testing::TestWithParam<MttrCase> {};
 TEST_P(RecoveryMttr, RemediatesAndReturnsToNonDegraded) {
   const MttrCase& c = GetParam();
   scenario::RigConfig config = recovery_config();
-  config.faults = fault::FaultPlan::parse_string(c.plan);
+  config.faults.faults = {fault::FaultSpec::parse_line(c.plan)};
   scenario::Rig rig(config);
   rig.run();
 

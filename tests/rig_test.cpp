@@ -111,8 +111,8 @@ TEST(Rig, ChannelListFollowsRigShape) {
 
   // A fault plan adds fault_active just before battery_component_soc.
   RigConfig faulted = tiny();
-  faulted.faults = fault::FaultPlan::parse_string(
-      "meter_noise start=10 duration=20 magnitude=0.05\n");
+  faulted.faults.faults = {fault::FaultSpec::parse_line(
+      "meter_noise start=10 duration=20 magnitude=0.05")};
   std::vector<std::string> with_fault = plain;
   with_fault.insert(with_fault.end() - 1, "fault_active");
   EXPECT_EQ(Rig(faulted).recorder().channel_names(), with_fault);

@@ -49,12 +49,6 @@ TEST(Rls, ForgettingTracksDrift) {
   EXPECT_NEAR(rls.theta()[0], 4.0, 0.1);
 }
 
-TEST(Rls, PredictUsesTheta) {
-  RecursiveLeastSquares rls(1, /*forgetting=*/1.0);
-  for (int i = 1; i <= 20; ++i) rls.update({1.0}, 3.0);
-  EXPECT_NEAR(rls.predict({2.0}), 6.0, 1e-4);
-}
-
 TEST(Rls, InvalidArgumentsThrow) {
   EXPECT_THROW(RecursiveLeastSquares(0), InvalidArgumentError);
   EXPECT_THROW(RecursiveLeastSquares(1, 0.0), InvalidArgumentError);

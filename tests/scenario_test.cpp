@@ -4,9 +4,8 @@
 //     survive the parse -> to_text -> parse round-trip; their canonical
 //     text is pinned under tests/golden/canonical/ (regenerate with
 //     SPRINTCON_GOLDEN_UPDATE=1 ./build/tests/scenario_test);
-//   - rolling-brownout's embedded fault plan is exactly
-//     examples/plans/brownout_drill.plan, and the legacy `--faults` path
-//     produces a bit-identical rig trace;
+//   - rolling-brownout compiles to the brownout drill's five fault specs,
+//     and a rig given those specs in code produces a bit-identical trace;
 //   - every loader diagnostic carries "<file>:<line>:" and fires on the
 //     malformed input it documents;
 //   - compile() lowers surges onto the interactive envelope and grid
@@ -32,7 +31,6 @@ namespace {
 
 constexpr const char* kScenarioDir = SPRINTCON_SCENARIO_DIR;
 constexpr const char* kWorkloadDir = SPRINTCON_WORKLOAD_DIR;
-constexpr const char* kPlansDir = SPRINTCON_PLANS_DIR;
 constexpr const char* kCanonicalDir = SPRINTCON_GOLDEN_DIR "/canonical";
 
 std::vector<std::filesystem::path> scenario_files(const char* dir) {
@@ -142,15 +140,38 @@ TEST(ScenarioLibrary, CanonicalTextMatchesGoldens) {
 }
 
 // ---------------------------------------------------------------------------
-// brownout_drill.plan migration (embedded vs legacy --faults path)
+// rolling-brownout's embedded brownout drill
 // ---------------------------------------------------------------------------
 
+/// The brownout drill, written out spec by spec: noisy metering, an aged
+/// breaker, a mid-sprint utility outage with control-plane flakiness, and
+/// stuck DVFS actuators during recovery.
+fault::FaultPlan brownout_drill() {
+  using fault::FaultKind;
+  using fault::FaultSpec;
+  return {{
+      FaultSpec{.kind = FaultKind::kMeterNoise,
+                .duration_s = 900.0,
+                .magnitude = 0.05},
+      FaultSpec{.kind = FaultKind::kCbDrift, .magnitude = 0.95},
+      FaultSpec{.kind = FaultKind::kUtilityOutage,
+                .start_s = 300.0,
+                .duration_s = 45.0},
+      FaultSpec{.kind = FaultKind::kControlDrop,
+                .start_s = 300.0,
+                .duration_s = 45.0,
+                .magnitude = 0.2},
+      FaultSpec{.kind = FaultKind::kDvfsStuck,
+                .start_s = 500.0,
+                .duration_s = 20.0},
+  }};
+}
+
 TEST(ScenarioLibrary, RollingBrownoutEmbedsTheBrownoutDrillPlan) {
+  // compile() puts the file's five `fault` lines onto every rack, in order.
   const ScenarioSpec spec =
       load_scenario(std::string(kScenarioDir) + "/rolling-brownout.scn");
-  const fault::FaultPlan plan =
-      fault::FaultPlan::load(std::string(kPlansDir) + "/brownout_drill.plan");
-  EXPECT_EQ(spec.faults, plan);
+  EXPECT_EQ(compile(spec).rack.faults, brownout_drill());
 }
 
 TEST(ScenarioLibrary, EmbeddedAndLegacyFaultPathsAreBitIdentical) {
@@ -158,14 +179,12 @@ TEST(ScenarioLibrary, EmbeddedAndLegacyFaultPathsAreBitIdentical) {
       load_scenario(std::string(kScenarioDir) + "/rolling-brownout.scn");
   const FacilityConfig compiled = compile(spec);
 
-  // The legacy path: default rig + FaultPlan::load, exactly what
-  // `facility_dashboard --faults examples/plans/brownout_drill.plan` builds.
-  RigConfig legacy = compiled.rack;
-  legacy.faults =
-      fault::FaultPlan::load(std::string(kPlansDir) + "/brownout_drill.plan");
+  // The same rack given the drill's specs in code instead of from the file.
+  RigConfig in_code = compiled.rack;
+  in_code.faults = brownout_drill();
 
   Rig a(compiled.rack);
-  Rig b(legacy);
+  Rig b(in_code);
   a.run();
   b.run();
   for (const char* channel : {"total_power_w", "cb_power_w", "battery_soc",
