@@ -1,11 +1,11 @@
 // google-benchmark microbenchmarks: controller and simulator kernels.
 //
 // A developer tool, compared by hand: the MPC solve that runs every 2 s on
-// a rack controller, the same solve with observability on, and one
-// simulated tick of a canonical rig. All rows time wall clock. The repo's
-// perf record is perfbench (perfbench/README.md), which measures whole
-// fleets end to end and layer by layer; these rows have no committed
-// baseline.
+// a rack controller, the same solve with observability on, one simulated
+// tick of a canonical rig, and one health check of a rig's default rules.
+// All rows time wall clock. The repo's perf record is perfbench
+// (perfbench/README.md), which measures whole fleets end to end and layer
+// by layer; these rows have no committed baseline.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -91,6 +91,22 @@ void BM_RigTick(benchmark::State& state) {
   state.SetLabel("16 servers / 128 cores per simulated second");
 }
 BENCHMARK(BM_RigTick)->UseRealTime();
+
+// One HealthMonitor::check() of a warmed-up rig's default six rules with
+// request queues on (the surge-brownout shape), at the state a 15-minute
+// fault-free run ends in. Each surge-brownout rack runs it every 5 s of
+// simulated time.
+void BM_HealthCheck(benchmark::State& state) {
+  scenario::RigConfig config;
+  config.health = true;
+  config.use_request_queues = true;
+  scenario::Rig rig(config);
+  rig.run();
+  obs::HealthMonitor& monitor = *rig.health();
+  for (auto _ : state) monitor.check(config.duration_s);
+  state.SetLabel("6 rules");
+}
+BENCHMARK(BM_HealthCheck)->UseRealTime();
 
 }  // namespace
 

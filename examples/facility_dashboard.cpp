@@ -211,28 +211,36 @@ int main(int argc, char** argv) {
   }
   std::cout << rack_table.to_string();
 
-  // Solver health, straight from the per-rack metric registries.
-  std::cout << "\nsolver health (MPC over the run):\n";
-  for (std::size_t r = 0; r < reports.size(); ++r) {
-    const obs::MetricsSnapshot& m = reports[r].metrics;
-    const std::uint64_t solves = m.counter("mpc.solves.structured");
-    const auto per_solve = [solves](std::uint64_t count) {
-      return format_fixed(solves > 0 ? static_cast<double>(count) /
-                                           static_cast<double>(solves)
-                                     : 0.0,
-                          1);
-    };
-    const auto it = m.histograms.find("mpc.step_us");
-    std::cout << "  rack " << r << ": " << solves << " solves, "
-              << per_solve(m.counter("mpc.qp.direct_passes"))
-              << " direct passes/solve, "
-              << per_solve(m.counter("mpc.qp.iterations"))
-              << " iters/solve, " << m.counter("mpc.qp.restarts")
-              << " restarts";
-    if (it != m.histograms.end() && it->second.count > 0) {
-      std::cout << ", step p95 " << format_fixed(it->second.p95, 1) << " us";
+  // Solver health, straight from the per-rack metric registries. Only
+  // SprintCon racks run an MPC; a baseline has no solver to report.
+  if (config.rack.policy != scenario::Policy::kSprintCon) {
+    std::cout << "\nsolver health: none ("
+              << scenario::to_string(config.rack.policy)
+              << " racks run no MPC)\n";
+  } else {
+    std::cout << "\nsolver health (MPC over the run):\n";
+    for (std::size_t r = 0; r < reports.size(); ++r) {
+      const obs::MetricsSnapshot& m = reports[r].metrics;
+      const std::uint64_t solves = m.counter("mpc.solves.structured");
+      const auto per_solve = [solves](std::uint64_t count) {
+        return format_fixed(solves > 0 ? static_cast<double>(count) /
+                                             static_cast<double>(solves)
+                                       : 0.0,
+                            1);
+      };
+      const auto it = m.histograms.find("mpc.step_us");
+      std::cout << "  rack " << r << ": " << solves << " solves, "
+                << per_solve(m.counter("mpc.qp.direct_passes"))
+                << " direct passes/solve, "
+                << per_solve(m.counter("mpc.qp.iterations"))
+                << " iters/solve, " << m.counter("mpc.qp.restarts")
+                << " restarts";
+      if (it != m.histograms.end() && it->second.count > 0) {
+        std::cout << ", step p95 " << format_fixed(it->second.p95, 1)
+                  << " us";
+      }
+      std::cout << "\n";
     }
-    std::cout << "\n";
   }
 
   // Fault timeline: which scripted fault fired when, per rack (covers both

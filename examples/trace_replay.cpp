@@ -2,18 +2,18 @@
 // trace instead of the synthetic generator.
 //
 // The example synthesizes a "recorded" trace (in practice you would export
-// one from your monitoring stack), writes it to CSV, loads it back through
-// the trace_io reader, and runs a SprintCon-controlled rack whose
-// interactive cores replay it. Usage:
+// one from your monitoring stack), round-trips it through the CSV writer
+// and the trace_io reader in memory (no file is written), and runs a
+// SprintCon-controlled rack whose interactive cores replay it. Usage:
 //
 //   ./build/examples/trace_replay [trace.csv]
+//   ./build/examples/trace_replay tests/cli_fixtures/replay-trace.csv
 //
 // With a csv argument, the file is loaded instead of the synthesized
 // trace (one value column, or time_s,value rows); an unreadable or
 // malformed file is a usage error. To replay a whole described facility,
 // faults included, run `facility_dashboard --scenario FILE`.
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -58,12 +58,14 @@ int main(int argc, char** argv) {
       const double burst = t > 0.3 && t < 0.8 ? 0.35 : 0.0;
       trace.samples.push_back(0.35 + burst + rng.normal(0.0, 0.05));
     }
-    std::ostringstream csv;
+    // Round-trip it through the CSV format in memory, as an exported
+    // trace would arrive.
+    std::stringstream csv;
     workload::write_trace_csv(csv, trace);
-    std::ofstream("replay_trace.csv") << csv.str();
-    std::cout << "synthesized a demo trace (also written to "
-                 "replay_trace.csv; mean utilization "
-              << trace.mean() << ")\n";
+    trace = workload::read_trace_csv(csv, trace.dt_s);
+    std::cout << "synthesized a demo trace (" << trace.samples.size()
+              << " samples through CSV; mean utilization " << trace.mean()
+              << ")\n";
   }
 
   // --- build a rack whose interactive cores replay the trace -----------------

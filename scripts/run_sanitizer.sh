@@ -39,7 +39,7 @@ case "$FLAVOR" in
   asan)
     CMAKE_FLAG=SPRINTCON_ASAN
     TARGETS=(obs_test safety_test facility_test export_fuzz_test
-      trace_test windowed_metrics_test health_test
+      trace_test windowed_metrics_test health_test health_alloc_test
       scenario_test scenario_fuzz_test golden_trace_test)
     CTEST_LABEL='obs|scenario'
     CTEST_PARALLEL=0

@@ -1,7 +1,5 @@
 #include "obs/event_log.hpp"
 
-#include <algorithm>
-
 #include "common/attributes.hpp"
 #include "common/validation.hpp"
 #include "obs/metrics_registry.hpp"
@@ -45,17 +43,20 @@ double Event::field(const char* key, double fallback) const noexcept {
   return fallback;
 }
 
-EventLog::EventLog(std::size_t capacity) : ring_(std::max<std::size_t>(1, capacity)) {
+EventLog::EventLog(std::size_t capacity) : capacity_(capacity) {
   SPRINTCON_EXPECTS(capacity >= 1, "event log needs capacity >= 1");
+  ring_.reserve(capacity_);
 }
 
 SPRINTCON_HOT void EventLog::emit(double t_s, EventType type,
                                   const char* cause,
                     std::initializer_list<EventField> fields) noexcept {
-  if (next_ >= ring_.size() && drop_counter_ != nullptr) {
+  if (next_ >= capacity_ && drop_counter_ != nullptr) {
     drop_counter_->add(1);  // this emit overwrites the oldest retained event
   }
-  Event& slot = ring_[next_ % ring_.size()];
+  // Within the reserved capacity, so emplace_back never reallocates.
+  Event& slot = next_ < capacity_ ? ring_.emplace_back()
+                                  : ring_[next_ % capacity_];
   slot.t_s = t_s;
   slot.seq = next_;
   slot.type = type;
@@ -72,13 +73,8 @@ SPRINTCON_HOT void EventLog::emit(double t_s, EventType type,
   ++next_;
 }
 
-std::size_t EventLog::size() const noexcept {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(next_, ring_.size()));
-}
-
 std::uint64_t EventLog::dropped() const noexcept {
-  return next_ > ring_.size() ? next_ - ring_.size() : 0;
+  return next_ > capacity_ ? next_ - capacity_ : 0;
 }
 
 std::vector<Event> EventLog::snapshot() const {
@@ -87,7 +83,7 @@ std::vector<Event> EventLog::snapshot() const {
   out.reserve(n);
   const std::uint64_t first = next_ - n;
   for (std::uint64_t s = first; s < next_; ++s)
-    out.push_back(ring_[s % ring_.size()]);
+    out.push_back(ring_[s % capacity_]);
   return out;
 }
 

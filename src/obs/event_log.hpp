@@ -1,9 +1,12 @@
 // Ring-buffered structured event log.
 //
-// emit() is the hot-path entry point: it writes into a preallocated ring
+// emit() is the hot-path entry point: it writes into the ring's next
 // slot, copies at most kMaxEventFields pointer/double pairs, and never
-// allocates or throws. When the ring is full the oldest event is
-// overwritten (dropped() counts how many). The log is NOT thread-safe:
+// allocates or throws. The ring reserves its whole capacity once at
+// construction but commits memory only as it fills (a slot is constructed
+// on its first emit), so a sink that logs a few hundred events touches a
+// few hundred slots, not all 4096. When the ring is full the oldest event
+// is overwritten (dropped() counts how many). The log is NOT thread-safe:
 // each rig/controller owns its own log and emits from a single thread
 // (facility-level aggregation uses the MetricsRegistry, which is).
 #pragma once
@@ -29,9 +32,9 @@ class EventLog {
   void emit(double t_s, EventType type, const char* cause,
             std::initializer_list<EventField> fields) noexcept;
 
-  std::size_t capacity() const noexcept { return ring_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
   /// Events currently retained (<= capacity).
-  std::size_t size() const noexcept;
+  std::size_t size() const noexcept { return ring_.size(); }
   /// Events ever emitted (including overwritten ones).
   std::uint64_t total_emitted() const noexcept { return next_; }
   /// Events lost to ring overwrite.
@@ -51,7 +54,8 @@ class EventLog {
   std::vector<Event> snapshot() const;
 
  private:
-  std::vector<Event> ring_;
+  std::size_t capacity_;
+  std::vector<Event> ring_;  ///< grows to capacity_, then wraps
   std::uint64_t next_ = 0;  ///< total emitted; next slot = next_ % capacity
   std::uint64_t field_overflow_ = 0;
   Counter* drop_counter_ = nullptr;

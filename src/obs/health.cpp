@@ -69,9 +69,8 @@ bool HealthMonitor::rebaseline(std::string_view name, double margin) {
         rule.kind != HealthRuleKind::kBelow) {
       return false;
     }
-    const MetricsSnapshot snap = sink_->metrics().snapshot();
     double value = 0.0;
-    if (!read_signal(snap, rule, value)) return false;
+    if (!read_signal(rule, states_[i], value)) return false;
     rule.threshold = rule.kind == HealthRuleKind::kBelow ? value * margin
                                                          : value / margin;
     return true;
@@ -79,31 +78,44 @@ bool HealthMonitor::rebaseline(std::string_view name, double margin) {
   return false;
 }
 
-bool HealthMonitor::read_signal(const MetricsSnapshot& snap,
-                                const HealthRule& rule, double& out) {
+namespace {
+
+// `cache`, after looking the metric up while it is still missing.
+template <typename T>
+const T* resolve(const MetricsRegistry& metrics, const std::string& name,
+                 const T*& cache) {
+  if (cache == nullptr) cache = metrics.find<T>(name);
+  return cache;
+}
+
+}  // namespace
+
+bool HealthMonitor::read_signal(const HealthRule& rule, RuleState& state,
+                                double& out) const {
+  const MetricsRegistry& m = sink_->metrics();
   switch (rule.signal) {
     case HealthSignal::kGauge: {
-      const auto it = snap.gauges.find(rule.metric);
-      if (it == snap.gauges.end()) return false;
-      out = it->second;
+      const Gauge* g = resolve(m, rule.metric, state.gauge);
+      if (g == nullptr) return false;
+      out = g->value();
       return true;
     }
     case HealthSignal::kCounter: {
-      const auto it = snap.counters.find(rule.metric);
-      if (it == snap.counters.end()) return false;
-      out = static_cast<double>(it->second);
+      const Counter* c = resolve(m, rule.metric, state.counter);
+      if (c == nullptr) return false;
+      out = static_cast<double>(c->value());
       return true;
     }
     case HealthSignal::kHistogramP99: {
-      const auto it = snap.histograms.find(rule.metric);
-      if (it == snap.histograms.end() || it->second.count == 0) return false;
-      out = it->second.p99;
+      const Histogram* h = resolve(m, rule.metric, state.histogram);
+      if (h == nullptr || h->count() == 0) return false;
+      out = h->percentile(0.99);
       return true;
     }
     case HealthSignal::kWindowedP99: {
-      const auto it = snap.windowed.find(rule.metric);
-      if (it == snap.windowed.end() || it->second.count == 0) return false;
-      out = it->second.p99;
+      const WindowedHistogram* w = resolve(m, rule.metric, state.windowed);
+      if (w == nullptr || w->count() == 0) return false;
+      out = w->percentile(0.99);
       return true;
     }
   }
@@ -111,16 +123,17 @@ bool HealthMonitor::read_signal(const MetricsSnapshot& snap,
 }
 
 bool HealthMonitor::breaches(const HealthRule& rule, RuleState& state,
-                             double value, const MetricsSnapshot& snap) {
+                             double value) const {
   switch (rule.kind) {
     case HealthRuleKind::kAbove:
       return value > rule.threshold;
     case HealthRuleKind::kBelow:
       return value < rule.threshold;
     case HealthRuleKind::kStuck: {
-      const auto it = snap.gauges.find(rule.reference);
-      if (it == snap.gauges.end()) return false;
-      const double ref = it->second;
+      const Gauge* reference =
+          resolve(sink_->metrics(), rule.reference, state.reference);
+      if (reference == nullptr) return false;
+      const double ref = reference->value();
       bool breach = false;
       if (state.has_prev) {
         // Frozen signal while the reference keeps moving: the classic
@@ -142,13 +155,12 @@ bool HealthMonitor::breaches(const HealthRule& rule, RuleState& state,
 }
 
 void HealthMonitor::check(double now_s) {
-  const MetricsSnapshot snap = sink_->metrics().snapshot();
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     const HealthRule& rule = rules_[i];
     RuleState& state = states_[i];
     double value = 0.0;
-    if (!read_signal(snap, rule, value)) continue;  // no data, no verdict
-    const bool breach = breaches(rule, state, value, snap);
+    if (!read_signal(rule, state, value)) continue;  // no data, no verdict
+    const bool breach = breaches(rule, state, value);
     state.prev_value = value;
     state.has_prev = true;
     if (breach) {
@@ -174,8 +186,10 @@ void HealthMonitor::check(double now_s) {
       }
     }
   }
-  sink_->metrics().gauge("health.active_alerts")
-      .set(static_cast<double>(active_alerts()));
+  if (active_alerts_ == nullptr) {
+    active_alerts_ = &sink_->metrics().gauge("health.active_alerts");
+  }
+  active_alerts_->set(static_cast<double>(active_alerts()));
 }
 
 }  // namespace sprintcon::obs

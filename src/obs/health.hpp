@@ -1,11 +1,14 @@
-// SLO-grade health monitoring over metrics snapshots.
+// SLO-grade health monitoring over the sink's metrics registry.
 //
 // A HealthMonitor holds a set of declarative HealthRules and, on each
-// check(), evaluates them against a fresh MetricsSnapshot from the
-// attached sink. A rule that breaches for `consecutive` checks in a row
-// transitions to degraded and emits a kHealthDegraded event (cause = rule
-// name); once healthy again for `recover_after` checks it emits
-// kHealthRecovered. The hysteresis keeps one-sample glitches from paging.
+// check(), evaluates each one against the current value of its metric,
+// read straight from the attached sink's registry. It never builds a
+// MetricsSnapshot: a check reads one number per rule and, once every
+// metric exists, allocates nothing. A rule that breaches for
+// `consecutive` checks in a row transitions to degraded and emits a
+// kHealthDegraded event (cause = rule name); once healthy again for
+// `recover_after` checks it emits kHealthRecovered. The hysteresis keeps
+// one-sample glitches from paging.
 //
 // The monitor is pull-based and runs at check boundaries (the last step
 // of Rig::step, every 5 s of sim time), never on the per-tick hot path.
@@ -40,10 +43,10 @@ enum class HealthRuleKind : std::uint8_t {
 
 /// Which metric family the rule reads.
 enum class HealthSignal : std::uint8_t {
-  kGauge,        ///< gauges[metric]
-  kCounter,      ///< counters[metric] (as double)
-  kHistogramP99, ///< histograms[metric].p99 (cumulative)
-  kWindowedP99,  ///< windowed[metric].p99 (sliding window)
+  kGauge,        ///< Gauge `metric`'s value
+  kCounter,      ///< Counter `metric`'s value (as double)
+  kHistogramP99, ///< Histogram `metric`'s p99 (cumulative)
+  kWindowedP99,  ///< WindowedHistogram `metric`'s p99 (sliding window)
 };
 
 /// One declarative health rule. `name` doubles as the event cause and
@@ -67,8 +70,8 @@ class HealthMonitor {
 
   void add_rule(HealthRule rule);
 
-  /// Evaluate every rule against a fresh snapshot. `now_s` stamps any
-  /// emitted events (sim seconds).
+  /// Evaluate every rule against its metric's current value. `now_s`
+  /// stamps any emitted events (sim seconds).
   void check(double now_s);
 
   std::size_t num_rules() const noexcept { return rules_.size(); }
@@ -105,18 +108,27 @@ class HealthMonitor {
     bool has_prev = false;
     double prev_value = 0.0;
     double prev_ref = 0.0;
+    // The rule's metric (the one its signal names) and, for kStuck, its
+    // reference gauge; looked up until they exist, then cached (the
+    // registry never erases and its handles are stable).
+    const Counter* counter = nullptr;
+    const Gauge* gauge = nullptr;
+    const Histogram* histogram = nullptr;
+    const WindowedHistogram* windowed = nullptr;
+    const Gauge* reference = nullptr;
   };
 
-  /// Reads the rule's signal; false when the metric does not exist yet
-  /// (a missing metric is "no data", never a breach).
-  static bool read_signal(const MetricsSnapshot& snap, const HealthRule& rule,
-                          double& out);
-  static bool breaches(const HealthRule& rule, RuleState& state, double value,
-                       const MetricsSnapshot& snap);
+  /// Reads the rule's signal; false when the metric does not exist yet or
+  /// a histogram holds no samples (a missing metric is "no data", never a
+  /// breach).
+  bool read_signal(const HealthRule& rule, RuleState& state,
+                   double& out) const;
+  bool breaches(const HealthRule& rule, RuleState& state, double value) const;
 
   ObsSink* sink_;
   std::vector<HealthRule> rules_;
   std::vector<RuleState> states_;
+  Gauge* active_alerts_ = nullptr;  ///< health.active_alerts, from 1st check
 };
 
 }  // namespace sprintcon::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/attributes.hpp"
 #include "common/validation.hpp"
@@ -157,9 +158,8 @@ void MetricsRegistry::expect_unique(std::string_view name,
 // Callers hold the lock (SPRINTCON_REQUIRES) so the guarded map can be
 // passed by reference without tripping the analysis at the call site.
 template <typename T>
-T& MetricsRegistry::get_or_create(
-    std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
-    std::string_view name, const char* kind) {
+T& MetricsRegistry::get_or_create(Map<T>& map, std::string_view name,
+                                  const char* kind) {
   SPRINTCON_EXPECTS(!name.empty(), "metric name must be non-empty");
   const auto it = map.find(name);
   if (it != map.end()) return *it->second;
@@ -188,6 +188,21 @@ WindowedHistogram& MetricsRegistry::windowed(std::string_view name) {
   const MutexLock lock(mutex_);
   return get_or_create(windowed_, name, "windowed");
 }
+
+template <typename T>
+const T* MetricsRegistry::find(std::string_view name) const {
+  const MutexLock lock(mutex_);
+  const Map<T>& map = std::get<const Map<T>&>(
+      std::tie(counters_, gauges_, histograms_, windowed_));
+  const auto it = map.find(name);
+  return it == map.end() ? nullptr : it->second.get();
+}
+
+template const Counter* MetricsRegistry::find(std::string_view) const;
+template const Gauge* MetricsRegistry::find(std::string_view) const;
+template const Histogram* MetricsRegistry::find(std::string_view) const;
+template const WindowedHistogram* MetricsRegistry::find(
+    std::string_view) const;
 
 void MetricsRegistry::rotate_windows() {
   const MutexLock lock(mutex_);

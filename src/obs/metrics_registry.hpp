@@ -4,7 +4,9 @@
 // stable for the registry's lifetime and their update paths are lock-free
 // atomics, so metrics may be emitted concurrently from parallel facility
 // workers (TSan-clean). Emitters cache handles at wiring time — the hot
-// path never does a name lookup.
+// path never does a name lookup. Readers that need a few values (the
+// health monitor) look them up with find<T>() and read them directly
+// instead of copying the whole registry into a MetricsSnapshot.
 #pragma once
 
 #include <array>
@@ -177,6 +179,13 @@ class MetricsRegistry {
   Histogram& histogram(std::string_view name);
   WindowedHistogram& windowed(std::string_view name);
 
+  /// The metric registered under `name` as a T (Counter, Gauge, Histogram
+  /// or WindowedHistogram), or nullptr. Never registers anything; a
+  /// non-null result stays valid for the registry's lifetime (metrics are
+  /// never erased), so callers may cache it.
+  template <typename T>
+  const T* find(std::string_view name) const;
+
   /// Advance every windowed histogram's ring by one window. Called by the
   /// sink's owner on its metrics-window boundary (rare; takes the
   /// registration mutex).
@@ -186,8 +195,10 @@ class MetricsRegistry {
 
  private:
   template <typename T>
-  T& get_or_create(std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
-                   std::string_view name, const char* kind)
+  using Map = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
+  template <typename T>
+  T& get_or_create(Map<T>& map, std::string_view name, const char* kind)
       SPRINTCON_REQUIRES(mutex_);
   void expect_unique(std::string_view name, const char* kind) const
       SPRINTCON_REQUIRES(mutex_);
@@ -196,14 +207,10 @@ class MetricsRegistry {
   // returned by counter()/gauge()/... are stable unique_ptr targets whose
   // update paths are lock-free atomics (the whole point of the registry).
   mutable Mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      SPRINTCON_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      SPRINTCON_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
-      SPRINTCON_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<WindowedHistogram>, std::less<>>
-      windowed_ SPRINTCON_GUARDED_BY(mutex_);
+  Map<Counter> counters_ SPRINTCON_GUARDED_BY(mutex_);
+  Map<Gauge> gauges_ SPRINTCON_GUARDED_BY(mutex_);
+  Map<Histogram> histograms_ SPRINTCON_GUARDED_BY(mutex_);
+  Map<WindowedHistogram> windowed_ SPRINTCON_GUARDED_BY(mutex_);
 };
 
 }  // namespace sprintcon::obs

@@ -447,14 +447,20 @@ void Rig::record_tick_metrics() {
   if (h.cmd_freq == nullptr) {
     h.cmd_freq = &m.gauge("control.cmd_batch_freq");
     h.capacity_wh = &m.gauge("rig.battery_capacity_wh");
+    // The rack's layout is fixed, so its batch cores resolve once; the
+    // per-tick sum below keeps batch_cores()' order (bit-identical).
+    for (const auto& ref : rack_->batch_cores()) {
+      h.batch_cores.push_back(&rack_->core(ref));
+    }
   }
   const double cmd = h.cmd_freq->value();
   if (cmd > 0.0) {
     double sum = 0.0;
-    const auto& refs = rack_->batch_cores();
-    for (const auto& ref : refs) sum += rack_->core(ref).freq();
+    for (const server::CpuCore* c : h.batch_cores) sum += c->freq();
     const double realized =
-        refs.empty() ? 0.0 : sum / static_cast<double>(refs.size());
+        h.batch_cores.empty()
+            ? 0.0
+            : sum / static_cast<double>(h.batch_cores.size());
     if (h.batch_freq == nullptr) {
       h.batch_freq = &m.gauge("rig.batch_freq");
       h.divergence = &m.gauge("rig.dvfs_divergence");

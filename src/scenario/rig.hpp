@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/power_cap.hpp"
 #include "baselines/sgct.hpp"
@@ -208,6 +209,7 @@ class Rig {
     obs::Gauge* capacity_wh = nullptr;
     obs::Gauge* batch_freq = nullptr;
     obs::Gauge* divergence = nullptr;
+    std::vector<const server::CpuCore*> batch_cores;  ///< batch_cores() order
   };
   TickMetrics tick_metrics_;
   bool ran_ = false;

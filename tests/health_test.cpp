@@ -137,6 +137,107 @@ TEST(HealthMonitor, RateRuleFiresOnCounterDeltas) {
   EXPECT_TRUE(monitor.degraded("error-burst"));
 }
 
+TEST(HealthMonitor, EmptyWindowsGiveNoVerdictAndKeepPreviousValue) {
+  ObsSink sink;
+  HealthMonitor monitor(&sink);
+  // A rate rule remembers the last value it read: were an emptied window
+  // read as 0, the next real reading would look like a jump from 0.
+  monitor.add_rule({.name = "p99-jump",
+                    .kind = HealthRuleKind::kRateAbove,
+                    .signal = HealthSignal::kWindowedP99,
+                    .metric = "lat.window",
+                    .threshold = 1.0,
+                    .consecutive = 1});
+  // A two-breach rule: a verdict in between would reset its streak.
+  monitor.add_rule({.name = "p99-high",
+                    .kind = HealthRuleKind::kAbove,
+                    .signal = HealthSignal::kWindowedP99,
+                    .metric = "lat.window",
+                    .threshold = 50.0,
+                    .consecutive = 2});
+  WindowedHistogram& lat = sink.metrics().windowed("lat.window");
+  for (int i = 0; i < 100; ++i) lat.record(100.0);
+  monitor.check(1.0);  // p99 = 128: first breach of p99-high, prev = 128
+  EXPECT_FALSE(monitor.degraded("p99-high"));
+
+  for (int i = 0; i < WindowedHistogram::kWindows; ++i) {
+    sink.metrics().rotate_windows();
+  }
+  ASSERT_EQ(lat.count(), 0u);
+  for (int k = 0; k < 3; ++k) monitor.check(2.0 + k);  // no data
+  EXPECT_FALSE(monitor.degraded("p99-high"));
+  EXPECT_FALSE(monitor.degraded("p99-jump"));
+
+  for (int i = 0; i < 100; ++i) lat.record(100.0);
+  monitor.check(5.0);
+  EXPECT_FALSE(monitor.degraded("p99-jump"));  // 128 - 128, not 128 - 0
+  EXPECT_TRUE(monitor.degraded("p99-high"));   // the streak carried over
+  EXPECT_EQ(degraded_events(sink).size(), 1u);
+}
+
+TEST(HealthMonitor, StuckRuleWithoutReferenceNeverBreaches) {
+  ObsSink sink;
+  HealthMonitor monitor(&sink);
+  monitor.add_rule({.name = "stuck-meter",
+                    .kind = HealthRuleKind::kStuck,
+                    .signal = HealthSignal::kGauge,
+                    .metric = "meas",
+                    .reference = "truth",
+                    .threshold = 0.5,
+                    .consecutive = 1});
+  sink.metrics().gauge("meas").set(100.0);  // frozen signal, no reference
+  for (int i = 0; i < 6; ++i) monitor.check(static_cast<double>(i));
+  EXPECT_FALSE(monitor.degraded("stuck-meter"));
+  EXPECT_TRUE(degraded_events(sink).empty());
+
+  // The reference appearing later is picked up: a moving truth against
+  // the frozen signal is the dead-sensor signature again.
+  Gauge& truth = sink.metrics().gauge("truth");
+  truth.set(200.0);
+  monitor.check(6.0);
+  truth.set(300.0);
+  monitor.check(7.0);
+  EXPECT_TRUE(monitor.degraded("stuck-meter"));
+}
+
+TEST(HealthMonitor, ReadsTheValuesTheSnapshotReports) {
+  ObsSink sink;
+  HealthMonitor monitor(&sink);
+  monitor.add_rule({.name = "hist-p99",
+                    .kind = HealthRuleKind::kAbove,
+                    .signal = HealthSignal::kHistogramP99,
+                    .metric = "lat",
+                    .threshold = 1.0,
+                    .consecutive = 1});
+  monitor.add_rule({.name = "window-p99",
+                    .kind = HealthRuleKind::kAbove,
+                    .signal = HealthSignal::kWindowedP99,
+                    .metric = "lat.window",
+                    .threshold = 1.0,
+                    .consecutive = 1});
+  Histogram& lat = sink.metrics().histogram("lat");
+  WindowedHistogram& window = sink.metrics().windowed("lat.window");
+  for (int i = 1; i <= 300; ++i) {
+    lat.record(0.37 * i);
+    window.record(0.37 * i);
+  }
+  const MetricsSnapshot snap = sink.metrics().snapshot();
+  monitor.check(1.0);
+  const auto degraded = degraded_events(sink);
+  ASSERT_EQ(degraded.size(), 2u);
+  EXPECT_STREQ(degraded[0].cause, "hist-p99");
+  EXPECT_EQ(degraded[0].field("value"), snap.histograms.at("lat").p99);
+  EXPECT_STREQ(degraded[1].cause, "window-p99");
+  EXPECT_EQ(degraded[1].field("value"), snap.windowed.at("lat.window").p99);
+
+  ASSERT_TRUE(monitor.rebaseline("hist-p99", 0.8));
+  EXPECT_EQ(monitor.threshold("hist-p99"),
+            snap.histograms.at("lat").p99 / 0.8);
+  ASSERT_TRUE(monitor.rebaseline("window-p99", 0.8));
+  EXPECT_EQ(monitor.threshold("window-p99"),
+            snap.windowed.at("lat.window").p99 / 0.8);
+}
+
 TEST(HealthMonitor, RejectsMalformedRules) {
   ObsSink sink;
   HealthMonitor monitor(&sink);

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -54,6 +55,33 @@ TEST(EventLog, RingOverwritesOldest) {
   for (std::size_t k = 0; k < 4; ++k) {
     EXPECT_EQ(events[k].seq, 6u + k);
     EXPECT_DOUBLE_EQ(events[k].field("i"), 6.0 + static_cast<double>(k));
+  }
+}
+
+TEST(EventLog, RingKeepsTheLastCapacityEventsAtAnySize) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{3},
+                                     std::size_t{4096}}) {
+    SCOPED_TRACE(capacity);
+    EventLog log(capacity);
+    EXPECT_EQ(log.capacity(), capacity);  // full capacity before any emit
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_TRUE(log.snapshot().empty());
+    const std::uint64_t total = capacity + 2;
+    for (std::uint64_t i = 0; i < total; ++i) {
+      log.emit(static_cast<double>(i), EventType::kCustom, "e",
+               {{"i", static_cast<double>(i)}});
+    }
+    EXPECT_EQ(log.capacity(), capacity);
+    EXPECT_EQ(log.size(), capacity);
+    EXPECT_EQ(log.total_emitted(), total);
+    EXPECT_EQ(log.dropped(), 2u);
+    const auto events = log.snapshot();
+    ASSERT_EQ(events.size(), capacity);
+    for (std::size_t k = 0; k < capacity; ++k) {
+      EXPECT_EQ(events[k].seq, 2u + k);
+      EXPECT_DOUBLE_EQ(events[k].t_s, 2.0 + static_cast<double>(k));
+      EXPECT_DOUBLE_EQ(events[k].field("i"), 2.0 + static_cast<double>(k));
+    }
   }
 }
 
