@@ -10,40 +10,18 @@
 #include <iostream>
 #include <memory>
 
-#include "common/rng.hpp"
+#include "batch_rack.hpp"
 #include "common/table.hpp"
 #include "control/pid.hpp"
-#include "core/server_controller.hpp"
-#include "sim/clock.hpp"
-#include "workload/batch_profile.hpp"
 
 namespace {
 
 using namespace sprintcon;
 
+/// The 4-server rack both controllers run: batch jobs due at 12 minutes
+/// with 380 s of work at peak each.
 std::unique_ptr<server::Rack> batch_rack() {
-  const server::PlatformSpec spec = server::paper_platform();
-  Rng rng(66);
-  std::vector<server::Server> servers;
-  const auto profiles = workload::spec2006_profiles();
-  std::size_t pi = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    std::vector<server::CpuCore> cores;
-    for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
-      if (c < 4) {
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           workload::InteractiveTraceGenerator(
-                               workload::InteractiveTraceConfig{}, rng.split()));
-      } else {
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           workload::BatchJob(
-                               profiles[pi++ % profiles.size()], 720.0, 380.0,
-                               workload::CompletionMode::kRunOnce, rng.split()));
-      }
-    }
-    servers.emplace_back(spec, std::move(cores), rng.split());
-  }
-  return std::make_unique<server::Rack>(std::move(servers));
+  return bench::batch_rack(66, server::paper_platform(), 720.0, 380.0);
 }
 
 struct Outcome {

@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
 
   scenario::RigConfig config;
   config.policy = scenario::Policy::kSgct;
-  config.completion = workload::CompletionMode::kRepeat;
   scenario::Rig rig(config);
   rig.run();
   const auto& rec = rig.recorder();

@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
         std::pair{scenario::Policy::kSgctV2, "(c) SGCT-V2"}}) {
     scenario::RigConfig config;
     config.policy = policy;
-    config.completion = workload::CompletionMode::kRepeat;
     scenario::Rig rig(config);
     print_run(title, rig);
     maybe_write_csv(options,

@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   for (const Expected& c : cases) {
     scenario::RigConfig config;
     config.policy = c.policy;
-    config.completion = workload::CompletionMode::kRepeat;
     scenario::Rig rig(config);
     rig.run();
     const auto& rec = rig.recorder();

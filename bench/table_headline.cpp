@@ -19,7 +19,6 @@ int main() {
         scenario::Policy::kSgctV1, scenario::Policy::kSgctV2}) {
     scenario::RigConfig config;
     config.policy = policy;
-    config.completion = workload::CompletionMode::kRepeat;
     runs.push_back(scenario::run_policy(config));
   }
 

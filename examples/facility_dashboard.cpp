@@ -11,9 +11,10 @@
 // `--scenario FILE` (required) loads a declarative scenario
 // (src/scenario/spec.hpp; see examples/scenarios/ for the named library)
 // and runs exactly the facility it describes: fleet size, rack shape,
-// policy, workload mix, surges, grid events, embedded faults, and whether
-// the racks run the HealthMonitor (`fleet health=true`, DESIGN.md §8.5)
-// and the recovery engine (`fleet recovery=true`, DESIGN.md §10). With
+// policy, workload mix, surges, embedded faults (utility events among
+// them), and whether the racks run the HealthMonitor (`fleet
+// health=true`, DESIGN.md §8.5) and the recovery engine (`fleet
+// recovery=true`, DESIGN.md §10). With
 // either, the dashboard also prints each rack's active alerts, and with
 // recovery the remediation actions, incidents resolved, MTTR and any rack
 // the ladder had to quarantine; both views also land in the `--json`
@@ -177,7 +178,6 @@ int main(int argc, char** argv) {
     std::cout << "scenario '" << spec.name << "' from " << scenario_path
               << ": " << config.num_racks << " racks, " << spec.duration_s
               << " s, " << spec.surges.size() << " surge(s), "
-              << spec.grid_events.size() << " grid event(s), "
               << spec.faults.faults.size() << " scripted fault(s)\n";
   } catch (const std::exception& e) {
     std::cerr << "bad scenario: " << e.what() << "\n";
@@ -243,8 +243,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Fault timeline: which scripted fault fired when, per rack (covers both
-  // the scenario's `fault` lines and its lowered grid events).
+  // Fault timeline: which of the scenario's `fault` lines fired when, per
+  // rack.
   if (!config.rack.faults.empty()) {
     std::cout << "\nfault timeline:\n";
     for (std::size_t r = 0; r < reports.size(); ++r) {

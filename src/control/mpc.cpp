@@ -22,7 +22,7 @@ void check_problem(const MpcProblem& p) {
                     "penalty_weights size mismatch");
   for (std::size_t i = 0; i < n; ++i) {
     SPRINTCON_EXPECTS(p.freq_min[i] <= p.freq_max[i], "frequency bounds crossed");
-    SPRINTCON_EXPECTS(p.penalty_weights[i] >= 0.0, "penalty must be >= 0");
+    SPRINTCON_EXPECTS(p.penalty_weights[i] > 0.0, "penalty must be > 0");
     SPRINTCON_EXPECTS(p.gains_w_per_f[i] >= 0.0,
                       "power gain must be non-negative");
   }

@@ -46,7 +46,7 @@ struct MpcProblem {
   Vector freq_current;
   Vector freq_min;  ///< per-core lower bound (Eq. 9)
   Vector freq_max;  ///< per-core upper bound (Eq. 9)
-  /// Control-penalty weight per core (progress balancing; must be >= 0).
+  /// Control-penalty weight per core (progress balancing; must be > 0).
   Vector penalty_weights;
   double power_feedback_w = 0.0;  ///< p_fb(t), Eq. 6
   double power_target_w = 0.0;    ///< P_batch

@@ -38,8 +38,8 @@ struct QpResult {
   Vector x;            ///< solution (always feasible: clamped each iterate)
   int iterations = 0;  ///< iterations actually performed
   /// Newton/bisection passes of the direct per-block solve (summed over
-  /// blocks; 0 when it was not attempted). `iterations` reports the FISTA
-  /// count instead whenever the direct answer had to be polished.
+  /// blocks). `iterations` reports the FISTA count instead whenever the
+  /// direct answer had to be polished.
   int direct_passes = 0;
   int restarts = 0;    ///< momentum restarts taken (O'Donoghue-Candes test)
   bool converged = false;
@@ -51,7 +51,7 @@ struct QpResult {
 /// and are stacked block-major (block b occupies [b*n, (b+1)*n)).
 struct StructuredBlockQp {
   Vector gains;        ///< k, length n (shared by every block)
-  Vector penalty;      ///< R diagonal, length n (shared by every block)
+  Vector penalty;      ///< R diagonal > 0, length n (shared by every block)
   Vector rank_weight;  ///< c_b >= 0 per block, length Lc
   Vector gradient;     ///< linear term g, length n * Lc
   Vector lower;        ///< elementwise lower bounds, length n * Lc

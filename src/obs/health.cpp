@@ -106,12 +106,6 @@ bool HealthMonitor::read_signal(const HealthRule& rule, RuleState& state,
       out = static_cast<double>(c->value());
       return true;
     }
-    case HealthSignal::kHistogramP99: {
-      const Histogram* h = resolve(m, rule.metric, state.histogram);
-      if (h == nullptr || h->count() == 0) return false;
-      out = h->percentile(0.99);
-      return true;
-    }
     case HealthSignal::kWindowedP99: {
       const WindowedHistogram* w = resolve(m, rule.metric, state.windowed);
       if (w == nullptr || w->count() == 0) return false;

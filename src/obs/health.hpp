@@ -45,7 +45,6 @@ enum class HealthRuleKind : std::uint8_t {
 enum class HealthSignal : std::uint8_t {
   kGauge,        ///< Gauge `metric`'s value
   kCounter,      ///< Counter `metric`'s value (as double)
-  kHistogramP99, ///< Histogram `metric`'s p99 (cumulative)
   kWindowedP99,  ///< WindowedHistogram `metric`'s p99 (sliding window)
 };
 
@@ -113,7 +112,6 @@ class HealthMonitor {
     // registry never erases and its handles are stable).
     const Counter* counter = nullptr;
     const Gauge* gauge = nullptr;
-    const Histogram* histogram = nullptr;
     const WindowedHistogram* windowed = nullptr;
     const Gauge* reference = nullptr;
   };

@@ -200,7 +200,6 @@ const T* MetricsRegistry::find(std::string_view name) const {
 
 template const Counter* MetricsRegistry::find(std::string_view) const;
 template const Gauge* MetricsRegistry::find(std::string_view) const;
-template const Histogram* MetricsRegistry::find(std::string_view) const;
 template const WindowedHistogram* MetricsRegistry::find(
     std::string_view) const;
 

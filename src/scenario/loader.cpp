@@ -178,27 +178,6 @@ SurgeSpec parse_surge(const Cursor& at, std::istringstream& tokens,
   return surge;
 }
 
-GridEventSpec parse_grid(const Cursor& at, std::istringstream& tokens) {
-  GridEventSpec event;
-  std::string word;
-  if (!(tokens >> word)) at.fail("grid line needs a kind (outage, derate)");
-  validate_at(at, [&] { event.kind = parse_grid_event_kind(word); });
-  while (tokens >> word) {
-    const auto [key, value] = split_kv(at, word);
-    if (key == "start") {
-      event.start_s = parse_double(at, key, value);
-    } else if (key == "duration") {
-      event.duration_s = parse_double(at, key, value);
-    } else if (key == "fraction") {
-      event.fraction = parse_double(at, key, value);
-    } else {
-      at.fail("unknown grid key '" + key + "'");
-    }
-  }
-  validate_at(at, [&] { event.validate(); });
-  return event;
-}
-
 }  // namespace
 
 ScenarioSpec parse_scenario(std::istream& in, std::string_view filename) {
@@ -236,8 +215,6 @@ ScenarioSpec parse_scenario(std::istream& in, std::string_view filename) {
       parse_section(at, tokens, *keyed, spec.facility);
     } else if (section == "surge") {
       spec.surges.push_back(parse_surge(at, tokens, spec.surges));
-    } else if (section == "grid") {
-      spec.grid_events.push_back(parse_grid(at, tokens));
     } else if (section == "fault") {
       std::string rest;
       std::getline(tokens, rest);
@@ -248,7 +225,7 @@ ScenarioSpec parse_scenario(std::istream& in, std::string_view filename) {
       }
     } else {
       at.fail("unknown section '" + section +
-              "' (want scenario, fleet, rack, workload, surge, grid, fault)");
+              "' (want scenario, fleet, rack, workload, surge, fault)");
     }
   }
 
@@ -294,6 +271,7 @@ FacilityConfig compile(const ScenarioSpec& spec) {
   rig.duration_s = spec.duration_s;
   rig.seed = spec.seed;
   rig.fault_seed = spec.fault_seed;
+  rig.faults = spec.faults;
   // The sprint covers the whole run (the rig default keeps them equal
   // too); the overload policy then follows the scenario's horizon.
   rig.sprint.burst_duration_s = spec.duration_s;
@@ -320,25 +298,6 @@ FacilityConfig compile(const ScenarioSpec& spec) {
       push(surge.end_s() + surge.ramp_s, base);
     }
   }
-
-  // --- grid events lowered onto the fault taxonomy ----------------------
-  rig.faults = spec.faults;
-  for (const GridEventSpec& event : spec.grid_events) {
-    fault::FaultSpec f;
-    f.start_s = event.start_s;
-    f.duration_s = event.duration_s;
-    switch (event.kind) {
-      case GridEventKind::kOutage:
-        f.kind = fault::FaultKind::kUtilityOutage;
-        break;
-      case GridEventKind::kDerate:
-        f.kind = fault::FaultKind::kCbDrift;
-        f.magnitude = event.fraction;
-        break;
-    }
-    rig.faults.faults.push_back(f);
-  }
-
   return fc;
 }
 

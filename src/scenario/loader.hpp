@@ -7,8 +7,8 @@
 // "<file>:<line>:". compile() lowers a validated spec onto the existing
 // runtime: every fleet/rack/workload key is copied through its table
 // (spec.hpp key_sections()), surges become interactive-envelope
-// breakpoints and grid events become fault-plan entries (outage ->
-// utility_outage, derate -> cb_drift). One driver then runs any scenario:
+// breakpoints and the `fault` lines become every rack's fault plan. One
+// driver then runs any scenario:
 //
 //     Facility facility(compile(load_scenario(path)));
 //     facility.run();

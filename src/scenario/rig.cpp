@@ -186,6 +186,8 @@ Rig::Rig(const RigConfig& config) : config_(config) {
               config.interactive, master.split(), phase);
         }
       } else {
+        // The paper's traces repeat for the whole run; the deadline
+        // applies to each job's first execution.
         const auto& profile =
             spec_profiles[batch_index++ % spec_profiles.size()];
         cores.emplace_back(
@@ -193,7 +195,7 @@ Rig::Rig(const RigConfig& config) : config_(config) {
             std::in_place_type<workload::BatchJob>, profile,
             config.batch_deadline_s,
             profile.nominal_work_s * config.batch_work_scale,
-            config.completion, master.split());
+            workload::CompletionMode::kRepeat, master.split());
       }
     }
     servers.emplace_back(spec, std::move(cores), master.split());

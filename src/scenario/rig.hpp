@@ -71,9 +71,6 @@ struct RigConfig {
   /// utilization-ordered sprinting can leave the most memory-bound jobs
   /// at the normal frequency (see DESIGN.md calibration notes).
   double batch_work_scale = 0.65;
-  /// The paper's traces repeat continuously for the whole 15 minutes; the
-  /// deadline applies to the first execution of each job.
-  workload::CompletionMode completion = workload::CompletionMode::kRepeat;
   double ups_capacity_wh = 400.0;      ///< 5 min at max rack power
   /// Optional supercapacitor in a hybrid store (after [24]); 0 disables.
   /// When > 0, the UPS becomes a HybridStore: the battery serves the

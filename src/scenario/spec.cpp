@@ -23,16 +23,6 @@ constexpr PolicyToken kPolicyTokens[] = {
     {Policy::kPowerCap, "power_cap"},
 };
 
-struct GridKindName {
-  GridEventKind kind;
-  const char* name;
-};
-
-constexpr GridKindName kGridKindNames[] = {
-    {GridEventKind::kOutage, "outage"},
-    {GridEventKind::kDerate, "derate"},
-};
-
 using Cfg = FacilityConfig;
 
 // Every fleet, rack and workload key, each defined once. The loader parses
@@ -121,20 +111,6 @@ Policy parse_policy_token(std::string_view token) {
   SPRINTCON_EXPECTS(false, "unknown policy: " + std::string(token));
 }
 
-const char* to_string(GridEventKind kind) noexcept {
-  for (const GridKindName& k : kGridKindNames) {
-    if (k.kind == kind) return k.name;
-  }
-  return "unknown";
-}
-
-GridEventKind parse_grid_event_kind(std::string_view name) {
-  for (const GridKindName& k : kGridKindNames) {
-    if (name == k.name) return k.kind;
-  }
-  SPRINTCON_EXPECTS(false, "unknown grid event kind: " + std::string(name));
-}
-
 // ---------------------------------------------------------------------------
 // Per-section validation
 // ---------------------------------------------------------------------------
@@ -148,21 +124,6 @@ void SurgeSpec::validate() const {
   SPRINTCON_EXPECTS(ramp_s > 0.0, "surge ramp must be positive");
   SPRINTCON_EXPECTS(ramp_s < duration_s,
                     "surge ramp must be shorter than its duration");
-}
-
-void GridEventSpec::validate() const {
-  SPRINTCON_EXPECTS(start_s >= 0.0, "grid event start must be non-negative");
-  SPRINTCON_EXPECTS(duration_s > 0.0 && std::isfinite(duration_s),
-                    "grid event duration must be positive and finite");
-  switch (kind) {
-    case GridEventKind::kOutage:
-      SPRINTCON_EXPECTS(fraction == 1.0, "outage takes no fraction");
-      break;
-    case GridEventKind::kDerate:
-      SPRINTCON_EXPECTS(fraction > 0.0 && fraction < 1.0,
-                        "derate needs fraction (kept CB rating) in (0, 1)");
-      break;
-  }
 }
 
 void ScenarioSpec::validate() const {
@@ -188,7 +149,6 @@ void ScenarioSpec::validate() const {
         surges[i].start_s >= surges[i - 1].end_s() + surges[i - 1].ramp_s,
         "overlapping surge windows (including the down-ramp)");
   }
-  for (const GridEventSpec& event : grid_events) event.validate();
   faults.validate();
 }
 
@@ -201,17 +161,6 @@ std::string SurgeSpec::to_line() const {
          " duration=" + format_plan_double(duration_s) +
          " peak=" + format_plan_double(peak_utilization) +
          " ramp=" + format_plan_double(ramp_s);
-}
-
-std::string GridEventSpec::to_line() const {
-  std::string out = "grid ";
-  out += to_string(kind);
-  out += " start=" + format_plan_double(start_s);
-  out += " duration=" + format_plan_double(duration_s);
-  if (kind == GridEventKind::kDerate) {
-    out += " fraction=" + format_plan_double(fraction);
-  }
-  return out;
 }
 
 std::string ScenarioSpec::to_text() const {
@@ -238,10 +187,6 @@ std::string ScenarioSpec::to_text() const {
     out += surge.to_line();
     out += '\n';
   }
-  for (const GridEventSpec& event : grid_events) {
-    out += event.to_line();
-    out += '\n';
-  }
   for (const fault::FaultSpec& spec : faults.faults) {
     out += "fault " + spec.to_line();
     out += '\n';
@@ -252,8 +197,7 @@ std::string ScenarioSpec::to_text() const {
 bool ScenarioSpec::operator==(const ScenarioSpec& other) const {
   if (name != other.name || seed != other.seed ||
       fault_seed != other.fault_seed || duration_s != other.duration_s ||
-      dt_s != other.dt_s || surges != other.surges ||
-      grid_events != other.grid_events || faults != other.faults) {
+      dt_s != other.dt_s || surges != other.surges || faults != other.faults) {
     return false;
   }
   for (const Section& section : kSections) {

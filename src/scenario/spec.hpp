@@ -1,9 +1,9 @@
 // The scenario description language (DESIGN.md §12): one declarative text
 // file describes a whole facility experiment — fleet composition, rack
-// shape, workload mix, timed traffic surges, grid/utility events, an
-// embedded fault plan, the controller policy, and run duration/seed. It is
-// the only way to describe a facility run: `facility_dashboard --scenario
-// FILE` takes nothing else that shapes the experiment.
+// shape, workload mix, timed traffic surges, an embedded fault plan
+// (utility events included), the controller policy, and run duration/seed.
+// It is the only way to describe a facility run: `facility_dashboard
+// --scenario FILE` takes nothing else that shapes the experiment.
 //
 // One section keyword per line followed by key=value pairs, '#' comments,
 // blank lines ignored:
@@ -13,13 +13,14 @@
 //     rack     servers=16 policy=sprintcon ups_wh=400
 //     workload mean_util=0.45 queueing=true
 //     surge    start=240 duration=300 peak=0.95 ramp=45
-//     grid     derate start=300 duration=300 fraction=0.85
+//     fault    cb_drift start=300 duration=300 magnitude=0.85
 //     fault    meter_noise start=0 duration=900 magnitude=0.05
 //
 // `scenario` appears exactly once (first); `fleet`/`rack`/`workload` at
-// most once; `surge`/`grid`/`fault` repeat. The body of every `fault`
-// line is one FaultSpec in the grammar of FaultSpec::parse_line
-// (src/fault/fault.hpp).
+// most once; `surge`/`fault` repeat. The body of every `fault` line is one
+// FaultSpec in the grammar of FaultSpec::parse_line (src/fault/fault.hpp).
+// A utility event is a fault too: a demand-response curtailment derates
+// the breaker (`cb_drift`), a lost feed is a `utility_outage`.
 //
 // ScenarioSpec is a value type: parse -> to_text -> parse is the identity
 // (tests/scenario_test.cpp pins the round-trip for every shipped scenario
@@ -66,36 +67,6 @@ struct SurgeSpec {
   bool operator==(const SurgeSpec&) const = default;
 };
 
-/// Grid/utility event families. Extend here, in to_string/parse, and in
-/// the loader's lowering (DESIGN.md §12 lists the extension recipe).
-enum class GridEventKind {
-  /// Primary feed lost for the window; the rack rides through on the UPS.
-  kOutage,
-  /// Demand-response curtailment: the utility derates the feed to
-  /// `fraction` of the breaker rating for the window.
-  kDerate,
-};
-
-const char* to_string(GridEventKind kind) noexcept;
-GridEventKind parse_grid_event_kind(std::string_view name);
-
-/// One scheduled grid event. Lowered onto the fault taxonomy by the
-/// loader (outage -> utility_outage, derate -> cb_drift).
-struct GridEventSpec {
-  GridEventKind kind = GridEventKind::kOutage;
-  double start_s = 0.0;
-  double duration_s = 0.0;
-  /// Kept fraction of the CB rating (kDerate only), in (0, 1].
-  double fraction = 1.0;
-
-  double end_s() const noexcept { return start_s + duration_s; }
-  /// One "grid <kind> start=... duration=... [fraction=...]" line.
-  std::string to_line() const;
-  void validate() const;
-
-  bool operator==(const GridEventSpec&) const = default;
-};
-
 /// Where one fleet/rack/workload key lives: a pointer into the runtime
 /// configuration it lowers to, typed as the key's value (number, count,
 /// bool or policy token).
@@ -138,12 +109,11 @@ struct ScenarioSpec {
   /// copies exactly those onto a default FacilityConfig.
   FacilityConfig facility;
   std::vector<SurgeSpec> surges;
-  std::vector<GridEventSpec> grid_events;
   /// Embedded fault plan (one `fault <FaultSpec::to_line()>` per spec).
   fault::FaultPlan faults;
 
-  /// Validate the header, `facility` (its own validate()), every surge,
-  /// grid event and fault, plus the cross-cutting rules (recovery needs
+  /// Validate the header, `facility` (its own validate()), every surge
+  /// and fault, plus the cross-cutting rules (recovery needs
   /// SprintCon; surges sorted and non-overlapping including their ramps);
   /// throws InvalidArgumentError. The loader runs the same checks with
   /// file:line context while parsing.
@@ -153,7 +123,7 @@ struct ScenarioSpec {
   /// back through the loader reproduces this spec exactly.
   std::string to_text() const;
 
-  /// Compares the header, every key and every surge/grid/fault line.
+  /// Compares the header, every key and every surge and fault line.
   bool operator==(const ScenarioSpec& other) const;
 };
 

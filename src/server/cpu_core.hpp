@@ -106,9 +106,8 @@ class CpuCore {
             std::get_if<kReplayIndex>(&workload_)->step(dt_s, freq_);
         break;
       default:
-        utilization_ = std::get_if<kBatchIndex>(&workload_)
-                           ->advance(dt_s, freq_, now_s)
-                           .busy_fraction;
+        utilization_ =
+            std::get_if<kBatchIndex>(&workload_)->advance(dt_s, freq_, now_s);
         break;
     }
   }

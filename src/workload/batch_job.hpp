@@ -1,10 +1,9 @@
 // A running batch job instance pinned to one core.
 //
-// Tracks execution progress under time-varying DVFS, synthesizes the
-// performance-counter statistics (used cycles, cache misses) that the
-// paper's short-term profiling collects, and exposes the quantities the
-// SprintCon allocator and MPC penalty weighting need: progress, remaining
-// work, deadline slack, and the R weight of Section V-B.
+// Tracks execution progress under time-varying DVFS and exposes the
+// quantities the SprintCon allocator and MPC penalty weighting need:
+// progress, remaining work, deadline slack, and the R weight of
+// Section V-B.
 #pragma once
 
 #include <algorithm>
@@ -17,14 +16,6 @@
 #include "workload/progress_model.hpp"
 
 namespace sprintcon::workload {
-
-/// Synthesized performance-counter snapshot for one control period.
-struct PerfCounterSample {
-  double cycles = 0.0;        ///< CPU cycles consumed
-  double instructions = 0.0;  ///< instructions retired
-  double cache_misses = 0.0;  ///< LLC misses
-  double busy_fraction = 0.0; ///< fraction of the period the core was busy
-};
 
 /// Completion policy when a job finishes before the simulation ends.
 enum class CompletionMode {
@@ -52,20 +43,16 @@ class BatchJob {
   CompletionMode mode() const noexcept { return mode_; }
 
   /// Advance by dt at the given normalized frequency. Returns the
-  /// perf-counter sample for the interval. Inline: every batch core calls
-  /// it every tick from CpuCore::step (DESIGN.md §7.5), and a caller that
-  /// reads only busy_fraction lets the compiler drop the other counters.
-  PerfCounterSample advance(double dt_s, double freq, double now_s) {
+  /// fraction of the interval the core was busy (utilization() after the
+  /// step). Inline: every batch core calls it every tick from
+  /// CpuCore::step (DESIGN.md §7.5).
+  double advance(double dt_s, double freq, double now_s) {
     SPRINTCON_EXPECTS(dt_s > 0.0, "dt must be positive");
     SPRINTCON_EXPECTS(freq > 0.0 && freq <= 1.0 + 1e-9,
                       "normalized frequency must be in (0, 1]");
+    if (completed_ && mode_ == CompletionMode::kRunOnce) return 0.0;
 
-    PerfCounterSample sample;
-    if (completed_ && mode_ == CompletionMode::kRunOnce) {
-      return sample;  // core idles; all counters zero
-    }
-
-    // Slow phase modulation so the counter traces are not perfectly flat.
+    // Slow phase modulation so the utilization trace is not perfectly flat.
     phase_timer_s_ += dt_s;
     if (phase_timer_s_ >= kPhasePeriodS) {
       phase_timer_s_ = 0.0;
@@ -73,8 +60,7 @@ class BatchJob {
     }
 
     const double rate = model_.rate(freq);
-    const double work_done = rate * dt_s;
-    progress_ += work_done / work_total_s_;
+    progress_ += rate * dt_s / work_total_s_;
 
     if (progress_ >= 1.0) {
       ++completions_;
@@ -92,16 +78,7 @@ class BatchJob {
       }
     }
 
-    // Counter synthesis: the core is busy for the whole period while
-    // running; instructions retired scale with useful work, cache misses
-    // with the profile's MPKI.
-    sample.busy_fraction = utilization();
-    sample.cycles = freq * kPeakHz * dt_s * sample.busy_fraction;
-    // Nominal 1 IPC at peak for the compute part of the pipeline.
-    sample.instructions = work_done * kPeakHz * (1.0 + phase_noise_);
-    sample.cache_misses = sample.instructions / 1000.0 * profile_.cache_mpki *
-                          (1.0 + phase_noise_);
-    return sample;
+    return utilization();
   }
 
   // --- progress & deadline queries ---------------------------------------
@@ -131,8 +108,6 @@ class BatchJob {
   }
 
  private:
-  // Peak clock of the evaluation platform (2.0 GHz); counter synthesis only.
-  static constexpr double kPeakHz = 2.0e9;
   // Phase modulation: new utilization perturbation every ~20 s of execution.
   static constexpr double kPhasePeriodS = 20.0;
   static constexpr double kPhaseSigma = 0.03;
@@ -147,7 +122,7 @@ class BatchJob {
   std::uint64_t completions_ = 0;
   double completion_time_s_ = -1.0;
   double start_time_s_ = 0.0;
-  // Slow phase modulation of utilization/counter intensity.
+  // Slow phase modulation of utilization.
   Rng rng_;
   double phase_noise_ = 0.0;
   double phase_timer_s_ = 0.0;

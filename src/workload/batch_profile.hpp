@@ -3,9 +3,9 @@
 // The paper records traces from SPEC CPU2006 (CINT 400.perlbench,
 // 401.bzip2, 403.gcc, 429.mcf; CFP 433.milc, 444.namd, 447.dealII,
 // 450.soplex). We do not ship SPEC; instead each benchmark becomes a
-// profile with a calibrated compute-boundedness (mu), nominal utilization,
-// and cache-miss intensity that reproduces the *behavioural* range the
-// controller sees through its performance counters. The memory-bound
+// profile with a calibrated compute-boundedness (mu) and nominal
+// utilization that reproduce the *behavioural* range the controller sees
+// through the progress model. The memory-bound
 // outliers (429.mcf, 433.milc) and the compute-bound ones (444.namd) match
 // their well-known characters.
 //
@@ -27,8 +27,6 @@ struct BatchProfile {
   double compute_fraction = 0.9;
   /// Core utilization while the job runs (batch jobs keep their core busy).
   double utilization = 0.95;
-  /// Last-level cache misses per kilo-instruction (trace realism only).
-  double cache_mpki = 1.0;
   /// Nominal work in seconds-at-peak-frequency for one execution.
   double nominal_work_s = 450.0;
 };

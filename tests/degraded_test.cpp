@@ -13,7 +13,6 @@ RigConfig small_rig() {
   cfg.num_servers = 4;
   cfg.sprint.cb_rated_w = 4.0 * 300.0 * (2.0 / 3.0);  // 800 W
   cfg.ups_capacity_wh = 100.0;
-  cfg.completion = workload::CompletionMode::kRepeat;
   return cfg;
 }
 

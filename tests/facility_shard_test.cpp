@@ -36,7 +36,6 @@ FacilityConfig sweep_config(std::size_t racks, std::size_t threads,
   cfg.rack.sprint.cb_rated_w = 2.0 * 300.0 * (2.0 / 3.0);
   cfg.rack.ups_capacity_wh = 50.0;
   cfg.rack.duration_s = 70.0;
-  cfg.rack.completion = workload::CompletionMode::kRepeat;
   if (faults) {
     // One sensing fault and one actuation fault, both windows inside the
     // run; the injector draws from its own per-rig RNG every tick the

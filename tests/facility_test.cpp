@@ -17,7 +17,6 @@ FacilityConfig small_facility(bool staggered, std::size_t racks = 3) {
   cfg.rack.sprint.cb_rated_w = 2.0 * 300.0 * (2.0 / 3.0);
   cfg.rack.ups_capacity_wh = 50.0;
   cfg.rack.duration_s = 450.0;  // one full overload/recovery cycle
-  cfg.rack.completion = workload::CompletionMode::kRepeat;
   return cfg;
 }
 

@@ -123,7 +123,6 @@ RigConfig chaos_rig(std::uint64_t seed, const FaultPlan& plan) {
   cfg.num_servers = 4;
   cfg.sprint.cb_rated_w = 4.0 * 300.0 * (2.0 / 3.0);  // 800 W
   cfg.ups_capacity_wh = 100.0;
-  cfg.completion = workload::CompletionMode::kRepeat;
   cfg.seed = seed;
   cfg.fault_seed = seed * 977 + 13;
   cfg.faults = plan;
@@ -195,7 +194,6 @@ std::vector<double> baseline_channel(std::uint64_t seed, const char* name) {
   cfg.num_servers = 4;
   cfg.sprint.cb_rated_w = 4.0 * 300.0 * (2.0 / 3.0);
   cfg.ups_capacity_wh = 100.0;
-  cfg.completion = workload::CompletionMode::kRepeat;
   cfg.seed = seed;
   Rig rig(cfg);
   rig.run();

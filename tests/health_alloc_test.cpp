@@ -67,11 +67,6 @@ TEST(HealthAlloc, WarmCheckOfEverySignalKindAllocatesNothing) {
                     .signal = HealthSignal::kCounter,
                     .metric = "errors",
                     .threshold = 10.0});
-  monitor.add_rule({.name = "hist-p99",
-                    .kind = HealthRuleKind::kAbove,
-                    .signal = HealthSignal::kHistogramP99,
-                    .metric = "lat",
-                    .threshold = 1e9});
   monitor.add_rule({.name = "window-p99",
                     .kind = HealthRuleKind::kAbove,
                     .signal = HealthSignal::kWindowedP99,
@@ -87,10 +82,7 @@ TEST(HealthAlloc, WarmCheckOfEverySignalKindAllocatesNothing) {
   m.gauge("meas").set(100.0);
   m.gauge("truth").set(100.0);
   m.counter("errors").add(1);
-  for (int i = 1; i <= 50; ++i) {
-    m.histogram("lat").record(i);
-    m.windowed("lat.window").record(i);
-  }
+  for (int i = 1; i <= 50; ++i) m.windowed("lat.window").record(i);
   monitor.check(0.0);  // warm-up: registers health.active_alerts
   monitor.check(1.0);
 

@@ -203,36 +203,21 @@ TEST(HealthMonitor, StuckRuleWithoutReferenceNeverBreaches) {
 TEST(HealthMonitor, ReadsTheValuesTheSnapshotReports) {
   ObsSink sink;
   HealthMonitor monitor(&sink);
-  monitor.add_rule({.name = "hist-p99",
-                    .kind = HealthRuleKind::kAbove,
-                    .signal = HealthSignal::kHistogramP99,
-                    .metric = "lat",
-                    .threshold = 1.0,
-                    .consecutive = 1});
   monitor.add_rule({.name = "window-p99",
                     .kind = HealthRuleKind::kAbove,
                     .signal = HealthSignal::kWindowedP99,
                     .metric = "lat.window",
                     .threshold = 1.0,
                     .consecutive = 1});
-  Histogram& lat = sink.metrics().histogram("lat");
   WindowedHistogram& window = sink.metrics().windowed("lat.window");
-  for (int i = 1; i <= 300; ++i) {
-    lat.record(0.37 * i);
-    window.record(0.37 * i);
-  }
+  for (int i = 1; i <= 300; ++i) window.record(0.37 * i);
   const MetricsSnapshot snap = sink.metrics().snapshot();
   monitor.check(1.0);
   const auto degraded = degraded_events(sink);
-  ASSERT_EQ(degraded.size(), 2u);
-  EXPECT_STREQ(degraded[0].cause, "hist-p99");
-  EXPECT_EQ(degraded[0].field("value"), snap.histograms.at("lat").p99);
-  EXPECT_STREQ(degraded[1].cause, "window-p99");
-  EXPECT_EQ(degraded[1].field("value"), snap.windowed.at("lat.window").p99);
+  ASSERT_EQ(degraded.size(), 1u);
+  EXPECT_STREQ(degraded[0].cause, "window-p99");
+  EXPECT_EQ(degraded[0].field("value"), snap.windowed.at("lat.window").p99);
 
-  ASSERT_TRUE(monitor.rebaseline("hist-p99", 0.8));
-  EXPECT_EQ(monitor.threshold("hist-p99"),
-            snap.histograms.at("lat").p99 / 0.8);
   ASSERT_TRUE(monitor.rebaseline("window-p99", 0.8));
   EXPECT_EQ(monitor.threshold("window-p99"),
             snap.windowed.at("lat.window").p99 / 0.8);

@@ -138,6 +138,8 @@ TEST(Mpc, InvalidProblemThrows) {
   p = two_core_problem();
   p.penalty_weights = {-1.0, 1.0};
   EXPECT_THROW(mpc.step(p, out), InvalidArgumentError);
+  p.penalty_weights = {0.0, 1.0};
+  EXPECT_THROW(mpc.step(p, out), InvalidArgumentError);
   p = two_core_problem();
   p.gains_w_per_f.pop_back();
   EXPECT_THROW(mpc.step(p, out), InvalidArgumentError);

@@ -13,7 +13,6 @@ RigConfig cap_rig() {
   cfg.num_servers = 4;
   cfg.sprint.cb_rated_w = 800.0;
   cfg.ups_capacity_wh = 100.0;
-  cfg.completion = workload::CompletionMode::kRepeat;
   return cfg;
 }
 

@@ -12,7 +12,6 @@ RigConfig multi_sprint_rig() {
   cfg.num_servers = 4;
   cfg.sprint.cb_rated_w = 800.0;
   cfg.ups_capacity_wh = 100.0;
-  cfg.completion = workload::CompletionMode::kRepeat;
   // 7.5-minute sprint followed by 7.5 minutes of normal operation.
   cfg.sprint.burst_duration_s = 450.0;
   cfg.sprint.long_burst_s = 400.0;  // keep the periodic policy

@@ -1,8 +1,9 @@
 // Deterministic scenario fuzzer (DESIGN.md §12).
 //
 // A seeded generator composes random *valid* ScenarioSpecs — fleet sizes,
-// rack shapes, workload mixes, surge schedules, grid events, embedded
-// faults — and pushes every one through the full stack:
+// rack shapes, workload mixes, surge schedules, embedded faults (utility
+// outages and derates among them) — and pushes every one through the full
+// stack:
 //
 //   1. round-trip: parse(to_text(spec)) == spec (serializer and loader
 //      agree bit-for-bit, the same property scenario_test pins for the
@@ -128,19 +129,23 @@ ScenarioSpec random_spec(Rng& rng, std::size_t index) {
         static_cast<double>(rng.uniform_index(15));
   }
 
-  const std::size_t want_grid = rng.uniform_index(3);
-  for (std::size_t i = 0; i < want_grid; ++i) {
-    GridEventSpec event;
-    event.start_s = rng.uniform(0.0, spec.duration_s * 0.8);
+  // Utility events (outages and demand-response derates) are drawn before
+  // the other faults but listed after them: the pinned corpus
+  // (kDigestPath) was recorded in that draw and fault order.
+  std::vector<fault::FaultSpec> utility;
+  const std::size_t want_utility = rng.uniform_index(3);
+  for (std::size_t i = 0; i < want_utility; ++i) {
+    fault::FaultSpec f;
+    f.start_s = rng.uniform(0.0, spec.duration_s * 0.8);
     if (rng.bernoulli(0.5)) {
-      event.kind = GridEventKind::kOutage;
-      event.duration_s = rng.uniform(3.0, 15.0);
+      f.kind = fault::FaultKind::kUtilityOutage;
+      f.duration_s = rng.uniform(3.0, 15.0);
     } else {
-      event.kind = GridEventKind::kDerate;
-      event.duration_s = rng.uniform(10.0, 60.0);
-      event.fraction = rng.uniform(0.7, 0.95);
+      f.kind = fault::FaultKind::kCbDrift;
+      f.duration_s = rng.uniform(10.0, 60.0);
+      f.magnitude = rng.uniform(0.7, 0.95);
     }
-    spec.grid_events.push_back(event);
+    utility.push_back(f);
   }
 
   const std::size_t want_faults = rng.uniform_index(3);
@@ -171,6 +176,8 @@ ScenarioSpec random_spec(Rng& rng, std::size_t index) {
     }
     spec.faults.faults.push_back(f);
   }
+  spec.faults.faults.insert(spec.faults.faults.end(), utility.begin(),
+                            utility.end());
   return spec;
 }
 

@@ -8,8 +8,9 @@
 //     and a rig given those specs in code produces a bit-identical trace;
 //   - every loader diagnostic carries "<file>:<line>:" and fires on the
 //     malformed input it documents;
-//   - compile() lowers surges onto the interactive envelope and grid
-//     events onto the fault taxonomy as specified.
+//   - compile() lowers surges onto the interactive envelope as specified,
+//     and demand-response-drill's utility events reach every rack as its
+//     `fault` lines.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -238,23 +239,23 @@ TEST(ScenarioCompile, BackToBackSurgesKeepTheEnvelopeStrictlySorted) {
   EXPECT_NO_THROW(config.rack.interactive.validate());
 }
 
-TEST(ScenarioCompile, GridEventsLowerOntoTheFaultTaxonomy) {
-  const ScenarioSpec spec = parse_scenario_string(
-      "scenario name=t duration=900 dt=1\n"
-      "fault meter_noise start=0 duration=900 magnitude=0.05\n"
-      "grid derate start=300 duration=300 fraction=0.85\n"
-      "grid outage start=700 duration=40\n");
-  const FacilityConfig config = compile(spec);
-  const auto& faults = config.rack.faults.faults;
-  ASSERT_EQ(faults.size(), 3u);  // explicit fault first, then grid events
-  EXPECT_EQ(faults[0].kind, fault::FaultKind::kMeterNoise);
-  EXPECT_EQ(faults[1].kind, fault::FaultKind::kCbDrift);
-  EXPECT_EQ(faults[1].start_s, 300.0);
-  EXPECT_EQ(faults[1].duration_s, 300.0);
-  EXPECT_EQ(faults[1].magnitude, 0.85);
-  EXPECT_EQ(faults[2].kind, fault::FaultKind::kUtilityOutage);
-  EXPECT_EQ(faults[2].start_s, 700.0);
-  EXPECT_EQ(faults[2].duration_s, 40.0);
+TEST(ScenarioCompile, DemandResponseDrillCompilesToUtilityFaults) {
+  // A curtailment is a derated breaker and a lost feed a utility outage:
+  // the drill's two `fault` lines reach every rack, in file order.
+  const ScenarioSpec spec =
+      load_scenario(std::string(kScenarioDir) + "/demand-response-drill.scn");
+  using fault::FaultKind;
+  using fault::FaultSpec;
+  const fault::FaultPlan want{{
+      FaultSpec{.kind = FaultKind::kCbDrift,
+                .start_s = 300.0,
+                .duration_s = 300.0,
+                .magnitude = 0.85},
+      FaultSpec{.kind = FaultKind::kUtilityOutage,
+                .start_s = 700.0,
+                .duration_s = 40.0},
+  }};
+  EXPECT_EQ(compile(spec).rack.faults, want);
 }
 
 TEST(ScenarioCompile, SprintCoversTheWholeScenario) {
@@ -272,6 +273,11 @@ TEST(ScenarioCompile, SprintCoversTheWholeScenario) {
 TEST(ScenarioDiagnostics, UnknownSection) {
   expect_diagnostic(std::string(kHeader) + "flee racks=4\n", 2,
                     "unknown section 'flee'");
+  // Utility events are `fault` lines (cb_drift, utility_outage); there is
+  // no section of their own.
+  expect_diagnostic(std::string(kHeader) + "grid outage start=700\n", 2,
+                    "unknown section 'grid' (want scenario, fleet, rack, "
+                    "workload, surge, fault)");
 }
 
 TEST(ScenarioDiagnostics, UnknownKeyPerSection) {
@@ -284,8 +290,6 @@ TEST(ScenarioDiagnostics, UnknownKeyPerSection) {
   expect_diagnostic(
       std::string(kHeader) + "surge start=1 duration=10 top=0.9\n", 2,
       "unknown surge key 'top'");
-  expect_diagnostic(std::string(kHeader) + "grid outage begin=1\n", 2,
-                    "unknown grid key 'begin'");
   expect_diagnostic("scenario name=t length=900\n", 1,
                     "unknown scenario key 'length'");
 }
@@ -342,10 +346,6 @@ TEST(ScenarioDiagnostics, MalformedBoolsPoliciesAndKinds) {
                     "malformed bool for staggered");
   expect_diagnostic(std::string(kHeader) + "rack policy=mpc\n", 2,
                     "unknown policy: mpc");
-  expect_diagnostic(std::string(kHeader) + "grid blackout start=1\n", 2,
-                    "unknown grid event kind: blackout");
-  expect_diagnostic(std::string(kHeader) + "grid\n", 2,
-                    "grid line needs a kind");
   expect_diagnostic(std::string(kHeader) + "fleet racks\n", 2,
                     "expected key=value");
 }
@@ -378,12 +378,6 @@ TEST(ScenarioDiagnostics, OutOfRangeValues) {
   expect_diagnostic(
       std::string(kHeader) + "surge start=1 duration=10 ramp=10\n", 2,
       "surge ramp must be shorter than its duration");
-  expect_diagnostic(
-      std::string(kHeader) + "grid derate start=1 duration=10\n", 2,
-      "derate needs fraction");
-  expect_diagnostic(
-      std::string(kHeader) + "grid outage start=1 duration=10 fraction=0.5\n",
-      2, "outage takes no fraction");
 }
 
 // Edges the destination configs accept: a breaker that never overloads,

@@ -314,7 +314,7 @@ TEST(Server, StepMatchesStandaloneWorkloads) {
           [&](auto& w) {
             if constexpr (std::is_same_v<std::decay_t<decltype(w)>,
                                          BatchJob>) {
-              return w.advance(kDt, f, now).busy_fraction;
+              return w.advance(kDt, f, now);
             } else {
               return w.step(kDt, f);
             }

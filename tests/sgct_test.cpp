@@ -15,9 +15,6 @@ scenario::RigConfig small_rig(scenario::Policy policy) {
   cfg.sprint.cb_rated_w = 4.0 * 300.0 * (2.0 / 3.0);  // 800 W
   cfg.ups_capacity_wh = 4.0 * 300.0 * (5.0 / 60.0);   // 100 Wh
   cfg.duration_s = 900.0;
-  // Continuous batch traces (the paper's Fig. 5-7 methodology): demand
-  // persists for the whole sprint.
-  cfg.completion = workload::CompletionMode::kRepeat;
   cfg.seed = 7;
   return cfg;
 }

@@ -107,7 +107,6 @@ TEST(Soak, RandomOverlappingFaultsAcrossShardedFleet) {
     // Paper-default rack sizing (16 servers, 400 Wh UPS): the envelope
     // recovery_test's targeted MTTR cases are known to survive in.
     cfg.rack.duration_s = kDuration;
-    cfg.rack.completion = workload::CompletionMode::kRepeat;
     cfg.rack.use_request_queues = true;
     cfg.rack.seed = seed;
     cfg.rack.fault_seed = seed * 977 + 13;

@@ -19,7 +19,6 @@ scenario::RigConfig small_rig() {
   cfg.num_servers = 2;
   cfg.sprint.cb_rated_w = 2.0 * 300.0 * (2.0 / 3.0);
   cfg.ups_capacity_wh = 50.0;
-  cfg.completion = workload::CompletionMode::kRepeat;
   return cfg;
 }
 

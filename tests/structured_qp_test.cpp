@@ -146,6 +146,12 @@ TEST(StructuredQp, InvalidProblemThrows) {
   EXPECT_THROW(solve_structured_qp(sqp, Vector(sqp.dim(), 0.5), opts, scratch,
                                    result),
                InvalidArgumentError);
+  // A zero penalty makes the block rank-deficient, and the per-block
+  // direct solve divides by every R_i.
+  sqp.penalty[0] = 0.0;
+  EXPECT_THROW(solve_structured_qp(sqp, Vector(sqp.dim(), 0.5), opts, scratch,
+                                   result),
+               InvalidArgumentError);
   sqp = random_problem(rng, 3, 2);
   sqp.lower[2] = 2.0;  // crosses upper
   EXPECT_THROW(solve_structured_qp(sqp, Vector(sqp.dim(), 0.5), opts, scratch,
