@@ -4,20 +4,73 @@
 //
 // The deployment here: 8 servers, 6 interactive + 2 batch cores each
 // (an interactive-heavy front-end rack), a smaller 250 Wh UPS, and a
-// breaker allowed to overload to 1.2x.
+// breaker allowed to overload to 1.2x. The interactive cores replay a
+// recorded utilization trace instead of the synthetic generator:
 //
-//   ./build/examples/custom_rack
+//   ./build/examples/custom_rack [trace.csv]
+//   ./build/examples/custom_rack tests/cli_fixtures/replay-trace.csv
+//
+// Without an argument the example synthesizes a "recorded" trace (in
+// practice you would export one from your monitoring stack) and
+// round-trips it through the CSV writer and the trace_io reader in memory
+// (no file is written). With a csv argument, the file is loaded instead
+// (one value column, or time_s,value rows); an unreadable or malformed
+// file is a usage error. To run a whole described facility, faults
+// included, run `facility_dashboard --scenario FILE`.
+#include <exception>
 #include <iostream>
-#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/sprintcon.hpp"
-#include "scenario/rig.hpp"  // only for metrics printing conventions
 #include "sim/clock.hpp"
 #include "workload/batch_profile.hpp"
+#include "workload/trace_io.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sprintcon;
+
+  // A flag, more than one argument, or a csv that cannot be read as a
+  // trace is a usage error.
+  const auto usage = [](const std::string& why) {
+    if (!why.empty()) std::cerr << why << "\n";
+    std::cerr << "usage: custom_rack [trace.csv]\n";
+    return 1;
+  };
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) return usage("");
+
+  // --- obtain a trace ---------------------------------------------------------
+  workload::RecordedTrace trace;
+  if (argc == 2) {
+    const std::string csv_path = argv[1];
+    try {
+      trace = workload::read_trace_csv_file(csv_path);
+    } catch (const std::exception& e) {
+      return usage(e.what());
+    }
+    std::cout << "loaded " << trace.samples.size() << " samples (dt="
+              << trace.dt_s << " s) from " << csv_path << "\n";
+  } else {
+    // Synthesize a 15-minute request-rate trace with a pronounced burst in
+    // the middle — the kind of shape a Wikipedia frontend records.
+    Rng rng(7);
+    trace.dt_s = 5.0;
+    for (int i = 0; i < 180; ++i) {
+      const double t = static_cast<double>(i) / 180.0;
+      const double burst = t > 0.3 && t < 0.8 ? 0.35 : 0.0;
+      trace.samples.push_back(0.35 + burst + rng.normal(0.0, 0.05));
+    }
+    // Round-trip it through the CSV format in memory, as an exported
+    // trace would arrive.
+    std::stringstream csv;
+    workload::write_trace_csv(csv, trace);
+    trace = workload::read_trace_csv(csv, trace.dt_s);
+    std::cout << "synthesized a demo trace (" << trace.samples.size()
+              << " samples through CSV; mean utilization " << trace.mean()
+              << ")\n";
+  }
 
   const server::PlatformSpec spec = server::paper_platform();
   Rng rng(2024);
@@ -31,11 +84,12 @@ int main() {
     std::vector<server::CpuCore> cores;
     for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
       if (c < 6) {
-        workload::InteractiveTraceConfig trace;
-        trace.mean_utilization = 0.7;  // front-end rack runs hotter
+        // Stagger each core's start offset so they do not move in lockstep.
+        const double offset =
+            static_cast<double>(s * 11 + c * 3) * trace.dt_s;
         cores.emplace_back(spec.freq_min, spec.freq_max,
-                           workload::InteractiveTraceGenerator(
-                               trace, rng.split(), 17.0 * double(s)));
+                           workload::ReplayUtilization(
+                               trace, /*scale=*/1.0, /*loop=*/true, offset));
       } else {
         workload::BatchJob job(
             profiles[profile_index++ % profiles.size()],
@@ -67,7 +121,7 @@ int main() {
   core::SprintConController sprintcon(sprint, rack, path);
   sim::SimClock clock(1.0);
 
-  std::cout << "minute  CB(W)  UPS(W)  SOC    state\n";
+  std::cout << "\nminute  CB(W)  UPS(W)  SOC    state\n";
   for (int minute = 1; minute <= 12; ++minute) {
     while (clock.now_s() < 60.0 * minute) {
       rack.step(clock);

@@ -26,6 +26,7 @@
 // https://ui.perfetto.dev (or chrome://tracing) to see where the wall
 // clock went, per rack and per worker shard. scripts/check_trace.py
 // validates the schema.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -292,7 +293,25 @@ int main(int argc, char** argv) {
     if (!quarantined.empty()) {
       std::cout << "  quarantined racks:";
       for (const std::size_t r : quarantined) std::cout << " " << r;
-      std::cout << " (interactive load re-routed to survivors)\n";
+      // Only request-queue racks take re-routed load (Facility::run).
+      std::size_t with_queues = 0;
+      std::size_t survivors = 0;
+      for (std::size_t r = 0; r < facility.num_racks(); ++r) {
+        if (facility.rig(r).request_queues().empty()) continue;
+        ++with_queues;
+        if (std::find(quarantined.begin(), quarantined.end(), r) ==
+            quarantined.end()) {
+          ++survivors;
+        }
+      }
+      if (with_queues > 0 && survivors == 0) {
+        std::cout << " (no rack survives to take their interactive load)";
+      } else if (with_queues > 0) {
+        std::cout << " (interactive load re-routed to " << survivors
+                  << " surviving request-queue rack"
+                  << (survivors == 1 ? "" : "s") << ")";
+      }
+      std::cout << "\n";
     }
   }
 

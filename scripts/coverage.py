@@ -18,7 +18,8 @@ not edited. It then runs the *run set*:
     faulted, recovering facility (rolling-brownout's racks and faults
     with `recovery=true`) on two threads with `--json` and `--trace`;
   - every figure and ablation harness with `--csv DIR`;
-  - `trace_replay` plain and on tests/cli_fixtures/replay-trace.csv;
+  - `custom_rack` plain (its synthesized trace) and on
+    tests/cli_fixtures/replay-trace.csv;
   - the perfbench binary on each workload, with and without `--trace`.
 
 and takes a gcov snapshot (`gcov --json-format`, GCC 12, nothing
@@ -119,10 +120,10 @@ def run_set(main, bench, scratch):
         if cpp.stem != "perf_controller":
             run([main / "bench" / cpp.stem, "--csv", scratch / cpp.stem],
                 **quiet)
-    replay = main / "examples" / "trace_replay"
-    run([replay], cwd=scratch, **quiet)
-    run([replay, ROOT / "tests/cli_fixtures/replay-trace.csv"], cwd=scratch,
-        **quiet)
+    custom_rack = main / "examples" / "custom_rack"
+    run([custom_rack], cwd=scratch, **quiet)
+    run([custom_rack, ROOT / "tests/cli_fixtures/replay-trace.csv"],
+        cwd=scratch, **quiet)
     exe = bench / "perfbench"
     for scn in sorted((ROOT / "perfbench" / "workloads").glob("*.scn")):
         cmd = [exe, "--spec", scn, "--seconds", "1"]

@@ -13,15 +13,6 @@ constexpr double kNormalFreq = 0.5;
 constexpr double kSprintThreshold = 0.5;
 }  // namespace
 
-const char* to_string(SgctVariant variant) noexcept {
-  switch (variant) {
-    case SgctVariant::kRaw: return "SGCT";
-    case SgctVariant::kV1: return "SGCT-V1";
-    case SgctVariant::kV2: return "SGCT-V2";
-  }
-  return "unknown";
-}
-
 SgctController::SgctController(const core::SprintConfig& config,
                                server::Rack& rack, power::PowerPath& path,
                                SgctVariant variant)

@@ -36,8 +36,6 @@ namespace sprintcon::baselines {
 
 enum class SgctVariant { kRaw, kV1, kV2 };
 
-const char* to_string(SgctVariant variant) noexcept;
-
 /// Sprinting-game controller for one rack.
 class SgctController {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/validation.hpp"
 
@@ -74,7 +75,9 @@ double MpcPowerController::build_reference(const MpcProblem& problem) {
   }
   // Constant part of the power prediction: p_fb(t) - K . F(t).
   return problem.power_feedback_w -
-         dot(problem.gains_w_per_f, problem.freq_current);
+         std::inner_product(problem.gains_w_per_f.begin(),
+                            problem.gains_w_per_f.end(),
+                            problem.freq_current.begin(), 0.0);
 }
 
 void MpcPowerController::set_obs(obs::ObsSink* sink) {
@@ -157,7 +160,9 @@ void MpcPowerController::step_structured(const MpcProblem& problem,
   out.freq_next.assign(out.qp.x.begin(),
                        out.qp.x.begin() + static_cast<std::ptrdiff_t>(n));
   out.predicted_power_w =
-      pred_base + dot(problem.gains_w_per_f, out.freq_next);
+      pred_base + std::inner_product(problem.gains_w_per_f.begin(),
+                                     problem.gains_w_per_f.end(),
+                                     out.freq_next.begin(), 0.0);
 }
 
 }  // namespace sprintcon::control

@@ -23,7 +23,6 @@
 
 #include <cstddef>
 
-#include "control/matrix.hpp"
 #include "control/structured_qp.hpp"
 #include "obs/sink.hpp"
 

@@ -20,10 +20,11 @@
 #pragma once
 
 #include <cstddef>
-
-#include "control/matrix.hpp"
+#include <vector>
 
 namespace sprintcon::control {
+
+using Vector = std::vector<double>;
 
 /// Solver tuning knobs.
 struct QpOptions {

@@ -32,10 +32,10 @@ namespace sprintcon::obs {
 /// One trace record. POD; name/cat/arg_key must be static-duration
 /// strings (literals), matching the Event contract.
 struct TraceEvent {
-  const char* name = nullptr;  ///< span or instant name
+  const char* name = nullptr;  ///< span name
   const char* cat = nullptr;   ///< category ("decision", "facility", ...)
   double ts_us = 0.0;          ///< microseconds since the tracer epoch
-  char ph = 'I';               ///< Chrome phase: 'B', 'E' or 'I'
+  char ph = 'B';               ///< Chrome phase: 'B' or 'E'
   const char* arg_key = nullptr;  ///< optional argument (nullptr = none)
   double arg_value = 0.0;
 };
@@ -62,11 +62,6 @@ class TraceBuffer {
   /// Close the innermost span with this name ('E').
   void end(const char* name, const char* cat) noexcept {
     append(name, cat, 'E', nullptr, 0.0);
-  }
-  /// Zero-duration marker ('I').
-  void instant(const char* name, const char* cat,
-               const char* arg_key = nullptr, double arg_value = 0.0) noexcept {
-    append(name, cat, 'I', arg_key, arg_value);
   }
 
   std::uint32_t tid() const noexcept { return tid_; }

@@ -51,7 +51,7 @@ RackTelemetry Rack::telemetry() const {
   // the rig's historical p95-latency probe, so the fused scan records
   // bit-identical samples.
   const workload::LatencyModel latency;
-  // The factor percentile_response_s(p = 0.95) applies to the mean,
+  // The M/M/1 p95 is the mean times quantile_factor(0.95), the factor
   // hoisted so the scan pays one log per program, not one per core per
   // tick. A dark or saturated core counts as the 1-second clamp — requests
   // are effectively not being served.

@@ -10,13 +10,4 @@ LatencyModel::LatencyModel(double service_rate_peak)
                     "service rate must be positive");
 }
 
-double LatencyModel::percentile_response_s(double freq,
-                                           double peak_utilization,
-                                           double p) const {
-  SPRINTCON_EXPECTS(p > 0.0 && p < 1.0, "percentile must be in (0, 1)");
-  const double mean = mean_response_s(freq, peak_utilization);
-  if (std::isinf(mean)) return mean;
-  return mean * quantile_factor(p);
-}
-
 }  // namespace sprintcon::workload

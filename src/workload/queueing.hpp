@@ -56,14 +56,10 @@ class LatencyModel {
     return 1.0 / (mu - lambda);
   }
 
-  /// p-quantile of the response time (e.g. p = 0.95); +infinity when
-  /// saturated.
-  double percentile_response_s(double freq, double peak_utilization,
-                               double p) const;
-
   /// The p-quantile of the response time as a multiple of its mean: the
-  /// M/M/1 response time is Exp(mu - lambda), so the factor is -ln(1 - p).
-  /// The one definition percentile_response_s and Rack::telemetry share.
+  /// M/M/1 response time is Exp(mu - lambda), so the factor is -ln(1 - p)
+  /// and the p-quantile is mean_response_s * quantile_factor(p)
+  /// (+infinity when saturated). Rack::telemetry's p95 uses it.
   static double quantile_factor(double p) { return -std::log(1.0 - p); }
 
  private:

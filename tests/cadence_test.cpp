@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "control/matrix_ops.hpp"
+#include "control/matrix.hpp"
 #include "control/mpc_analysis.hpp"
 #include "control/settling.hpp"
 #include "core/cadence.hpp"

@@ -8,7 +8,7 @@
 
 #include "common/rng.hpp"
 #include "control/eigen.hpp"
-#include "control/matrix_ops.hpp"
+#include "control/matrix.hpp"
 
 namespace sprintcon::control {
 namespace {

@@ -6,7 +6,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "control/linalg.hpp"
-#include "control/matrix_ops.hpp"
+#include "control/matrix.hpp"
 
 namespace sprintcon::control {
 namespace {

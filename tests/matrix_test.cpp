@@ -1,10 +1,9 @@
-// Unit tests for the dense matrix/vector kernels: the library's Matrix
-// and the test-support operations built on it.
+// Unit tests for the test-support dense matrix/vector kernels the
+// reference solvers run on.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "control/matrix.hpp"
-#include "control/matrix_ops.hpp"
 
 namespace sprintcon::control {
 namespace {
@@ -26,13 +25,6 @@ TEST(Matrix, InitializerList) {
 
 TEST(Matrix, RaggedInitializerThrows) {
   EXPECT_THROW(from_rows({{1.0, 2.0}, {3.0}}), InvalidArgumentError);
-}
-
-TEST(Matrix, Identity) {
-  const Matrix i = Matrix::identity(3);
-  for (std::size_t r = 0; r < 3; ++r)
-    for (std::size_t c = 0; c < 3; ++c)
-      EXPECT_DOUBLE_EQ(i(r, c), r == c ? 1.0 : 0.0);
 }
 
 TEST(Matrix, Diagonal) {
@@ -71,16 +63,6 @@ TEST(Matrix, MatrixVectorProduct) {
   const Vector v = a * Vector{1.0, 1.0};
   EXPECT_DOUBLE_EQ(v[0], 3.0);
   EXPECT_DOUBLE_EQ(v[1], 7.0);
-}
-
-TEST(Matrix, SubtractionAndScaling) {
-  const Matrix a = from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  const Matrix b = from_rows({{1.0, 1.0}, {1.0, 1.0}});
-  const Matrix diff = a - b;
-  EXPECT_DOUBLE_EQ(diff(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(diff(1, 1), 3.0);
-  const Matrix scaled = a * 2.0;
-  EXPECT_DOUBLE_EQ(scaled(1, 0), 6.0);
 }
 
 TEST(VectorOps, DotAndNorms) {

@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "control/matrix_ops.hpp"
+#include "control/matrix.hpp"
 #include "control/qp.hpp"
 
 namespace sprintcon::control {

@@ -35,17 +35,21 @@ TEST(Latency, ThrottlingRaisesLatencyMonotonically) {
 }
 
 TEST(Latency, PercentileIsExponentialQuantile) {
-  LatencyModel model(1000.0);
-  const double mean = model.mean_response_s(1.0, 0.5);
-  const double p95 = model.percentile_response_s(1.0, 0.5, 0.95);
-  EXPECT_NEAR(p95 / mean, -std::log(0.05), 1e-9);
+  // The response time is Exp with the model's mean m, so the quantile
+  // q = m * quantile_factor(p) satisfies P(T <= q) = 1 - exp(-q / m) = p.
+  for (const double p : {0.5, 0.95, 0.99}) {
+    EXPECT_NEAR(1.0 - std::exp(-LatencyModel::quantile_factor(p)), p, 1e-12);
+  }
+  EXPECT_NEAR(LatencyModel::quantile_factor(0.5), std::log(2.0), 1e-15);
   // Higher percentile, higher latency.
-  EXPECT_GT(model.percentile_response_s(1.0, 0.5, 0.99), p95);
+  EXPECT_GT(LatencyModel::quantile_factor(0.99),
+            LatencyModel::quantile_factor(0.95));
 }
 
 TEST(Latency, SaturationPropagatesToPercentiles) {
   LatencyModel model;
-  EXPECT_TRUE(std::isinf(model.percentile_response_s(0.5, 0.6, 0.95)));
+  EXPECT_TRUE(std::isinf(model.mean_response_s(0.5, 0.6) *
+                         LatencyModel::quantile_factor(0.95)));
 }
 
 TEST(Latency, ZeroLoadGivesBareServiceTime) {
@@ -60,8 +64,9 @@ TEST(Latency, WhyThePaperPinsInteractiveAtPeak) {
   // (0.5) pushes p95 latency out by more than an order of magnitude or
   // saturates outright.
   LatencyModel model(1000.0);
-  const double at_peak = model.percentile_response_s(1.0, 0.45, 0.95);
-  const double throttled = model.percentile_response_s(0.5, 0.45, 0.95);
+  const double p95 = LatencyModel::quantile_factor(0.95);
+  const double at_peak = model.mean_response_s(1.0, 0.45) * p95;
+  const double throttled = model.mean_response_s(0.5, 0.45) * p95;
   EXPECT_GT(throttled, 10.0 * at_peak);
 }
 
@@ -71,8 +76,6 @@ TEST(Latency, InvalidInputsThrow) {
   EXPECT_THROW(model.mean_response_s(0.0, 0.5),
                sprintcon::InvalidArgumentError);
   EXPECT_THROW(model.mean_response_s(1.0, 1.5),
-               sprintcon::InvalidArgumentError);
-  EXPECT_THROW(model.percentile_response_s(1.0, 0.5, 1.0),
                sprintcon::InvalidArgumentError);
 }
 

@@ -441,9 +441,9 @@ TEST(Rack, TelemetryP95IsTheMeanOfClampedPercentiles) {
       if (c.is_batch()) continue;
       double t = 1.0;
       if (s.powered()) {
-        t = std::min(
-            latency.percentile_response_s(c.freq(), c.utilization(), 0.95),
-            1.0);
+        t = std::min(latency.mean_response_s(c.freq(), c.utilization()) *
+                         workload::LatencyModel::quantile_factor(0.95),
+                     1.0);
         if (t == 1.0) ++powered_clamped;
       }
       sum += t;

@@ -19,12 +19,6 @@ scenario::RigConfig small_rig(scenario::Policy policy) {
   return cfg;
 }
 
-TEST(Sgct, VariantNames) {
-  EXPECT_STREQ(to_string(SgctVariant::kRaw), "SGCT");
-  EXPECT_STREQ(to_string(SgctVariant::kV1), "SGCT-V1");
-  EXPECT_STREQ(to_string(SgctVariant::kV2), "SGCT-V2");
-}
-
 TEST(Sgct, RawTripsBreakerAndEventuallyBrownsOut) {
   scenario::Rig rig(small_rig(scenario::Policy::kSgct));
   rig.run();

@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/validation.hpp"
-#include "control/matrix_ops.hpp"
+#include "control/matrix.hpp"
 
 namespace sprintcon::control {
 

@@ -5,7 +5,7 @@
 
 #include "common/validation.hpp"
 #include "control/linalg.hpp"
-#include "control/matrix_ops.hpp"
+#include "control/matrix.hpp"
 
 namespace sprintcon::control {
 

@@ -17,33 +17,42 @@
 namespace sprintcon::obs {
 namespace {
 
-TEST(TraceBuffer, AppendsSpansAndInstants) {
+TEST(TraceBuffer, AppendsNestedSpans) {
   Tracer tracer(16);
   TraceBuffer& buf = tracer.register_buffer("test");
   {
     ScopedSpan span(&buf, "outer", "cat", "arg", 42.0);
-    buf.instant("marker", "cat");
+    buf.begin("inner", "cat");
+    buf.end("inner", "cat");
   }
-  ASSERT_EQ(buf.size(), 3u);
+  ASSERT_EQ(buf.size(), 4u);
   const auto events = buf.events();
   EXPECT_EQ(events[0].ph, 'B');
   EXPECT_STREQ(events[0].name, "outer");
   EXPECT_STREQ(events[0].arg_key, "arg");
   EXPECT_DOUBLE_EQ(events[0].arg_value, 42.0);
-  EXPECT_EQ(events[1].ph, 'I');
+  EXPECT_EQ(events[1].ph, 'B');
+  EXPECT_STREQ(events[1].name, "inner");
+  EXPECT_EQ(events[1].arg_key, nullptr);
   EXPECT_EQ(events[2].ph, 'E');
+  EXPECT_STREQ(events[2].name, "inner");
+  EXPECT_EQ(events[3].ph, 'E');
+  EXPECT_STREQ(events[3].name, "outer");
   // Timestamps are monotone within a buffer and non-negative (the epoch
   // predates every append).
   EXPECT_GE(events[0].ts_us, 0.0);
-  EXPECT_LE(events[0].ts_us, events[1].ts_us);
-  EXPECT_LE(events[1].ts_us, events[2].ts_us);
+  for (std::size_t i = 1; i < events.size(); ++i)
+    EXPECT_LE(events[i - 1].ts_us, events[i].ts_us);
   EXPECT_EQ(buf.dropped(), 0u);
 }
 
 TEST(TraceBuffer, FullBufferDropsAndCounts) {
   Tracer tracer(4);
   TraceBuffer& buf = tracer.register_buffer("tiny");
-  for (int i = 0; i < 10; ++i) buf.instant("x", "c");
+  for (int i = 0; i < 5; ++i) {
+    buf.begin("x", "c");
+    buf.end("x", "c");
+  }
   EXPECT_EQ(buf.size(), 4u);
   EXPECT_EQ(buf.dropped(), 6u);
   EXPECT_EQ(tracer.total_events(), 4u);
@@ -101,7 +110,8 @@ TEST(Tracer, ChromeExportHasMetadataAndMatchedSpans) {
     ScopedSpan outer(&a, "outer", "cat");
     ScopedSpan inner(&a, "inner", "cat", "i", 1.0);
   }
-  b.instant("tick", "cat", "n", 3.0);
+  b.begin("tick", "cat", "n", 3.0);
+  b.end("tick", "cat");
 
   std::ostringstream out;
   tracer.write_chrome_trace(out);
@@ -110,8 +120,8 @@ TEST(Tracer, ChromeExportHasMetadataAndMatchedSpans) {
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
 
   const auto records = scan_records(json);
-  // 2 metadata + 4 span events + 1 instant.
-  ASSERT_EQ(records.size(), 7u);
+  // 2 metadata + 4 span events on alpha + 2 on beta.
+  ASSERT_EQ(records.size(), 8u);
   EXPECT_EQ(std::count_if(records.begin(), records.end(),
                           [](const Record& r) {
                             return r.name == "thread_name" && r.ph == 'M';
