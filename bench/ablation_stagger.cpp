@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace sprintcon;
-  const auto options = parse_bench_options(argc, argv);
+  const auto options = parse_bench_options_or_exit(argc, argv);
 
   std::cout << "Ablation - facility-level overload staggering (4 racks "
                "sprinting 15 minutes)\n\n";

@@ -12,7 +12,7 @@
 #include "scenario/rig.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = sprintcon::parse_bench_options(argc, argv);
+  const auto options = sprintcon::parse_bench_options_or_exit(argc, argv);
   using namespace sprintcon;
 
   scenario::RigConfig config;

@@ -40,7 +40,7 @@ void print_run(const char* title, sprintcon::scenario::Rig& rig) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sprintcon::parse_bench_options(argc, argv);
+  const auto options = sprintcon::parse_bench_options_or_exit(argc, argv);
   using namespace sprintcon;
 
   std::cout << "Figure 6 - power behaviour comparison\n\n";

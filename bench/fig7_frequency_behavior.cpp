@@ -14,7 +14,7 @@
 #include "scenario/rig.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = sprintcon::parse_bench_options(argc, argv);
+  const auto options = sprintcon::parse_bench_options_or_exit(argc, argv);
   using namespace sprintcon;
 
   std::cout << "Figure 7 - frequency behaviour comparison\n\n";

@@ -1,30 +1,35 @@
 #include "common/cli.hpp"
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <string_view>
 
 #include "common/csv.hpp"
+#include "common/error.hpp"
 #include "common/validation.hpp"
 
 namespace sprintcon {
 
 BenchOptions parse_bench_options(int argc, const char* const* argv) {
   BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--csv") {
-      SPRINTCON_EXPECTS(i + 1 < argc, "--csv requires a directory argument");
-      options.csv_dir = argv[++i];
-    } else if (arg.rfind("--csv=", 0) == 0) {
-      options.csv_dir = std::string(arg.substr(6));
-    } else if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else {
-      options.positional.emplace_back(arg);
-    }
-  }
+  if (argc == 1) return options;
+  SPRINTCON_EXPECTS(argc == 3 && std::string_view(argv[1]) == "--csv",
+                    "the only option is --csv <dir>");
+  options.csv_dir = argv[2];
   return options;
+}
+
+BenchOptions parse_bench_options_or_exit(int argc, const char* const* argv) {
+  try {
+    return parse_bench_options(argc, argv);
+  } catch (const InvalidArgumentError&) {
+    std::cerr << "usage: "
+              << std::filesystem::path(argv[0]).filename().string()
+              << " [--csv DIR]\n";
+    std::exit(1);
+  }
 }
 
 std::string maybe_write_csv(const BenchOptions& options,

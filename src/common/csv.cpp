@@ -23,30 +23,6 @@ std::string csv_escape(std::string_view cell) {
   return out;
 }
 
-CsvWriter::CsvWriter(std::ostream& out) : out_(out) {}
-
-void CsvWriter::header(const std::vector<std::string>& columns) {
-  SPRINTCON_EXPECTS(!header_written_, "header may only be written once");
-  SPRINTCON_EXPECTS(!columns.empty(), "header must have at least one column");
-  columns_ = columns.size();
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << csv_escape(columns[i]);
-  }
-  out_ << '\n';
-  header_written_ = true;
-}
-
-void CsvWriter::row(const std::vector<double>& values) {
-  SPRINTCON_EXPECTS(header_written_, "header must precede data rows");
-  SPRINTCON_EXPECTS(values.size() == columns_, "row width must match header");
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << values[i];
-  }
-  out_ << '\n';
-}
-
 void write_series_csv(std::ostream& out,
                       const std::vector<const TimeSeries*>& series) {
   SPRINTCON_EXPECTS(!series.empty(), "need at least one series");
@@ -61,19 +37,16 @@ void write_series_csv(std::ostream& out,
     rows = std::max(rows, s->size());
   }
 
-  CsvWriter csv(out);
-  std::vector<std::string> cols{"time_s"};
-  for (const TimeSeries* s : series) cols.push_back(s->name());
-  csv.header(cols);
+  out << "time_s";
+  for (const TimeSeries* s : series) out << ',' << csv_escape(s->name());
+  out << '\n';
 
-  std::vector<double> row(series.size() + 1);
   for (std::size_t i = 0; i < rows; ++i) {
-    row[0] = start + static_cast<double>(i) * dt;
-    for (std::size_t c = 0; c < series.size(); ++c) {
-      const TimeSeries& s = *series[c];
-      row[c + 1] = s.empty() ? 0.0 : (*series[c])[std::min(i, s.size() - 1)];
+    out << start + static_cast<double>(i) * dt;
+    for (const TimeSeries* s : series) {
+      out << ',' << (s->empty() ? 0.0 : (*s)[std::min(i, s->size() - 1)]);
     }
-    csv.row(row);
+    out << '\n';
   }
 }
 

@@ -14,24 +14,6 @@ namespace sprintcon {
 
 class TimeSeries;
 
-/// Streaming CSV writer. Rows are flushed as they are completed.
-class CsvWriter {
- public:
-  /// Writes to an externally owned stream (kept open by the caller).
-  explicit CsvWriter(std::ostream& out);
-
-  /// Emit the header row. Must be called before any data row.
-  void header(const std::vector<std::string>& columns);
-
-  /// Emit one data row; the column count must match the header.
-  void row(const std::vector<double>& values);
-
- private:
-  std::ostream& out_;
-  std::size_t columns_ = 0;
-  bool header_written_ = false;
-};
-
 /// Write a set of equally-sampled series as columns: time,name1,name2,...
 /// All series must share dt and start; shorter series pad with their last
 /// value so ragged ends do not lose rows.

@@ -92,13 +92,11 @@ void MpcPowerController::set_obs(obs::ObsSink* sink) {
   met_.qp_not_converged = &m.counter("mpc.qp.not_converged");
   met_.exit_residual = &m.histogram("mpc.qp.exit_residual");
   met_.step_us = &m.histogram("mpc.step_us");
-  met_.step_us_window = &m.windowed("mpc.step_us.window");
 }
 
 void MpcPowerController::step(const MpcProblem& problem, MpcOutput& out) {
   check_problem(problem);
-  const obs::ScopedTimer timer(obs_ != nullptr ? met_.step_us : nullptr,
-                               obs_ != nullptr ? met_.step_us_window : nullptr);
+  const obs::ScopedTimer timer(obs_ != nullptr ? met_.step_us : nullptr);
   const obs::ScopedSpan span(obs_ != nullptr ? obs_->trace() : nullptr,
                              "mpc_solve", "decision", "horizon",
                              static_cast<double>(config_.prediction_horizon));

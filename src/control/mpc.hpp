@@ -107,7 +107,6 @@ class MpcPowerController {
     obs::Counter* qp_not_converged = nullptr;
     obs::Histogram* exit_residual = nullptr;
     obs::Histogram* step_us = nullptr;
-    obs::WindowedHistogram* step_us_window = nullptr;
   };
   obs::ObsSink* obs_ = nullptr;
   ObsHandles met_;

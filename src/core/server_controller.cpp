@@ -89,6 +89,7 @@ void ServerPowerController::update(double p_total_w, double p_inter_w,
   problem.penalty_weights.resize(n);
 
   const double k = effective_gain_w_per_f();
+  const std::vector<server::BatchCoreRef>& refs = rack_.batch_cores();
   for (std::size_t i = 0; i < n; ++i) {
     const server::CpuCore& core = *batch_cores_[i];
     problem.gains_w_per_f[i] = k;
@@ -99,7 +100,7 @@ void ServerPowerController::update(double p_total_w, double p_inter_w,
         core.job()->completed() ? core.freq_min() : core.freq_max();
     // Thermal guard: a core above its throttle point gets its ceiling
     // pulled below the current frequency so it must cool off.
-    if (core.thermally_throttled()) {
+    if (rack_.servers()[refs[i].server].core_throttled(refs[i].core)) {
       problem.freq_max[i] = std::max(
           core.freq_min(),
           std::min(problem.freq_max[i],

@@ -54,20 +54,14 @@ class ObsSink {
 /// keeping disabled-mode cost to the construction branch.
 class ScopedTimer {
  public:
-  /// @param hist     cumulative histogram (null = timer disabled)
-  /// @param windowed optional sliding-window twin fed the same sample
-  explicit ScopedTimer(Histogram* hist,
-                       WindowedHistogram* windowed = nullptr) noexcept
-      : hist_(hist), windowed_(windowed) {
+  explicit ScopedTimer(Histogram* hist) noexcept : hist_(hist) {
     if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ~ScopedTimer() {
     if (hist_ != nullptr) {
       const auto elapsed = std::chrono::steady_clock::now() - start_;
-      const double us =
-          std::chrono::duration<double, std::micro>(elapsed).count();
-      hist_->record(us);
-      if (windowed_ != nullptr) windowed_->record(us);
+      hist_->record(
+          std::chrono::duration<double, std::micro>(elapsed).count());
     }
   }
   ScopedTimer(const ScopedTimer&) = delete;
@@ -75,7 +69,6 @@ class ScopedTimer {
 
  private:
   Histogram* hist_;
-  WindowedHistogram* windowed_;
   std::chrono::steady_clock::time_point start_{};
 };
 

@@ -20,8 +20,8 @@ namespace {
 constexpr double kSprintsPerDay = 10.0;
 /// Sim-time period of the health check and the recovery poll.
 constexpr double kHealthPeriodS = 5.0;
-/// Sliding-window metrics (mpc.step_us.window, sim.tick_us.window,
-/// queue.response_ms.window) rotate every this many seconds of sim time;
+/// The sliding-window metric (queue.response_ms.window, which the
+/// latency-slo rule reads) rotates every this many seconds of sim time;
 /// quantiles cover the last kWindows such spans.
 constexpr double kMetricsWindowS = 60.0;
 
@@ -201,15 +201,9 @@ Rig::Rig(const RigConfig& config) : config_(config) {
     servers.emplace_back(spec, std::move(cores), master.split());
   }
   rack_ = std::make_unique<server::Rack>(std::move(servers));
-  // Server-owned SoA thermal state (one elementwise kernel per tick)
-  // rather than a CoreThermalModel per core. The default ThermalSpec keeps
-  // sustained peak below the throttle point, so the controller's thermal
-  // guard only engages with degraded cooling. The servers sit at their
-  // final addresses now, so the cores' slot bindings stay valid. The
-  // queue pointers are taken here for the same reason: the cores hold
-  // their sources by value, so only their final addresses are stable.
+  // The queue pointers are taken once the servers sit at their final
+  // addresses: the cores hold their sources by value.
   for (server::Server& s : rack_->servers()) {
-    s.attach_thermal(server::ThermalSpec{});
     for (server::CpuCore& c : s.cores()) {
       if (auto* q = std::get_if<workload::RequestQueueSource>(&c.workload())) {
         queues_.push_back(q);
@@ -241,7 +235,8 @@ Rig::Rig(const RigConfig& config) : config_(config) {
   hybrid_ = dynamic_cast<const power::HybridStore*>(&path_->battery());
 
   // --- controller -------------------------------------------------------------
-  sim_ = std::make_unique<sim::Simulation>(config.dt_s);
+  sim_ = std::make_unique<sim::Simulation>(
+      config.dt_s, this, [](void* rig) { static_cast<Rig*>(rig)->step(); });
   if (!config.faults.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(
         config.faults, config.fault_seed, *rack_, *path_);
@@ -277,10 +272,6 @@ Rig::Rig(const RigConfig& config) : config_(config) {
     path_->breaker().set_obs(obs_.get());
     if (sprintcon_) sprintcon_->set_obs(obs_.get());
     if (injector_) injector_->set_obs(obs_.get());
-
-    // Tick wall-time profiling: cumulative + sliding-window percentiles.
-    sim_->set_tick_obs(&obs_->metrics().histogram("sim.tick_us"),
-                       &obs_->metrics().windowed("sim.tick_us.window"));
   }
 
   // --- health monitoring ------------------------------------------------------
@@ -356,7 +347,6 @@ Rig::Rig(const RigConfig& config) : config_(config) {
                    [](const void* rig, double* row) {
                      static_cast<const Rig*>(rig)->fill_row(row);
                    });
-  sim_->bind_tick(this, [](void* rig) { static_cast<Rig*>(rig)->step(); });
 }
 
 Rig::~Rig() = default;

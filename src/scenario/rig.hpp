@@ -135,7 +135,7 @@ class Rig {
   /// injector, policy controller, the injector's actuator stage, clock
   /// advance, recorder sample, then (with obs on) the tick metrics and,
   /// every kHealthPeriodS (5 s), the health check and the recovery poll.
-  /// simulation().step_once() runs it under the tick timer.
+  /// simulation().step_once() runs it.
   void step();
 
   const RigConfig& config() const noexcept { return config_; }

@@ -15,7 +15,6 @@
 #include <variant>
 
 #include "common/attributes.hpp"
-#include "server/thermal.hpp"
 #include "workload/batch_job.hpp"
 #include "workload/interactive.hpp"
 #include "workload/request_queue.hpp"
@@ -112,24 +111,6 @@ class CpuCore {
     }
   }
 
-  // --- thermal state (optional) ------------------------------------------
-  /// Bind this core's thermal reads to a server-owned SoA slot (see
-  /// Server::attach_thermal). `spec` and `slot` must outlive the core.
-  void bind_thermal_slot(const ThermalSpec* spec, const double* slot) noexcept {
-    thermal_spec_ = spec;
-    temp_slot_ = slot;
-  }
-  /// Junction temperature; ambient when no slot is bound.
-  double temperature_c() const noexcept {
-    return temp_slot_ != nullptr ? *temp_slot_ : ThermalSpec{}.ambient_c;
-  }
-  /// True when the core runs hot enough that the controller must back off.
-  /// A core with no slot bound never throttles.
-  bool thermally_throttled() const noexcept {
-    return temp_slot_ != nullptr &&
-           *temp_slot_ >= thermal_spec_->throttle_temp_c;
-  }
-
  private:
   static constexpr std::size_t kGeneratorIndex = 0;
   static constexpr std::size_t kQueueIndex = 1;
@@ -147,9 +128,6 @@ class CpuCore {
   double freq_;
   double utilization_ = 0.0;
   CoreWorkload workload_;
-  // SoA binding (non-owning; set by Server::attach_thermal).
-  const ThermalSpec* thermal_spec_ = nullptr;
-  const double* temp_slot_ = nullptr;
 };
 
 }  // namespace sprintcon::server

@@ -34,22 +34,7 @@ CpuCore& Rack::core(const BatchCoreRef& ref) {
   return cores[ref.core];
 }
 
-double Rack::mean_freq(CoreRole role) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const Server& s : servers_) {
-    const std::size_t count = s.count(role);
-    sum += s.mean_freq(role) * static_cast<double>(count);
-    n += count;
-  }
-  return n ? sum / static_cast<double>(n) : 0.0;
-}
-
 RackTelemetry Rack::telemetry() const {
-  // One pass over every core, replicating the arithmetic (and the FP
-  // evaluation order) of mean_freq(), the per-core temperature max, and
-  // the rig's historical p95-latency probe, so the fused scan records
-  // bit-identical samples.
   const workload::LatencyModel latency;
   // The M/M/1 p95 is the mean times quantile_factor(0.95), the factor
   // hoisted so the scan pays one log per program, not one per core per
@@ -67,12 +52,16 @@ RackTelemetry Rack::telemetry() const {
   std::size_t p95_n = 0;
   for (const Server& s : servers_) {
     const bool powered = s.powered();
-    // Per-server accumulation mirrors Server::mean_freq: sum then divide,
-    // then re-weight by the core count (the double round-trip matters for
-    // bit-identity with the historical two-probe path).
+    const std::vector<CpuCore>& cores = s.cores();
+    // Each server's frequency sum is divided by its core count and then
+    // multiplied back before it joins the rack sum. The round trip is not
+    // always exact in floating point, and the recorded frequency channels
+    // (and every golden built on them) hold the values it gives, so the
+    // arithmetic must stay as it is.
     double s_inter = 0.0, s_batch = 0.0;
     std::size_t s_inter_n = 0, s_batch_n = 0;
-    for (const CpuCore& c : s.cores()) {
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      const CpuCore& c = cores[i];
       const double freq_term = powered ? c.freq() : 0.0;
       if (c.is_batch()) {
         s_batch += freq_term;
@@ -88,7 +77,7 @@ RackTelemetry Rack::telemetry() const {
         p95_sum += t;
         ++p95_n;
       }
-      temp_max = std::max(temp_max, c.temperature_c());
+      temp_max = std::max(temp_max, s.core_temp_c(i));
     }
     if (s_inter_n > 0) {
       inter_sum += s_inter / static_cast<double>(s_inter_n) *
@@ -112,12 +101,6 @@ RackTelemetry Rack::telemetry() const {
 
 void Rack::set_all_powered(bool on) {
   for (Server& s : servers_) s.set_powered(on);
-}
-
-bool Rack::any_powered() const {
-  for (const Server& s : servers_)
-    if (s.powered()) return true;
-  return false;
 }
 
 }  // namespace sprintcon::server

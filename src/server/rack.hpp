@@ -15,9 +15,8 @@ struct BatchCoreRef {
 };
 
 /// Per-tick telemetry the recorder samples, produced by ONE pass over the
-/// rack's cores (fusing what used to be four independent O(num_cores)
-/// probe scans). Field semantics match the historical probes exactly:
-/// powered-off servers report frequency 0 and saturated request latency.
+/// rack's cores. Powered-off servers report frequency 0 and saturated
+/// request latency.
 struct RackTelemetry {
   double freq_interactive = 0.0;  ///< rack-mean normalized frequency
   double freq_batch = 0.0;
@@ -47,17 +46,12 @@ class Rack {
   }
   CpuCore& core(const BatchCoreRef& ref);
 
-  /// Rack-mean normalized frequency by class (powered-off servers count 0).
-  double mean_freq(CoreRole role) const;
-
-  /// Fused telemetry scan: all of mean_freq(both roles), the hottest core
-  /// temperature, and the rack-mean p95 request latency in a single pass.
-  /// Bit-identical to calling the individual accessors.
+  /// The rack's one probe: rack-mean frequency by class, the hottest core
+  /// temperature and the rack-mean p95 request latency, in a single pass.
   RackTelemetry telemetry() const;
 
   /// Power every server on/off (UPS exhaustion outage).
   void set_all_powered(bool on);
-  bool any_powered() const;
 
   /// Apply a function to every core of the given role.
   template <typename Fn>

@@ -12,25 +12,19 @@ namespace {
 constexpr double kFanTauS = 8.0;
 }  // namespace
 
-Server::Server(const PlatformSpec& spec, std::vector<CpuCore> cores, Rng rng)
+Server::Server(const PlatformSpec& spec, std::vector<CpuCore> cores, Rng rng,
+               const ThermalSpec& thermal)
     : spec_(spec),
       cores_(std::move(cores)),
       measurement_(spec),
       fan_(spec.fan_peak_power_w, kFanTauS, rng),
+      thermal_spec_(thermal),
+      core_temp_(cores_.size(), thermal.ambient_c),
       core_dyn_w_(cores_.size(), 0.0) {
   spec_.validate();
+  thermal_spec_.validate();
   SPRINTCON_EXPECTS(cores_.size() == spec.cores_per_server,
                     "core count must match the platform spec");
-}
-
-void Server::attach_thermal(const ThermalSpec& spec) {
-  spec.validate();
-  thermal_spec_ = spec;
-  thermal_cached_dt_s_ = -1.0;
-  core_temp_.assign(cores_.size(), spec.ambient_c);
-  for (std::size_t i = 0; i < cores_.size(); ++i) {
-    cores_[i].bind_thermal_slot(&thermal_spec_, &core_temp_[i]);
-  }
 }
 
 SPRINTCON_HOT void Server::step(double dt_s, double now_s) {
@@ -57,20 +51,18 @@ SPRINTCON_HOT void Server::step(double dt_s, double now_s) {
     }
   }
 
-  if (!core_temp_.empty()) {
-    if (dt_s != thermal_cached_dt_s_) {
-      // Same expression CoreThermalModel::step uses, so the SoA kernel
-      // produces bit-identical temperatures.
-      thermal_alpha_ = 1.0 - std::exp(-dt_s / thermal_spec_.time_constant_s);
-      thermal_cached_dt_s_ = dt_s;
-    }
-    const double ambient = thermal_spec_.ambient_c;
-    const double r_th = thermal_spec_.resistance_c_per_w;
-    const double alpha = thermal_alpha_;
-    for (std::size_t i = 0; i < core_temp_.size(); ++i) {
-      const double target = ambient + r_th * core_dyn_w_[i];
-      core_temp_[i] += alpha * (target - core_temp_[i]);
-    }
+  if (dt_s != thermal_cached_dt_s_) {
+    // Same expression CoreThermalModel::step uses, so the SoA kernel
+    // produces bit-identical temperatures.
+    thermal_alpha_ = 1.0 - std::exp(-dt_s / thermal_spec_.time_constant_s);
+    thermal_cached_dt_s_ = dt_s;
+  }
+  const double ambient = thermal_spec_.ambient_c;
+  const double r_th = thermal_spec_.resistance_c_per_w;
+  const double alpha = thermal_alpha_;
+  for (std::size_t i = 0; i < core_temp_.size(); ++i) {
+    const double target = ambient + r_th * core_dyn_w_[i];
+    core_temp_[i] += alpha * (target - core_temp_[i]);
   }
 
   const double before_fan =
@@ -78,25 +70,6 @@ SPRINTCON_HOT void Server::step(double dt_s, double now_s) {
   fan_power_w_ =
       fan_.step(dt_s, before_fan, spec_.idle_power_w, spec_.peak_power_w);
   power_w_ = before_fan + fan_power_w_;
-}
-
-double Server::mean_freq(CoreRole role) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const CpuCore& core : cores_) {
-    if (core.role() == role) {
-      sum += powered_ ? core.freq() : 0.0;
-      ++n;
-    }
-  }
-  return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-std::size_t Server::count(CoreRole role) const {
-  std::size_t n = 0;
-  for (const CpuCore& core : cores_)
-    if (core.role() == role) ++n;
-  return n;
 }
 
 }  // namespace sprintcon::server

@@ -1,4 +1,5 @@
-// One simulated server: cores + fan + ground-truth power measurement.
+// One simulated server: cores + fan + ground-truth power measurement +
+// the cores' junction temperatures.
 #pragma once
 
 #include <cstddef>
@@ -8,6 +9,7 @@
 #include "server/cpu_core.hpp"
 #include "server/fan.hpp"
 #include "server/power_model.hpp"
+#include "server/thermal.hpp"
 
 namespace sprintcon::server {
 
@@ -16,29 +18,33 @@ namespace sprintcon::server {
 /// the uncontrolled-sprinting experiment, Fig. 5).
 class Server {
  public:
-  /// @param spec   platform calibration (validated)
-  /// @param cores  the server's cores (moved in; size must equal
-  ///               spec.cores_per_server)
-  /// @param rng    stream for the fan's ambient drift
-  Server(const PlatformSpec& spec, std::vector<CpuCore> cores, Rng rng);
+  /// @param spec     platform calibration (validated)
+  /// @param cores    the server's cores (moved in; size must equal
+  ///                 spec.cores_per_server)
+  /// @param rng      stream for the fan's ambient drift
+  /// @param thermal  one thermal calibration shared by every core
+  ///                 (validated); the cores start at its ambient
+  Server(const PlatformSpec& spec, std::vector<CpuCore> cores, Rng rng,
+         const ThermalSpec& thermal = ThermalSpec{});
 
   const PlatformSpec& spec() const noexcept { return spec_; }
 
   std::vector<CpuCore>& cores() noexcept { return cores_; }
   const std::vector<CpuCore>& cores() const noexcept { return cores_; }
 
-  /// Attach one shared thermal model to every core, storing per-core
-  /// junction temperatures in a server-owned SoA array that step()
-  /// advances as a single elementwise kernel (cache-friendly, one cached
-  /// exp per dt). Bit-identical to stepping one CoreThermalModel
+  /// Junction temperature of core `i`. The server owns every core's
+  /// temperature as one SoA array that step() advances in a single
+  /// elementwise kernel, bit-identical to stepping one CoreThermalModel
   /// (tests/support/server/core_thermal.hpp) per core with the core's
-  /// dynamic power. Must be called once the server has reached its final
-  /// address (cores keep raw pointers into this object).
-  /// Without it the cores read ambient and never throttle.
-  void attach_thermal(const ThermalSpec& spec);
+  /// dynamic power.
+  double core_temp_c(std::size_t i) const noexcept { return core_temp_[i]; }
+  /// True when core `i` runs hot enough that the controller must back off.
+  bool core_throttled(std::size_t i) const noexcept {
+    return core_temp_[i] >= thermal_spec_.throttle_temp_c;
+  }
 
-  /// Advance all cores and the fan by dt. No-op when powered off.
-  /// Hot path (SPRINTCON_HOT): the SoA thermal kernel runs in here.
+  /// Advance all cores, their temperatures and the fan by dt. No-op when
+  /// powered off. Hot path (SPRINTCON_HOT).
   void step(double dt_s, double now_s);
 
   /// Ground-truth total power over the last interval (0 when off).
@@ -53,19 +59,13 @@ class Server {
   /// all progress; powering on resumes with the previous DVFS settings.
   void set_powered(bool on) noexcept { powered_ = on; }
 
-  /// Mean normalized frequency by class, as seen by the frequency metric:
-  /// a powered-off server reports 0 (the collapse in Fig. 5(b)).
-  double mean_freq(CoreRole role) const;
-
-  std::size_t count(CoreRole role) const;
-
  private:
   PlatformSpec spec_;
   std::vector<CpuCore> cores_;
   MeasurementPowerModel measurement_;
   FanModel fan_;
-  // SoA thermal state; core_temp_ is empty until attach_thermal.
-  ThermalSpec thermal_spec_{};
+  // SoA thermal state, one slot per core.
+  ThermalSpec thermal_spec_;
   std::vector<double> core_temp_;
   std::vector<double> core_dyn_w_;
   double thermal_cached_dt_s_ = -1.0;

@@ -9,7 +9,7 @@
 //
 // which gives the exponential heat-up/cool-down of the real die. Server
 // integrates it for all its cores in one SoA kernel, and the server power
-// controller uses `CpuCore::above_throttle()` as a per-core guard: a core
+// controller uses `Server::core_throttled(i)` as a per-core guard: a core
 // that exceeds its throttle temperature has its frequency ceiling backed
 // off until it cools (Section V's Eq. 9 bounds become dynamic).
 //

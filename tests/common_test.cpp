@@ -175,28 +175,6 @@ TEST(Csv, EscapesSpecialCharacters) {
   EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
 }
 
-TEST(Csv, WriterEmitsHeaderAndRows) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.header({"t", "v"});
-  csv.row({0.0, 1.5});
-  csv.row({1.0, 2.5});
-  EXPECT_EQ(os.str(), "t,v\n0,1.5\n1,2.5\n");
-}
-
-TEST(Csv, RowWidthMismatchThrows) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.header({"a", "b"});
-  EXPECT_THROW(csv.row({1.0}), InvalidArgumentError);
-}
-
-TEST(Csv, RowBeforeHeaderThrows) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  EXPECT_THROW(csv.row({1.0}), InvalidArgumentError);
-}
-
 TEST(Csv, SeriesExportAlignsColumns) {
   TimeSeries a("a", 1.0), b("b", 1.0);
   a.push(1.0);

@@ -82,9 +82,9 @@ TEST(ServerController, DrivesBatchPowerTowardTarget) {
   // Converged: the feedback power is near the target.
   EXPECT_NEAR(ctrl.last_p_fb_w(), target, 25.0);
   // Batch cores moved off the floor.
-  EXPECT_GT(rack->mean_freq(CoreRole::kBatch), 0.22);
+  EXPECT_GT(rack->telemetry().freq_batch, 0.22);
   // Interactive cores untouched at peak.
-  EXPECT_DOUBLE_EQ(rack->mean_freq(CoreRole::kInteractive), 1.0);
+  EXPECT_DOUBLE_EQ(rack->telemetry().freq_interactive, 1.0);
 }
 
 TEST(ServerController, SaturatesAtPeakForHugeTarget) {
@@ -98,7 +98,7 @@ TEST(ServerController, SaturatesAtPeakForHugeTarget) {
                 5000.0, clock.now_s());
     clock.advance();
   }
-  EXPECT_NEAR(rack->mean_freq(CoreRole::kBatch), 1.0, 1e-6);
+  EXPECT_NEAR(rack->telemetry().freq_batch, 1.0, 1e-6);
 }
 
 TEST(ServerController, IdlesAtFloorForZeroTarget) {
@@ -112,7 +112,7 @@ TEST(ServerController, IdlesAtFloorForZeroTarget) {
                 0.0, clock.now_s());
     clock.advance();
   }
-  EXPECT_NEAR(rack->mean_freq(CoreRole::kBatch), 0.2, 1e-6);
+  EXPECT_NEAR(rack->telemetry().freq_batch, 0.2, 1e-6);
 }
 
 TEST(ServerController, UrgentJobGetsMoreFrequency) {
@@ -201,7 +201,7 @@ TEST(ServerController, ForceBatchFrequency) {
   ServerPowerController ctrl(cfg(), *rack,
                              server::LinearPowerModel(server::paper_platform()));
   ctrl.force_batch_frequency(0.6);
-  EXPECT_NEAR(rack->mean_freq(CoreRole::kBatch), 0.6, 1e-12);
+  EXPECT_NEAR(rack->telemetry().freq_batch, 0.6, 1e-12);
 }
 
 // --- UPS power controller ------------------------------------------------------

@@ -153,7 +153,7 @@ TEST(FacilityShard, InvalidEpochThrows) {
 // Worker supervision: fail-fast vs degrade
 // ---------------------------------------------------------------------------
 
-/// A tick bound in place of a rig's own: runs Rig::step(), then throws
+/// A tick put in place of a rig's own: runs Rig::step(), then throws
 /// once simulated time reaches `t_fail_s`, so the failure surfaces from
 /// inside the owning worker's run_until.
 struct FailingTick {
@@ -176,7 +176,15 @@ struct FailingTick {
                                                        double t_fail_s) {
   auto failing = std::make_unique<FailingTick>(
       FailingTick{&facility.rig(r), t_fail_s});
-  facility.rig(r).simulation().bind_tick(failing.get(), &FailingTick::tick);
+  // A simulation's tick is fixed at construction, so replace the rig's
+  // simulation with one that runs the failing tick on the same clock and
+  // recorder.
+  sim::Simulation& sim = facility.rig(r).simulation();
+  sim::Simulation rebound(sim.clock().dt_s(), failing.get(),
+                          &FailingTick::tick);
+  rebound.clock() = sim.clock();
+  rebound.recorder() = std::move(sim.recorder());
+  sim = std::move(rebound);
   return failing;
 }
 

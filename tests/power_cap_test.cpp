@@ -63,8 +63,9 @@ TEST(PowerCap, SprintingBeatsCappingOnBothClasses) {
 TEST(PowerCap, CapScalesAllCoresUniformly) {
   Rig rig(cap_rig());
   rig.run_until(300.0);
-  const double fi = rig.rack().mean_freq(server::CoreRole::kInteractive);
-  const double fb = rig.rack().mean_freq(server::CoreRole::kBatch);
+  const server::RackTelemetry t = rig.rack().telemetry();
+  const double fi = t.freq_interactive;
+  const double fb = t.freq_batch;
   EXPECT_NEAR(fi, fb, 1e-6);  // one uniform frequency, no classes
   EXPECT_NEAR(fi, rig.power_cap()->uniform_freq(), 1e-6);
 }

@@ -1,6 +1,8 @@
 // Tests for inter-sprint recharging and the dedicated-server layout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "scenario/rig.hpp"
 
@@ -101,10 +103,15 @@ TEST(DedicatedServers, SplitsTheRackByServer) {
   Rig rig(cfg);
   // First half of the servers: all interactive; second half: all batch.
   const auto& servers = rig.rack().servers();
-  EXPECT_EQ(servers[0].count(server::CoreRole::kBatch), 0u);
-  EXPECT_EQ(servers[0].count(server::CoreRole::kInteractive), 8u);
-  EXPECT_EQ(servers.back().count(server::CoreRole::kBatch), 8u);
-  EXPECT_EQ(servers.back().count(server::CoreRole::kInteractive), 0u);
+  const auto batch_count = [](const server::Server& s) {
+    return static_cast<std::size_t>(std::count_if(
+        s.cores().begin(), s.cores().end(),
+        [](const server::CpuCore& c) { return c.is_batch(); }));
+  };
+  EXPECT_EQ(servers[0].cores().size(), 8u);
+  EXPECT_EQ(batch_count(servers[0]), 0u);
+  EXPECT_EQ(servers.back().cores().size(), 8u);
+  EXPECT_EQ(batch_count(servers.back()), 8u);
   // Same class totals as the colocated default (4 servers x 8 cores).
   EXPECT_EQ(rig.rack().batch_cores().size(), 16u);
 }

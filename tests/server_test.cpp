@@ -219,14 +219,17 @@ TEST(Server, PowerSplitsByClass) {
 
 TEST(Server, PoweredOffConsumesNothingAndHaltsProgress) {
   const PlatformSpec spec = paper_platform();
-  Server server = make_server(spec);
+  std::vector<Server> servers;
+  servers.push_back(make_server(spec));
+  Rack rack(std::move(servers));
+  Server& server = rack.servers().front();
   server.step(1.0, 0.0);
   const double progress =
       server.cores().back().job()->progress();
   server.set_powered(false);
   server.step(1.0, 1.0);
   EXPECT_DOUBLE_EQ(server.power_w(), 0.0);
-  EXPECT_DOUBLE_EQ(server.mean_freq(CoreRole::kBatch), 0.0);
+  EXPECT_DOUBLE_EQ(rack.telemetry().freq_batch, 0.0);
   EXPECT_DOUBLE_EQ(server.cores().back().job()->progress(), progress);
 }
 
@@ -241,8 +244,11 @@ TEST(Server, WrongCoreCountThrows) {
 TEST(Server, CountsRoles) {
   const PlatformSpec spec = paper_platform();
   Server server = make_server(spec, 3);
-  EXPECT_EQ(server.count(CoreRole::kInteractive), 3u);
-  EXPECT_EQ(server.count(CoreRole::kBatch), 5u);
+  const auto batch = static_cast<std::size_t>(std::count_if(
+      server.cores().begin(), server.cores().end(),
+      [](const CpuCore& c) { return c.is_batch(); }));
+  EXPECT_EQ(server.cores().size() - batch, 3u);
+  EXPECT_EQ(batch, 5u);
 }
 
 TEST(Server, StepMatchesStandaloneWorkloads) {
@@ -397,22 +403,24 @@ TEST(Rack, EnumeratesBatchCores) {
 
 TEST(Rack, MeanFreqByRole) {
   Rack rack = make_rack(2);
-  EXPECT_DOUBLE_EQ(rack.mean_freq(CoreRole::kInteractive), 1.0);
-  EXPECT_DOUBLE_EQ(rack.mean_freq(CoreRole::kBatch), 0.2);
+  const RackTelemetry t = rack.telemetry();
+  EXPECT_DOUBLE_EQ(t.freq_interactive, 1.0);
+  EXPECT_DOUBLE_EQ(t.freq_batch, 0.2);
 }
 
 TEST(Rack, ForEachCoreAppliesByRole) {
   Rack rack = make_rack(2);
   rack.for_each_core(CoreRole::kBatch,
                      [](CpuCore& c) { c.set_freq(0.7); });
-  EXPECT_NEAR(rack.mean_freq(CoreRole::kBatch), 0.7, 1e-12);
-  EXPECT_DOUBLE_EQ(rack.mean_freq(CoreRole::kInteractive), 1.0);
+  const RackTelemetry t = rack.telemetry();
+  EXPECT_NEAR(t.freq_batch, 0.7, 1e-12);
+  EXPECT_DOUBLE_EQ(t.freq_interactive, 1.0);
 }
 
 TEST(Rack, PowerOffAll) {
   Rack rack = make_rack(2);
   rack.set_all_powered(false);
-  EXPECT_FALSE(rack.any_powered());
+  for (const Server& s : rack.servers()) EXPECT_FALSE(s.powered());
   sim::SimClock clock(1.0);
   rack.step(clock);
   EXPECT_DOUBLE_EQ(rack.total_power_w(), 0.0);

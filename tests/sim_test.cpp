@@ -62,10 +62,10 @@ TEST(Clock, EverySubTickPeriodFiresEveryTick) {
 }
 
 TEST(Simulation, RecorderSamplesEachTick) {
-  Simulation sim(1.0);
-  Counter c{&sim};
+  Counter c;
+  Simulation sim(1.0, &c, &Counter::tick);
+  c.sim = &sim;
   sim.recorder().set_channels({"steps"}, &c, &Counter::fill);
-  sim.bind_tick(&c, &Counter::tick);
   sim.run_until(4.0);
   EXPECT_EQ(c.steps, 4);
   // The bound tick sees the pre-advance time of each tick.
@@ -77,9 +77,19 @@ TEST(Simulation, RecorderSamplesEachTick) {
 }
 
 TEST(Simulation, RunBackwardsThrows) {
-  Simulation sim(1.0);
+  Counter c;
+  Simulation sim(1.0, &c, &Counter::tick);
+  c.sim = &sim;
   sim.run_until(2.0);
+  EXPECT_EQ(c.steps, 2);
   EXPECT_THROW(sim.run_until(1.0), sprintcon::InvalidArgumentError);
+}
+
+TEST(Simulation, TickNeedsOwnerAndFunction) {
+  Counter c;
+  EXPECT_THROW(Simulation(1.0, nullptr, &Counter::tick),
+               sprintcon::InvalidArgumentError);
+  EXPECT_THROW(Simulation(1.0, &c, nullptr), sprintcon::InvalidArgumentError);
 }
 
 TEST(Recorder, DuplicateProbeNameThrows) {

@@ -95,7 +95,7 @@ int check_feedback_until(scenario::Rig& rig, double until_s) {
                  ctrl.server_controller().estimate_interactive_power_w());
     EXPECT_EQ(ctrl.server_controller().last_p_fb_w(), expected)
         << "t = " << rig.simulation().clock().now_s();
-    const double freq = rig.rack().mean_freq(server::CoreRole::kInteractive);
+    const double freq = rig.rack().telemetry().freq_interactive;
     if (prev_freq >= 0.0 && freq != prev_freq) ++moved_periods;
     prev_freq = freq;
   }
@@ -122,25 +122,26 @@ TEST(SprintCon, ConservativeCapFeedsBackTheCappedInteractivePower) {
 // --- CLI helpers ----------------------------------------------------------------
 
 TEST(Cli, ParsesCsvFlagForms) {
-  const char* argv1[] = {"bench", "--csv", "/tmp/x"};
-  auto opts = parse_bench_options(3, argv1);
+  const char* none[] = {"bench"};
+  EXPECT_FALSE(parse_bench_options(1, none).csv_dir.has_value());
+
+  const char* argv[] = {"bench", "--csv", "/tmp/x"};
+  const auto opts = parse_bench_options(3, argv);
   ASSERT_TRUE(opts.csv_dir.has_value());
   EXPECT_EQ(*opts.csv_dir, "/tmp/x");
-
-  const char* argv2[] = {"bench", "--csv=/tmp/y"};
-  opts = parse_bench_options(2, argv2);
-  ASSERT_TRUE(opts.csv_dir.has_value());
-  EXPECT_EQ(*opts.csv_dir, "/tmp/y");
 }
 
-TEST(Cli, CollectsPositionalsAndHelp) {
-  const char* argv[] = {"bench", "12", "--help", "extra"};
-  const auto opts = parse_bench_options(4, argv);
-  EXPECT_TRUE(opts.help);
-  ASSERT_EQ(opts.positional.size(), 2u);
-  EXPECT_EQ(opts.positional[0], "12");
-  EXPECT_EQ(opts.positional[1], "extra");
-  EXPECT_FALSE(opts.csv_dir.has_value());
+TEST(Cli, RejectsEverythingButCsvDir) {
+  const char* joined[] = {"bench", "--csv=/tmp/y"};
+  EXPECT_THROW(parse_bench_options(2, joined), InvalidArgumentError);
+  const char* misspelled[] = {"bench", "--cvs", "x"};
+  EXPECT_THROW(parse_bench_options(3, misspelled), InvalidArgumentError);
+  const char* help[] = {"bench", "--help"};
+  EXPECT_THROW(parse_bench_options(2, help), InvalidArgumentError);
+  const char* positional[] = {"bench", "12"};
+  EXPECT_THROW(parse_bench_options(2, positional), InvalidArgumentError);
+  const char* extra[] = {"bench", "--csv", "/tmp/x", "extra"};
+  EXPECT_THROW(parse_bench_options(4, extra), InvalidArgumentError);
 }
 
 TEST(Cli, MissingCsvValueThrows) {

@@ -86,7 +86,7 @@ TEST(Thermal, StepInputValidation) {
 // --- integration with Server / controller -----------------------------------
 
 /// One paper-platform server: four interactive cores, four batch cores.
-Server paper_server(Rng& rng) {
+Server paper_server(Rng& rng, const ThermalSpec& thermal = ThermalSpec{}) {
   const PlatformSpec spec = paper_platform();
   std::vector<CpuCore> cores;
   for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
@@ -102,7 +102,7 @@ Server paper_server(Rng& rng) {
                              rng.split()));
     }
   }
-  return Server(spec, std::move(cores), rng.split());
+  return Server(spec, std::move(cores), rng.split(), thermal);
 }
 
 ThermalSpec hot_spec() {
@@ -115,10 +115,8 @@ std::unique_ptr<Rack> hot_rack() {
   // One server, degraded cooling on every core.
   Rng rng(321);
   std::vector<Server> servers;
-  servers.push_back(paper_server(rng));
-  auto rack = std::make_unique<Rack>(std::move(servers));
-  for (Server& s : rack->servers()) s.attach_thermal(hot_spec());
-  return rack;
+  servers.push_back(paper_server(rng, hot_spec()));
+  return std::make_unique<Rack>(std::move(servers));
 }
 
 TEST(Thermal, ServerKernelMatchesCoreModel) {
@@ -142,11 +140,11 @@ TEST(Thermal, ServerKernelMatchesCoreModel) {
       const CpuCore& core = server.cores()[i];
       reference[i].step(
           measurement.core_dynamic_w(core.freq(), core.utilization()), dt_s);
-      ASSERT_EQ(core.temperature_c(), reference[i].temperature_c())
+      ASSERT_EQ(server.core_temp_c(i), reference[i].temperature_c())
           << "tick " << t << " core " << i;
     }
   }
-  EXPECT_GT(server.cores().back().temperature_c(),
+  EXPECT_GT(server.core_temp_c(server.cores().size() - 1),
             hot_spec().ambient_c + 10.0);
 }
 
@@ -166,14 +164,15 @@ TEST(ThermalGuard, BacksOffHotCores) {
                   5000.0, clock.now_s());
     }
     for (const auto& ref : rack->batch_cores()) {
-      max_temp = std::max(max_temp, rack->core(ref).temperature_c());
+      max_temp = std::max(max_temp,
+                          rack->servers()[ref.server].core_temp_c(ref.core));
     }
     clock.advance();
   }
   // The guard must keep the cores out of the critical region.
   EXPECT_LT(max_temp, ThermalSpec{}.critical_temp_c + 2.0);
   // And the batch cores cannot be running at peak.
-  EXPECT_LT(rack->mean_freq(CoreRole::kBatch), 0.99);
+  EXPECT_LT(rack->telemetry().freq_batch, 0.99);
 }
 
 TEST(ThermalGuard, DisabledGuardLetsCoresOverheat) {
@@ -195,23 +194,37 @@ TEST(ThermalGuard, DisabledGuardLetsCoresOverheat) {
   }
   bool any_critical = false;
   for (const auto& ref : rack->batch_cores()) {
-    const CpuCore& core = rack->core(ref);
     any_critical = any_critical ||
-                   core.temperature_c() >= ThermalSpec{}.critical_temp_c;
+                   rack->servers()[ref.server].core_temp_c(ref.core) >=
+                       ThermalSpec{}.critical_temp_c;
   }
   EXPECT_TRUE(any_critical);
 }
 
-TEST(ThermalGuard, CoreWithoutModelNeverThrottles) {
-  // A server without attach_thermal binds no slots: its cores read
-  // ambient and never throttle, however hard they run.
+TEST(Thermal, DirectlyBuiltServerHeatsLikeCoreModel) {
+  // A server built on its own, outside any rig, owns its cores'
+  // temperatures from construction: run at peak for 60 s, every core
+  // tracks a standalone CoreThermalModel fed its dynamic power, rises
+  // above ambient and, at the default cooling, stays below throttle.
   Rng rng(5);
   Server server = paper_server(rng);
+  const MeasurementPowerModel measurement(server.spec());
+  std::vector<CoreThermalModel> reference(server.cores().size(),
+                                          CoreThermalModel(default_spec()));
   for (CpuCore& c : server.cores()) c.set_freq(c.freq_max());
-  for (int t = 0; t < 60; ++t) server.step(1.0, static_cast<double>(t));
-  for (const CpuCore& core : server.cores()) {
-    EXPECT_FALSE(core.thermally_throttled());
-    EXPECT_DOUBLE_EQ(core.temperature_c(), ThermalSpec{}.ambient_c);
+  for (int t = 0; t < 60; ++t) {
+    server.step(1.0, static_cast<double>(t));
+    for (std::size_t i = 0; i < server.cores().size(); ++i) {
+      const CpuCore& core = server.cores()[i];
+      reference[i].step(
+          measurement.core_dynamic_w(core.freq(), core.utilization()), 1.0);
+    }
+  }
+  for (std::size_t i = 0; i < server.cores().size(); ++i) {
+    EXPECT_EQ(server.core_temp_c(i), reference[i].temperature_c())
+        << "core " << i;
+    EXPECT_GT(server.core_temp_c(i), default_spec().ambient_c);
+    EXPECT_FALSE(server.core_throttled(i));
   }
 }
 
