@@ -8,11 +8,13 @@
 #include <iostream>
 
 #include "batch_rack.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace sprintcon;
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   std::cout << "Ablation - fixed model vs. online gain adaptation (RLS)\n"
             << "(square-wave P_batch tracking under platform miscalibration)\n\n";
   Table table({"true cubic share", "controller", "RMSE (W)",

@@ -6,10 +6,12 @@
 // (target churn) or too slow (sluggish adaptation).
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "scenario/rig.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   using namespace sprintcon;
 
   std::cout << "Ablation - allocator period (SprintCon)\n\n";

@@ -8,12 +8,14 @@
 // ways and reports the battery-side wear.
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "power/hybrid_store.hpp"
 #include "power/wear.hpp"
 #include "scenario/rig.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   using namespace sprintcon;
 
   std::cout << "Ablation - UPS storage technology (SprintCon, 15-minute "

@@ -8,11 +8,13 @@
 #include <string>
 
 #include "batch_rack.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace sprintcon;
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   std::cout << "Ablation - MPC horizons and reference time constant\n"
             << "(square-wave P_batch tracking on a 4-server batch rack)\n\n";
 

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "batch_rack.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "control/pid.hpp"
 
@@ -117,7 +118,8 @@ Outcome run_pi(double target_w) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   std::cout << "Ablation - MPC vs. PI server power controller\n"
             << "(constant P_batch target on a 4-server rack, 15 minutes)\n\n";
 

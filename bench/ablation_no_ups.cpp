@@ -11,10 +11,12 @@
 // the first place.
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "scenario/rig.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   using namespace sprintcon;
 
   std::cout << "Ablation - the UPS power controller's contribution\n\n";

@@ -7,10 +7,12 @@
 // UPS wear.
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "scenario/rig.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   using namespace sprintcon;
 
   std::cout << "Ablation - CB overload policy (SprintCon, 15-minute burst, "

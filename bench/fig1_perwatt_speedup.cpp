@@ -9,12 +9,14 @@
 #include <iostream>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "server/power_model.hpp"
 #include "workload/batch_profile.hpp"
 #include "workload/progress_model.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   using namespace sprintcon;
 
   const server::MeasurementPowerModel power(server::paper_platform());

@@ -7,10 +7,12 @@
 // to a *constant* budget (Section III).
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "power/circuit_breaker.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   using namespace sprintcon;
 
   const power::TripCurve curve = power::TripCurve::bulletin_1489a();

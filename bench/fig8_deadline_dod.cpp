@@ -10,11 +10,13 @@
 #include <iostream>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "power/battery.hpp"
 #include "scenario/rig.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   using namespace sprintcon;
 
   const double deadlines_min[] = {9.0, 12.0, 15.0};

@@ -3,6 +3,9 @@
 // A developer tool, compared by hand: the MPC solve that runs every 2 s on
 // a rack controller, the same solve with observability on, one simulated
 // tick of a canonical rig, and one health check of a rig's default rules.
+// The MPC rows solve the problem shapes the workloads send: 64 batch cores
+// in 8 profile classes (cycling over core i % 8, with distinct gains,
+// penalty weights and bounds per class) and 8 all-distinct cores.
 // All rows time wall clock. The repo's perf record is perfbench
 // (perfbench/README.md), which measures whole fleets end to end and layer
 // by layer; these rows have no committed baseline.
@@ -18,21 +21,30 @@ namespace {
 
 using namespace sprintcon;
 
+// The MPC problems the workloads send. A paper rack's batch cores run the
+// 8 SPEC profiles in turn (core i runs profile i % 8), and cores running
+// one profile stay in lockstep, so their gains, penalty weights and bounds
+// are bitwise equal: the 64-core problem has 8 classes of 8 coordinates,
+// and a small rig's 8 cores are 8 distinct coordinates.
 control::MpcProblem mpc_bench_problem(std::size_t n) {
   control::MpcProblem p;
-  p.gains_w_per_f.assign(n, 20.0);
-  p.freq_current.assign(n, 0.5);
-  p.freq_min.assign(n, 0.2);
-  p.freq_max.assign(n, 1.0);
-  p.penalty_weights.assign(n, 4.0);
-  p.power_feedback_w = 20.0 * 0.5 * static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto profile = static_cast<double>(i % 8);
+    p.gains_w_per_f.push_back(20.0 + profile);
+    p.freq_current.push_back(0.5);
+    p.freq_min.push_back(0.2 + 0.01 * profile);
+    p.freq_max.push_back(1.0 - 0.02 * profile);
+    p.penalty_weights.push_back(1.0 + 0.5 * profile);
+    p.power_feedback_w += p.gains_w_per_f.back() * 0.5;
+  }
   p.power_target_w = p.power_feedback_w * 1.3;
   return p;
 }
 
 // Structured operator: O(n Lc) per solver iteration. n is the batch-core
-// count of one rack: 8 for a small-rig-fleet rig (2 servers x 4), 64 for a
-// paper-racks rack (16 x 4). Observability is left detached here; compare
+// count of one rack: 8 for a small-rig-fleet rig (2 servers x 4, every
+// coordinate its own class), 64 for a paper-racks rack (16 x 4, 8
+// classes). Observability is left detached here; compare
 // BM_MpcStepObserved by hand for the cost of a live ObsSink.
 void BM_MpcStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -6,11 +6,13 @@
 #include <iostream>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "metrics/summary.hpp"
 #include "scenario/rig.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  sprintcon::reject_arguments_or_exit(argc, argv);
   using namespace sprintcon;
 
   std::vector<metrics::RunSummary> runs;

@@ -3,12 +3,15 @@
 # near-identical build-and-run scripts. run_asan.sh / run_ubsan.sh /
 # run_tsan.sh remain as thin wrappers for muscle memory and CI.
 #
-#   asan    AddressSanitizer over the observability and scenario suites
-#           (labels `obs` + `scenario`: event log / metrics / export unit
-#           tests plus the safety-event, observed-facility, span-tracer,
-#           windowed-metrics and health-monitor suites, the scenario
-#           loader/fuzzer, and the golden scenario replays — so every
-#           shipped scenario gets one replay under ASan)
+#   asan    AddressSanitizer over the observability, scenario and MPC
+#           solver suites (labels `obs` + `scenario` + `control`: event
+#           log / metrics / export unit tests plus the safety-event,
+#           observed-facility, span-tracer, windowed-metrics and
+#           health-monitor suites, the scenario loader/fuzzer, the golden
+#           scenario replays — so every shipped scenario gets one replay
+#           under ASan — and structured_qp_test / mpc_test, since the
+#           class-compact QP solve indexes per-class arrays through each
+#           coordinate's class)
 #   tsan    ThreadSanitizer over the concurrency-sensitive suites (label
 #           `threads`: the parallel facility and the span tracer under
 #           the sharded runtime — trace_test's
@@ -40,8 +43,9 @@ case "$FLAVOR" in
     CMAKE_FLAG=SPRINTCON_ASAN
     TARGETS=(obs_test safety_test facility_test export_fuzz_test
       trace_test windowed_metrics_test health_test health_alloc_test
-      scenario_test scenario_fuzz_test golden_trace_test)
-    CTEST_LABEL='obs|scenario'
+      scenario_test scenario_fuzz_test golden_trace_test structured_qp_test
+      mpc_test)
+    CTEST_LABEL='obs|scenario|control'
     CTEST_PARALLEL=0
     ;;
   tsan)

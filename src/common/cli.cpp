@@ -21,15 +21,26 @@ BenchOptions parse_bench_options(int argc, const char* const* argv) {
   return options;
 }
 
+namespace {
+
+[[noreturn]] void exit_with_usage(const char* argv0, const char* options) {
+  std::cerr << "usage: " << std::filesystem::path(argv0).filename().string()
+            << options << "\n";
+  std::exit(1);
+}
+
+}  // namespace
+
 BenchOptions parse_bench_options_or_exit(int argc, const char* const* argv) {
   try {
     return parse_bench_options(argc, argv);
   } catch (const InvalidArgumentError&) {
-    std::cerr << "usage: "
-              << std::filesystem::path(argv[0]).filename().string()
-              << " [--csv DIR]\n";
-    std::exit(1);
+    exit_with_usage(argv[0], " [--csv DIR]");
   }
+}
+
+void reject_arguments_or_exit(int argc, const char* const* argv) {
+  if (argc > 1) exit_with_usage(argv[0], "");
 }
 
 std::string maybe_write_csv(const BenchOptions& options,

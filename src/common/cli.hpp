@@ -2,8 +2,8 @@
 //
 // Every harness that exports series accepts exactly one option, `--csv
 // <dir>`, to dump the exact series behind the figure as CSV (plottable
-// outside the repo); this helper keeps the parsing uniform and the
-// binaries free of argv fiddling.
+// outside the repo); every other harness takes no argument at all. These
+// helpers keep the parsing uniform and the binaries free of argv fiddling.
 #pragma once
 
 #include <optional>
@@ -27,6 +27,10 @@ BenchOptions parse_bench_options(int argc, const char* const* argv);
 /// parse_bench_options for a harness's main(): on a usage error, print
 /// `usage: <harness> [--csv DIR]` to stderr and exit with status 1.
 BenchOptions parse_bench_options_or_exit(int argc, const char* const* argv);
+
+/// For a harness that takes no argument: on any argument, print
+/// `usage: <harness>` to stderr and exit with status 1.
+void reject_arguments_or_exit(int argc, const char* const* argv);
 
 /// If options request CSV output, write the series into
 /// `<csv_dir>/<name>.csv` (creating the directory) and return the path;

@@ -8,18 +8,23 @@
 // with k the per-core power gains, R the per-core control penalties and
 // c_b = Q * (number of prediction steps mapped to block b). Materializing H
 // costs O((n Lc)^2) memory and every dense matvec O((n Lc)^2) time; the
-// operator form below evaluates matvec, objective and the projected-gradient
-// residual in O(n Lc) and replaces the solver's per-call power iteration
-// with the analytic bound
+// solver keeps H in this operator form, evaluates matvec and the
+// projected-gradient residual in O(n Lc), and bounds the FISTA step with
 //
 //     lambda_max(H) <= max_i R_i + (max_b c_b) ||k||^2,
 //
 // which is exact when R is uniform (k is an eigenvector of each block).
-// Every routine writes into caller-owned scratch, so a warm-started
-// controller performs zero steady-state allocations.
+// A rack's batch cores run a few job profiles in lockstep, so most
+// coordinates repeat another's inputs bit for bit; the solver computes
+// each distinct coordinate once and only the sums visit all n. Every
+// routine writes into caller-owned scratch, so a warm-started controller
+// performs zero steady-state allocations. The per-coordinate solver the
+// tests compare against bit for bit is tests/support/control/
+// structured_qp_reference.hpp.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace sprintcon::control {
@@ -66,33 +71,39 @@ struct StructuredBlockQp {
   void validate() const;
 };
 
-/// Reusable iteration buffers for solve_structured_qp. Vectors grow to the
-/// problem dimension on first use and are reused verbatim afterwards.
+/// Reusable buffers for solve_structured_qp: the partition of the
+/// coordinates into classes, the class-compact copy of the problem and the
+/// iterates. The partition is sized for n classes when a block size is
+/// first seen, and the compact copy and iterates when the first partition
+/// with a repeated coordinate is; after that, solves of that shape
+/// (partition rebuilds included) never allocate.
 struct StructuredQpScratch {
-  Vector x;       ///< current iterate
+  /// Class of each coordinate, numbered in order of first appearance.
+  std::vector<std::uint32_t> class_of;
+  /// First coordinate of each class (its representative).
+  std::vector<std::uint32_t> class_rep;
+  /// The representatives' gains, penalties, gradients and bounds, then
+  /// two summand slots per class; used only when some class has more than
+  /// one member.
+  Vector compact;
+  Vector x;       ///< current iterate, one value per class and block
   Vector y;       ///< FISTA extrapolation point
   Vector x_next;  ///< candidate iterate
-  Vector grad;    ///< gradient at y
+  Vector grad;    ///< Hessian times y
 };
-
-/// out = H x for the structured Hessian. O(n Lc); `out` is resized to match.
-void structured_matvec(const StructuredBlockQp& qp, const Vector& x,
-                       Vector& out);
-
-/// Projected-gradient residual ||x - clamp(x - (Hx + g))||_inf, evaluated
-/// in O(n Lc) with no temporaries; zero exactly at a KKT point.
-double structured_residual(const StructuredBlockQp& qp, const Vector& x);
 
 /// Analytic upper bound on lambda_max(H): max(R) + max_b(c_b) ||k||^2.
 /// Replaces the dense solver's power iteration (O(iters (n Lc)^2)).
 double structured_lambda_max_bound(const StructuredBlockQp& qp);
 
-/// Solve the structured box QP with FISTA-accelerated projected gradient.
-/// Identical algorithm to solve_box_qp but with O(n Lc) iterations and the
-/// analytic step bound; writes the solution into `result` (whose vector
-/// capacity is reused across calls) and iterates entirely inside `scratch`.
-/// Hot path (SPRINTCON_HOT): after the scratch buffers have grown to
-/// fit, steady-state solves never allocate.
+/// Solve the structured box QP: an exact Newton solve of each block's
+/// scalar KKT equation, polished by FISTA-accelerated projected gradient
+/// when that answer misses the tolerance. Coordinates whose inputs are
+/// bitwise equal are evaluated once per class; the result is bit-identical
+/// to evaluating every coordinate (DESIGN.md §7.1). Writes the solution
+/// into `result` (whose vector capacity is reused across calls) and works
+/// entirely inside `scratch`. Hot path (SPRINTCON_HOT): after the scratch
+/// has been sized for a problem shape, solves never allocate.
 void solve_structured_qp(const StructuredBlockQp& qp, const Vector& x0,
                          const QpOptions& options, StructuredQpScratch& scratch,
                          QpResult& result);

@@ -1,6 +1,8 @@
 // HealthMonitor::check() must not touch the heap once warmed up: it reads
 // one number per rule straight from the metrics registry instead of
-// copying the registry into a MetricsSnapshot. This binary replaces the
+// copying the registry into a MetricsSnapshot. Nor may a warm
+// MpcPowerController::step, whose class-compact solve keeps its partition
+// and buffers in controller-owned scratch. This binary replaces the
 // global operator new to count allocations, so it stands alone (a
 // replacement is program-wide).
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "control/mpc.hpp"
 #include "obs/health.hpp"
 #include "obs/sink.hpp"
 #include "scenario/rig.hpp"
@@ -109,6 +112,65 @@ TEST(HealthAlloc, WarmCheckOfARigsDefaultRulesAllocatesNothing) {
   });
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(monitor->active_alerts(), 0u);
+}
+
+/// An MPC problem whose n cores run `profiles` job profiles in turn (core
+/// i runs profile i % profiles), each with its own gain, penalty weight
+/// and bounds: a paper rack is 64 cores in 8 classes, a small rig 8
+/// distinct cores.
+control::MpcProblem rack_problem(std::size_t n, std::size_t profiles) {
+  control::MpcProblem p;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto profile = static_cast<double>(i % profiles);
+    p.gains_w_per_f.push_back(20.0 + profile);
+    p.freq_current.push_back(0.5);
+    p.freq_min.push_back(0.2 + 0.01 * profile);
+    p.freq_max.push_back(1.0 - 0.02 * profile);
+    p.penalty_weights.push_back(1.0 + 0.5 * profile);
+    p.power_feedback_w += p.gains_w_per_f.back() * 0.5;
+  }
+  p.power_target_w = p.power_feedback_w * 1.3;
+  return p;
+}
+
+/// Allocations made by ten steps of a controller that has already solved
+/// `problem` once.
+std::size_t warm_mpc_allocations(const control::MpcProblem& problem) {
+  control::MpcPowerController mpc{control::MpcConfig{}};
+  control::MpcOutput out;
+  mpc.step(problem, out);
+  return allocations_in([&] {
+    for (int i = 0; i < 10; ++i) mpc.step(problem, out);
+  });
+}
+
+TEST(MpcAlloc, WarmStepOfAnEightClassRackAllocatesNothing) {
+  EXPECT_EQ(warm_mpc_allocations(rack_problem(64, 8)), 0u);
+}
+
+TEST(MpcAlloc, WarmStepOfAllDistinctCoresAllocatesNothing) {
+  EXPECT_EQ(warm_mpc_allocations(rack_problem(8, 8)), 0u);
+}
+
+TEST(MpcAlloc, WarmStepThatRebuildsThePartitionAllocatesNothing) {
+  // One core's frequency cap drops (as under the thermal guard), which
+  // splits it from its class, and later comes back; then every core's
+  // penalty weight moves apart.
+  const control::MpcProblem rack = rack_problem(64, 8);
+  control::MpcProblem capped = rack;
+  capped.freq_max[13] = 0.7;
+  control::MpcProblem distinct = rack;
+  for (std::size_t i = 0; i < distinct.penalty_weights.size(); ++i)
+    distinct.penalty_weights[i] += 0.001 * static_cast<double>(i);
+  control::MpcPowerController mpc{control::MpcConfig{}};
+  control::MpcOutput out;
+  mpc.step(rack, out);
+  const std::size_t n = allocations_in([&] {
+    mpc.step(capped, out);    // core 13 leaves its class: 9 classes
+    mpc.step(rack, out);      // kept: core 13 stays a class of its own
+    mpc.step(distinct, out);  // rebuilt: every core its own class
+  });
+  EXPECT_EQ(n, 0u);
 }
 
 }  // namespace

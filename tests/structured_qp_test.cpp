@@ -1,11 +1,15 @@
 // Tests for the structured MPC QP operator: every O(n Lc) routine must
-// agree with the dense reference implementation, and the MPC controller
-// must reproduce the frequencies of a dense `solve_box_qp` assembly of the
-// same problem to solver accuracy across random problems.
+// agree with the dense reference implementation, the class-compact solver
+// must reproduce the per-coordinate oracle bit for bit, and the MPC
+// controller must reproduce the frequencies of a dense `solve_box_qp`
+// assembly of the same problem to solver accuracy across random problems.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -13,6 +17,7 @@
 #include "control/mpc.hpp"
 #include "control/qp.hpp"
 #include "control/structured_qp.hpp"
+#include "control/structured_qp_reference.hpp"
 
 namespace sprintcon::control {
 namespace {
@@ -160,6 +165,193 @@ TEST(StructuredQp, InvalidProblemThrows) {
   sqp = random_problem(rng, 3, 2);
   EXPECT_THROW(solve_structured_qp(sqp, Vector(2, 0.5), opts, scratch, result),
                InvalidArgumentError);
+}
+
+// --- class-compact solve vs the per-coordinate oracle -----------------------
+
+void expect_same_bits(const QpResult& got, const QpResult& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.x.size(), want.x.size()) << where;
+  for (std::size_t i = 0; i < got.x.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.x[i]),
+              std::bit_cast<std::uint64_t>(want.x[i]))
+        << where << " x[" << i << "] " << got.x[i] << " vs " << want.x[i];
+  EXPECT_EQ(got.iterations, want.iterations) << where;
+  EXPECT_EQ(got.direct_passes, want.direct_passes) << where;
+  EXPECT_EQ(got.restarts, want.restarts) << where;
+  EXPECT_EQ(got.converged, want.converged) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.residual),
+            std::bit_cast<std::uint64_t>(want.residual))
+      << where << " residual " << got.residual << " vs " << want.residual;
+}
+
+/// A problem shaped like the MPC's (power gains of tens of W per unit
+/// frequency, penalties 0.02 w k^2, gradients -k c_b T - R upper around a
+/// power target T) whose n coordinates copy `classes` prototypes:
+/// cyclically, as a rack's job profiles cycle over its cores, or in a
+/// random order. At this scale c ||k||^2 >> max R, so many direct answers
+/// stop at the FP floor and need the FISTA polish.
+StructuredBlockQp classed_problem(Rng& rng, std::size_t n, std::size_t blocks,
+                                  std::size_t classes, bool cyclic) {
+  StructuredBlockQp sqp;
+  for (std::size_t b = 0; b < blocks; ++b)
+    sqp.rank_weight.push_back(b + 1 == blocks ? rng.uniform(1.0, 7.0) : 1.0);
+  const double target = rng.uniform(0.3, 0.9) * 20.0 * static_cast<double>(n);
+  Vector gains(classes), penalty(classes);
+  Vector gradient(classes * blocks), lower(classes * blocks),
+      upper(classes * blocks);
+  for (std::size_t p = 0; p < classes; ++p) {
+    gains[p] = rng.uniform(5.0, 40.0);
+    penalty[p] = 0.02 * rng.uniform(1e-3, 2.0) * gains[p] * gains[p];
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t d = b * classes + p;
+      lower[d] = rng.uniform(0.1, 0.4);
+      upper[d] = rng.uniform(0.6, 1.0);
+      gradient[d] = -gains[p] * sqp.rank_weight[b] * target *
+                        rng.uniform(0.9, 1.1) -
+                    penalty[p] * upper[d];
+    }
+  }
+  sqp.gains.resize(n);
+  sqp.penalty.resize(n);
+  sqp.gradient.resize(n * blocks);
+  sqp.lower.resize(n * blocks);
+  sqp.upper.resize(n * blocks);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t p = cyclic || i < classes ? i % classes
+                                                : rng.uniform_index(classes);
+    sqp.gains[i] = gains[p];
+    sqp.penalty[i] = penalty[p];
+    for (std::size_t b = 0; b < blocks; ++b) {
+      sqp.gradient[b * n + i] = gradient[b * classes + p];
+      sqp.lower[b * n + i] = lower[b * classes + p];
+      sqp.upper[b * n + i] = upper[b * classes + p];
+    }
+  }
+  return sqp;
+}
+
+/// A warm start that differs between members of a class.
+Vector random_start(Rng& rng, const StructuredBlockQp& sqp) {
+  Vector x0(sqp.dim());
+  for (std::size_t d = 0; d < x0.size(); ++d)
+    x0[d] = rng.uniform(sqp.lower[d], sqp.upper[d]);
+  return x0;
+}
+
+TEST(StructuredQp, ClassCompactSolveIsBitIdenticalToPerCoordinate) {
+  Rng rng(36);
+  const QpOptions opts;
+  StructuredQpScratch scratch;
+  QpResult got;
+  int polished = 0;
+  int trials = 0;
+  for (const std::size_t n : {std::size_t{8}, std::size_t{64}}) {
+    for (const std::size_t classes : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{8}, n}) {
+      for (const std::size_t blocks : {1u, 2u, 3u}) {
+        for (int rep = 0; rep < 12; ++rep) {
+          const StructuredBlockQp sqp =
+              classed_problem(rng, n, blocks, classes, rep % 2 == 0);
+          const Vector x0 = random_start(rng, sqp);
+          // One scratch for the whole corpus: every solve also exercises
+          // the revalidation and the rebuild after a shape change.
+          solve_structured_qp(sqp, x0, opts, scratch, got);
+          const QpResult want = solve_structured_qp_reference(sqp, x0, opts);
+          expect_same_bits(got, want,
+                           "n=" + std::to_string(n) +
+                               " classes=" + std::to_string(classes) +
+                               " blocks=" + std::to_string(blocks) +
+                               " rep=" + std::to_string(rep));
+          EXPECT_EQ(scratch.class_rep.size(), classes);
+          if (classes < n) {
+            if (want.iterations != want.direct_passes) ++polished;
+            ++trials;
+          }
+        }
+      }
+    }
+  }
+  // The class-compact solves must reach the FISTA polish, or the corpus
+  // checks only half the solver.
+  EXPECT_GT(polished, trials / 10) << polished << " of " << trials;
+}
+
+TEST(StructuredQp, NearDuplicatesAreSeparateClasses) {
+  // Coordinates one ulp apart, or +0.0 against -0.0, compare equal or
+  // nearly so but are different inputs: they must not share a class.
+  Rng rng(37);
+  const QpOptions opts;
+  StructuredQpScratch scratch;
+  QpResult got;
+  for (int trial = 0; trial < 40; ++trial) {
+    StructuredBlockQp sqp = classed_problem(rng, 16, 2, 2, true);
+    const std::size_t i = 2 + rng.uniform_index(14);
+    const std::size_t b = rng.uniform_index(2);
+    switch (trial % 6) {
+      case 0:
+        sqp.gains[i] = std::nextafter(sqp.gains[i], 100.0);
+        break;
+      case 1:
+        sqp.penalty[i] = std::nextafter(sqp.penalty[i], 0.0);
+        break;
+      case 2:
+        sqp.gradient[b * 16 + i] =
+            std::nextafter(sqp.gradient[b * 16 + i], 1e9);
+        break;
+      case 3:
+        sqp.upper[b * 16 + i] = std::nextafter(sqp.upper[b * 16 + i], 0.0);
+        break;
+      case 4:
+        // Signed zeros in the gradient of a whole class, one member flipped.
+        for (std::size_t j = i % 2; j < 16; j += 2)
+          sqp.gradient[b * 16 + j] = 0.0;
+        sqp.gradient[b * 16 + i] = -0.0;
+        break;
+      default:
+        // A zero gain: k * bound is +0.0 or -0.0 by the sign of k.
+        for (std::size_t j = i % 2; j < 16; j += 2) sqp.gains[j] = -0.0;
+        sqp.gains[i] = 0.0;
+        break;
+    }
+    const Vector x0 = random_start(rng, sqp);
+    solve_structured_qp(sqp, x0, opts, scratch, got);
+    expect_same_bits(got, solve_structured_qp_reference(sqp, x0, opts),
+                     "trial " + std::to_string(trial));
+    EXPECT_EQ(scratch.class_rep.size(), 3u)
+        << "trial " << trial;
+  }
+}
+
+TEST(StructuredQp, SplitAndRejoinAcrossConsecutiveSolves) {
+  // One controller's scratch over a sequence: a coordinate leaves its
+  // class (as when the thermal guard lowers one core's frequency cap) and
+  // later rejoins it. The warm partition must notice the split, and every
+  // solve must match the oracle bit for bit.
+  Rng rng(38);
+  const QpOptions opts;
+  const std::size_t n = 64;
+  StructuredBlockQp base = classed_problem(rng, n, 2, 8, true);
+  StructuredQpScratch scratch;
+  QpResult got;
+  Vector x0 = random_start(rng, base);
+  const std::size_t core = 13;
+  for (int step = 0; step < 8; ++step) {
+    StructuredBlockQp sqp = base;
+    const bool split = step >= 2 && step < 5;
+    if (split) {
+      for (std::size_t b = 0; b < 2; ++b)
+        sqp.upper[b * n + core] = 0.5 * (sqp.lower[b * n + core] +
+                                         sqp.upper[b * n + core]);
+    }
+    solve_structured_qp(sqp, x0, opts, scratch, got);
+    const QpResult want = solve_structured_qp_reference(sqp, x0, opts);
+    expect_same_bits(got, want, "step " + std::to_string(step));
+    if (split) EXPECT_EQ(scratch.class_rep.size(), 9u) << "step " << step;
+    // Warm-start the next solve from this answer, as the controller does.
+    x0 = want.x;
+    for (double& g : base.gradient) g -= 3.0;
+  }
 }
 
 // --- structured vs dense MPC ------------------------------------------------
