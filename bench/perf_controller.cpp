@@ -5,7 +5,9 @@
 // tick of a canonical rig, and one health check of a rig's default rules.
 // The MPC rows solve the problem shapes the workloads send: 64 batch cores
 // in 8 profile classes (cycling over core i % 8, with distinct gains,
-// penalty weights and bounds per class) and 8 all-distinct cores.
+// penalty weights and bounds per class) and 8 all-distinct cores, at
+// control horizons 1 to 3. ctest runs BM_MpcStep briefly (label `bench`)
+// so the rows keep building and running.
 // All rows time wall clock. The repo's perf record is perfbench
 // (perfbench/README.md), which measures whole fleets end to end and layer
 // by layer; these rows have no committed baseline.
@@ -44,13 +46,15 @@ control::MpcProblem mpc_bench_problem(std::size_t n) {
 // Structured operator: O(n Lc) per solver iteration. n is the batch-core
 // count of one rack: 8 for a small-rig-fleet rig (2 servers x 4, every
 // coordinate its own class), 64 for a paper-racks rack (16 x 4, 8
-// classes). Observability is left detached here; compare
+// classes). The second argument is the control horizon L_c (the rigs run
+// 2): its blocks are searched two at a time, so 1 and 3 time the
+// single-block tail. Observability is left detached here; compare
 // BM_MpcStepObserved by hand for the cost of a live ObsSink.
 void BM_MpcStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   control::MpcConfig cfg;
   cfg.prediction_horizon = 8;
-  cfg.control_horizon = 2;
+  cfg.control_horizon = static_cast<std::size_t>(state.range(1));
   control::MpcPowerController mpc(cfg);
   const control::MpcProblem p = mpc_bench_problem(n);
   control::MpcOutput out;
@@ -58,9 +62,13 @@ void BM_MpcStep(benchmark::State& state) {
     mpc.step(p, out);
     benchmark::DoNotOptimize(out.freq_next.data());
   }
-  state.SetLabel(std::to_string(n) + " cores");
+  state.SetLabel(std::to_string(n) + " cores, Lc " +
+                 std::to_string(cfg.control_horizon));
 }
-BENCHMARK(BM_MpcStep)->Arg(8)->Arg(64)->UseRealTime();
+BENCHMARK(BM_MpcStep)
+    ->ArgsProduct({{8, 64}, {1, 2, 3}})
+    ->ArgNames({"cores", "lc"})
+    ->UseRealTime();
 
 // Same solve with a live ObsSink attached: counters + exit-residual and
 // wall-time histograms per step. The delta versus BM_MpcStep is the

@@ -75,6 +75,10 @@ class MpcPowerController {
   /// Reset the warm-start state (e.g. when the actuated core set changes).
   void reset() noexcept { warm_start_.clear(); }
 
+  /// Classes of bitwise-equal cores (gain, penalty weight and frequency
+  /// bounds) in the last step's partition.
+  std::size_t num_classes() const noexcept { return sqp_.num_classes(); }
+
   /// Attach an observability sink (nullptr detaches). Metric handles are
   /// resolved here once; with a sink attached each step() adds counter
   /// updates and a steady_clock read, without one detached it costs a
@@ -82,10 +86,15 @@ class MpcPowerController {
   void set_obs(obs::ObsSink* sink);
 
  private:
-  void step_structured(const MpcProblem& problem, MpcOutput& out);
+  /// Check the problem in one pass over the cores that also returns
+  /// K . F(t), and keep the class partition of the cores while every core
+  /// still matches its class and no two classes match; else rebuild it.
+  double check_problem(const MpcProblem& problem);
+  void step_structured(const MpcProblem& problem, double k_dot_f,
+                       MpcOutput& out);
   /// Fill `reference_` (Eq. 7) and return the constant part of the power
   /// prediction p_fb(t) - K . F(t).
-  double build_reference(const MpcProblem& problem);
+  double build_reference(const MpcProblem& problem, double k_dot_f);
 
   MpcConfig config_;
   /// e^{-T/tau_r} of Eq. 7; the config is fixed, so computed once.
@@ -94,9 +103,9 @@ class MpcPowerController {
   // Controller-owned solver scratch; sized on first use
   // and reused verbatim while the problem shape is unchanged.
   Vector reference_;
-  StructuredBlockQp sqp_;
+  /// The QP over classes of bitwise-equal cores, with its partition.
+  StructuredClassQp sqp_;
   StructuredQpScratch sqp_scratch_;
-  Vector x0_;
 
   // Observability (optional). Handles cached by set_obs.
   struct ObsHandles {

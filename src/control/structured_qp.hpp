@@ -15,14 +15,18 @@
 //
 // which is exact when R is uniform (k is an eigenvector of each block).
 // A rack's batch cores run a few job profiles in lockstep, so most
-// coordinates repeat another's inputs bit for bit; the solver computes
-// each distinct coordinate once and only the sums visit all n. Every
-// routine writes into caller-owned scratch, so a warm-started controller
-// performs zero steady-state allocations. The per-coordinate solver the
-// tests compare against bit for bit is tests/support/control/
-// structured_qp_reference.hpp.
+// coordinates repeat another's inputs bit for bit. The problem is
+// therefore stated over classes of such coordinates: the caller keeps the
+// partition and writes one gain, penalty, gradient and bound per class,
+// the solver computes one value per class, and only the sums visit all n
+// coordinates. Every routine writes into caller-owned buffers, so a
+// warm-started controller performs zero steady-state allocations. The
+// per-coordinate form of the problem and the per-coordinate solver the
+// tests compare against bit for bit live in tests/support/control/
+// (structured_block_qp.hpp, structured_qp_reference.hpp).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -52,59 +56,95 @@ struct QpResult {
   double residual = 0.0;  ///< final projected-gradient residual (inf norm)
 };
 
-/// Box QP whose Hessian is blkdiag_b(diag(penalty) + rank_weight[b] k k^T).
-/// `gradient`, `lower`, `upper` have length gains.size() * rank_weight.size()
-/// and are stacked block-major (block b occupies [b*n, (b+1)*n)).
-struct StructuredBlockQp {
-  Vector gains;        ///< k, length n (shared by every block)
-  Vector penalty;      ///< R diagonal > 0, length n (shared by every block)
-  Vector rank_weight;  ///< c_b >= 0 per block, length Lc
-  Vector gradient;     ///< linear term g, length n * Lc
-  Vector lower;        ///< elementwise lower bounds, length n * Lc
-  Vector upper;        ///< elementwise upper bounds, length n * Lc
+/// True when a and b have the same bit pattern (so +0.0 and -0.0, or
+/// values one ulp apart, differ).
+inline bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
-  std::size_t block_size() const noexcept { return gains.size(); }
-  std::size_t num_blocks() const noexcept { return rank_weight.size(); }
-  std::size_t dim() const noexcept { return gradient.size(); }
-
-  /// Validate the invariants; throws InvalidArgumentError.
-  void validate() const;
-};
-
-/// Reusable buffers for solve_structured_qp: the partition of the
-/// coordinates into classes, the class-compact copy of the problem and the
-/// iterates. The partition is sized for n classes when a block size is
-/// first seen, and the compact copy and iterates when the first partition
-/// with a repeated coordinate is; after that, solves of that shape
-/// (partition rebuilds included) never allocate.
-struct StructuredQpScratch {
-  /// Class of each coordinate, numbered in order of first appearance.
+/// Box QP whose Hessian is blkdiag_b(diag(penalty) + rank_weight[b] k k^T)
+/// over n coordinates per block, stated over classes of coordinates whose
+/// gain, penalty, gradient and bounds are bitwise equal. Class j stands for
+/// every coordinate i with class_of[i] == j; the per-class arrays have one
+/// entry per class (m of them), and `gradient`, `lower`, `upper` are
+/// stacked block-major with block stride m. The solution and the warm
+/// start have one entry per coordinate, n per block.
+struct StructuredClassQp {
+  /// Class of each coordinate, numbered in order of first appearance, so
+  /// with every coordinate its own class, class j is coordinate j.
   std::vector<std::uint32_t> class_of;
   /// First coordinate of each class (its representative).
   std::vector<std::uint32_t> class_rep;
-  /// The representatives' gains, penalties, gradients and bounds, then
-  /// two summand slots per class; used only when some class has more than
-  /// one member.
-  Vector compact;
-  Vector x;       ///< current iterate, one value per class and block
+  Vector gains;        ///< k per class, length m
+  Vector penalty;      ///< R diagonal per class, > 0, length m
+  Vector rank_weight;  ///< c_b >= 0 per block, length Lc
+  Vector gradient;     ///< linear term g, length m * Lc
+  Vector lower;        ///< lower bounds, length m * Lc
+  Vector upper;        ///< upper bounds, length m * Lc
+
+  std::size_t block_size() const noexcept { return class_of.size(); }
+  std::size_t num_classes() const noexcept { return class_rep.size(); }
+  std::size_t num_blocks() const noexcept { return rank_weight.size(); }
+  /// Dimension of the per-coordinate problem: n * Lc.
+  std::size_t dim() const noexcept { return block_size() * num_blocks(); }
+
+  /// Partition coordinates 0..n-1 afresh: each joins the first class whose
+  /// representative it is `same(i, rep)` as, or starts a new one. The
+  /// partition is sized for n classes, so a later one never allocates.
+  template <typename Same>
+  void partition(std::size_t n, Same same);
+
+  /// Size the per-class arrays for the current partition and `blocks`
+  /// blocks. Their capacity is reserved for n classes, so a partition that
+  /// later splits never allocates.
+  void resize_classes(std::size_t blocks);
+
+  /// Validate the invariants; throws InvalidArgumentError. A check on a
+  /// class covers every coordinate in it.
+  void validate() const;
+};
+
+template <typename Same>
+void StructuredClassQp::partition(std::size_t n, Same same) {
+  class_of.resize(n);
+  class_rep.reserve(n);
+  class_rep.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t j = 0;
+    while (j < class_rep.size() && !same(i, std::size_t{class_rep[j]})) ++j;
+    class_of[i] = static_cast<std::uint32_t>(j);
+    if (j == class_rep.size())
+      class_rep.push_back(static_cast<std::uint32_t>(i));
+  }
+}
+
+/// Reusable buffers for solve_structured_qp: the iterates (one value per
+/// class and block) and per-class summands. Each is sized for n classes
+/// on first use, so later solves of that shape never allocate.
+struct StructuredQpScratch {
+  Vector x;       ///< current iterate
   Vector y;       ///< FISTA extrapolation point
   Vector x_next;  ///< candidate iterate
   Vector grad;    ///< Hessian times y
+  /// Per-class summand slots of the sums over all n coordinates, then the
+  /// per-class interior slopes c k_j^2 / r_j of the blocks being searched.
+  Vector terms;
+  /// k . x_b of each block b, summed over every coordinate in index
+  /// order; after a solve, those of the solution it returned.
+  Vector block_dots;
 };
-
-/// Analytic upper bound on lambda_max(H): max(R) + max_b(c_b) ||k||^2.
-/// Replaces the dense solver's power iteration (O(iters (n Lc)^2)).
-double structured_lambda_max_bound(const StructuredBlockQp& qp);
 
 /// Solve the structured box QP: an exact Newton solve of each block's
 /// scalar KKT equation, polished by FISTA-accelerated projected gradient
-/// when that answer misses the tolerance. Coordinates whose inputs are
-/// bitwise equal are evaluated once per class; the result is bit-identical
-/// to evaluating every coordinate (DESIGN.md §7.1). Writes the solution
-/// into `result` (whose vector capacity is reused across calls) and works
-/// entirely inside `scratch`. Hot path (SPRINTCON_HOT): after the scratch
-/// has been sized for a problem shape, solves never allocate.
-void solve_structured_qp(const StructuredBlockQp& qp, const Vector& x0,
+/// when that answer misses the tolerance. Computes one value per class and
+/// adds every sum over all n coordinates in index order, so the result is
+/// bit-identical to evaluating every coordinate (DESIGN.md §7.1).
+/// `x0` (length n * Lc) seeds the Newton search. Writes the per-coordinate
+/// solution into `result` (whose vector capacity is reused across calls)
+/// and its block dots k . x_b into `scratch.block_dots`, and works entirely
+/// inside `scratch`. Hot path (SPRINTCON_HOT): after the
+/// scratch has been sized for a problem shape, solves never allocate.
+void solve_structured_qp(const StructuredClassQp& qp, const Vector& x0,
                          const QpOptions& options, StructuredQpScratch& scratch,
                          QpResult& result);
 

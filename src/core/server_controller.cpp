@@ -68,17 +68,6 @@ void ServerPowerController::update(double p_total_w, double p_inter_w,
   // servers, so subtract the modeled interactive power from the rack meter.
   const double p_fb = std::max(0.0, p_total_w - p_inter_w);
 
-  // Adaptive gain: learn dP/df from (applied frequency move, observed
-  // power change) pairs across control periods.
-  double freq_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) freq_sum += batch_cores_[i]->freq();
-  if (config_.adaptive_gain && prev_freq_sum_ >= 0.0) {
-    gain_estimator_.observe(freq_sum - prev_freq_sum_, p_fb - prev_p_fb_w_);
-  }
-  prev_freq_sum_ = freq_sum;
-  prev_p_fb_w_ = p_fb;
-  last_p_fb_w_ = p_fb;
-
   // Reuse the controller-owned problem buffers; resize is a no-op at
   // steady state so a warm-started update allocates nothing.
   control::MpcProblem& problem = problem_;
@@ -88,12 +77,16 @@ void ServerPowerController::update(double p_total_w, double p_inter_w,
   problem.freq_max.resize(n);
   problem.penalty_weights.resize(n);
 
-  const double k = effective_gain_w_per_f();
+  // One pass reads each core: its frequency (also summed, in core order,
+  // for the adaptive gain), bounds and job weight. The gain k may depend
+  // on that sum, so a second pass applies it.
+  double freq_sum = 0.0;
   const std::vector<server::BatchCoreRef>& refs = rack_.batch_cores();
   for (std::size_t i = 0; i < n; ++i) {
     const server::CpuCore& core = *batch_cores_[i];
-    problem.gains_w_per_f[i] = k;
-    problem.freq_current[i] = core.freq();
+    const double freq = core.freq();
+    freq_sum += freq;
+    problem.freq_current[i] = freq;
     problem.freq_min[i] = core.freq_min();
     // A finished run-once job idles its core at the DVFS floor.
     problem.freq_max[i] =
@@ -103,12 +96,25 @@ void ServerPowerController::update(double p_total_w, double p_inter_w,
     if (rack_.servers()[refs[i].server].core_throttled(refs[i].core)) {
       problem.freq_max[i] = std::max(
           core.freq_min(),
-          std::min(problem.freq_max[i],
-                   core.freq() - kThermalBackoffPerPeriod));
+          std::min(problem.freq_max[i], freq - kThermalBackoffPerPeriod));
     }
-    const double weight = core.job()->penalty_weight(now_s);
+    problem.penalty_weights[i] = core.job()->penalty_weight(now_s);
+  }
+
+  // Adaptive gain: learn dP/df from (applied frequency move, observed
+  // power change) pairs across control periods.
+  if (config_.adaptive_gain && prev_freq_sum_ >= 0.0) {
+    gain_estimator_.observe(freq_sum - prev_freq_sum_, p_fb - prev_p_fb_w_);
+  }
+  prev_freq_sum_ = freq_sum;
+  prev_p_fb_w_ = p_fb;
+  last_p_fb_w_ = p_fb;
+
+  const double k = effective_gain_w_per_f();
+  for (std::size_t i = 0; i < n; ++i) {
+    problem.gains_w_per_f[i] = k;
     problem.penalty_weights[i] =
-        std::max(weight, 1e-3) * penalty_scale_ * k * k;
+        std::max(problem.penalty_weights[i], 1e-3) * penalty_scale_ * k * k;
   }
 
   if (pid_fallback_) {

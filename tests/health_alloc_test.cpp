@@ -1,8 +1,9 @@
 // HealthMonitor::check() must not touch the heap once warmed up: it reads
 // one number per rule straight from the metrics registry instead of
 // copying the registry into a MetricsSnapshot. Nor may a warm
-// MpcPowerController::step, whose class-compact solve keeps its partition
-// and buffers in controller-owned scratch. This binary replaces the
+// MpcPowerController::step, which keeps its class partition, the
+// class-level problem and the solver's buffers in controller-owned
+// scratch, also on a step that splits or merges the partition. This binary replaces the
 // global operator new to count allocations, so it stands alone (a
 // replacement is program-wide).
 #include <gtest/gtest.h>
@@ -135,8 +136,9 @@ control::MpcProblem rack_problem(std::size_t n, std::size_t profiles) {
 
 /// Allocations made by ten steps of a controller that has already solved
 /// `problem` once.
-std::size_t warm_mpc_allocations(const control::MpcProblem& problem) {
-  control::MpcPowerController mpc{control::MpcConfig{}};
+std::size_t warm_mpc_allocations(const control::MpcProblem& problem,
+                                 const control::MpcConfig& config = {}) {
+  control::MpcPowerController mpc{config};
   control::MpcOutput out;
   mpc.step(problem, out);
   return allocations_in([&] {
@@ -152,25 +154,44 @@ TEST(MpcAlloc, WarmStepOfAllDistinctCoresAllocatesNothing) {
   EXPECT_EQ(warm_mpc_allocations(rack_problem(8, 8)), 0u);
 }
 
+TEST(MpcAlloc, WarmStepOfThreeControlBlocksAllocatesNothing) {
+  // Three blocks: two searched in lockstep, the third alone.
+  control::MpcConfig config;
+  config.control_horizon = 3;
+  EXPECT_EQ(warm_mpc_allocations(rack_problem(64, 8), config), 0u);
+  EXPECT_EQ(warm_mpc_allocations(rack_problem(8, 8), config), 0u);
+}
+
 TEST(MpcAlloc, WarmStepThatRebuildsThePartitionAllocatesNothing) {
   // One core's frequency cap drops (as under the thermal guard), which
-  // splits it from its class, and later comes back; then every core's
-  // penalty weight moves apart.
-  const control::MpcProblem rack = rack_problem(64, 8);
-  control::MpcProblem capped = rack;
-  capped.freq_max[13] = 0.7;
-  control::MpcProblem distinct = rack;
-  for (std::size_t i = 0; i < distinct.penalty_weights.size(); ++i)
-    distinct.penalty_weights[i] += 0.001 * static_cast<double>(i);
-  control::MpcPowerController mpc{control::MpcConfig{}};
-  control::MpcOutput out;
-  mpc.step(rack, out);
-  const std::size_t n = allocations_in([&] {
-    mpc.step(capped, out);    // core 13 leaves its class: 9 classes
-    mpc.step(rack, out);      // kept: core 13 stays a class of its own
-    mpc.step(distinct, out);  // rebuilt: every core its own class
-  });
-  EXPECT_EQ(n, 0u);
+  // splits it from its class, and later comes back, which merges it
+  // again; then every core's penalty weight moves apart. At L_c = 2 and 3.
+  for (const std::size_t lc : {2u, 3u}) {
+    control::MpcConfig config;
+    config.control_horizon = lc;
+    const control::MpcProblem rack = rack_problem(64, 8);
+    control::MpcProblem capped = rack;
+    capped.freq_max[13] = 0.7;
+    control::MpcProblem distinct = rack;
+    for (std::size_t i = 0; i < distinct.penalty_weights.size(); ++i)
+      distinct.penalty_weights[i] += 0.001 * static_cast<double>(i);
+    control::MpcPowerController mpc{config};
+    control::MpcOutput out;
+    mpc.step(rack, out);
+    std::size_t classes[3] = {};
+    const std::size_t n = allocations_in([&] {
+      mpc.step(capped, out);  // core 13 leaves its class
+      classes[0] = mpc.num_classes();
+      mpc.step(rack, out);  // core 13 rejoins it
+      classes[1] = mpc.num_classes();
+      mpc.step(distinct, out);  // every core its own class
+      classes[2] = mpc.num_classes();
+    });
+    EXPECT_EQ(n, 0u) << "lc " << lc;
+    EXPECT_EQ(classes[0], 9u);
+    EXPECT_EQ(classes[1], 8u);
+    EXPECT_EQ(classes[2], 64u);
+  }
 }
 
 }  // namespace

@@ -2,14 +2,15 @@
 // solve_structured_qp (control/structured_qp.hpp).
 //
 // The library solver evaluates each class of bitwise-equal coordinates
-// once. This file keeps the same algorithm written one coordinate at a
-// time, with no partition: the safeguarded Newton solve of each block's
-// scalar KKT equation, then the FISTA polish when the direct answer's
-// residual misses the tolerance. Every QpResult field of the two solvers
+// once and searches two blocks in lockstep. This file keeps the same
+// algorithm written one coordinate and one block at a time, with no
+// partition: the safeguarded Newton solve of each block's scalar KKT
+// equation, then the FISTA polish when the direct answer's residual
+// misses the tolerance. Every QpResult field of the two solvers
 // must agree bit for bit (structured_qp_test).
 #pragma once
 
-#include "control/structured_qp.hpp"
+#include "control/structured_block_qp.hpp"
 
 namespace sprintcon::control {
 
